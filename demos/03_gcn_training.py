@@ -38,14 +38,15 @@ for frame in dataset.days[:8]:
 
 # the analytic gradients agree with finite differences
 frame = dataset.days[0]
-loss, grads = loss_and_gradients(params, adj, frame.features, frame.labels, [0, 1, 2, 3])
+labeled = [(frame.features, frame.labels, [0, 1, 2, 3])]
+loss, grads = loss_and_gradients(params, adj, labeled)
 h = 1e-5
 idx = (0, 0)
 orig = params.w1[idx]
 params.w1[idx] = orig + h
-up, _ = loss_and_gradients(params, adj, frame.features, frame.labels, [0, 1, 2, 3])
+up, _ = loss_and_gradients(params, adj, labeled)
 params.w1[idx] = orig - h
-down, _ = loss_and_gradients(params, adj, frame.features, frame.labels, [0, 1, 2, 3])
+down, _ = loss_and_gradients(params, adj, labeled)
 params.w1[idx] = orig
 print(f"\nanalytic dW1[0,0] = {grads.w1[idx]:.8f}, finite difference = {(up - down) / (2 * h):.8f}")
 

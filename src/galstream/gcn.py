@@ -1,9 +1,11 @@
 """Reference two-layer graph convolution classifier with hand-derived gradients.
 
-Everything is dense float64 numpy. Training is full-batch gradient descent,
-vectorized across the labeled day-examples (they all share the same
-propagation matrix), which keeps a benchmark day's retrain in the
-millisecond range at the graph sizes this engine targets.
+Everything is dense float64 numpy. Training is full-batch gradient descent
+over all labeled day-examples at once. They share one propagation matrix A,
+so they are stacked node-major, as (node, example) rows, and one GEMM
+propagates every example. With two classes the softmax is the logistic of
+the logit difference, so each epoch sends a single column through A forward
+and one back. ``train`` and ``loss_and_gradients`` run the same routine.
 """
 
 from __future__ import annotations
@@ -107,45 +109,98 @@ def forward(params: GcnParams, adj: NormalizedAdjacency, x: np.ndarray) -> Model
     return ModelOutput(probabilities=probs, hidden=hidden)
 
 
-def _one_hot(labels: np.ndarray) -> np.ndarray:
-    y = np.zeros((labels.size, 2))
-    y[np.arange(labels.size), labels] = 1.0
-    return y
+@dataclass(frozen=True)
+class _Batch:
+    """Day-examples stacked node-major: row ``i * examples + e`` is node i of example e."""
+
+    ax: np.ndarray  # (nodes * examples, features): A @ x of every example
+    rows: np.ndarray  # labelled rows, ascending
+    sign: np.ndarray  # per labelled row: +1 for label 1, -1 for label 0
+    weight: np.ndarray  # per labelled row: 1 / (mask size * examples)
+
+
+def _stack_examples(
+    adj: NormalizedAdjacency,
+    labeled_examples: Iterable[tuple[np.ndarray, np.ndarray, Sequence[int]]],
+) -> _Batch:
+    examples = list(labeled_examples)
+    if not examples:
+        raise ValueError("need at least one labeled example")
+    n = adj.node_count
+    e = len(examples)
+    feature_dim = np.asarray(examples[0][0]).shape[1]
+    x = np.empty((n, e, feature_dim))
+    weight = np.zeros((n, e))
+    sign = np.zeros((n, e))
+    for i, (features, labels, mask) in enumerate(examples):
+        features = np.asarray(features, dtype=float)
+        if features.shape != (n, feature_dim):
+            raise ValueError(f"example {i}: features must be ({n}, {feature_dim})")
+        mask = np.asarray(sorted(mask), dtype=int)
+        if mask.size == 0:
+            raise ValueError(f"example {i}: empty mask")
+        if (np.diff(mask) == 0).any():
+            raise ValueError(f"example {i}: mask repeats a node")
+        picked = np.asarray(labels, dtype=int)[mask]
+        if (picked == MISSING_LABEL).any():
+            raise ValueError(f"example {i}: masked nodes must have labels")
+        if ((picked != 0) & (picked != 1)).any():
+            raise ValueError(f"example {i}: labels must be 0 or 1")
+        x[:, i] = features
+        weight[mask, i] = 1.0 / (mask.size * e)
+        sign[mask, i] = 2.0 * picked - 1.0
+    ax = (adj.matrix @ x.reshape(n, -1)).reshape(n * e, feature_dim)
+    rows = np.flatnonzero(weight)
+    return _Batch(ax, rows, sign.ravel()[rows], weight.ravel()[rows])
+
+
+def _batch_loss_and_gradients(
+    params: GcnParams, a: np.ndarray, batch: _Batch
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted cross-entropy of the labelled rows and its exact gradients.
+
+    With two classes the softmax of a row is the logistic of its logit
+    difference s = A relu(A x w1) dw, where dw = w2[:, 1] - w2[:, 0]. So one
+    column goes through A forward and one back, and the gradient of w2 is
+    [-g, g]. The loss is infinite once a labelled row's true-class
+    probability underflows to 0.
+    """
+    n = a.shape[0]
+    dw = params.w2[:, 1] - params.w2[:, 0]
+    z1 = batch.ax @ params.w1
+    active = z1 > 0
+    hidden = np.maximum(z1, 0.0)
+    s = (a @ (hidden @ dw).reshape(n, -1)).ravel()
+
+    margin = s[batch.rows] * batch.sign  # true-class logit minus the other
+    decay = np.exp(-np.abs(margin))  # never overflows
+    share = 1.0 / (1.0 + decay)
+    right = margin >= 0
+    picked = np.where(right, share, decay * share)
+    loss = float(-(np.log(picked) * batch.weight).sum()) if picked.min() > 0 else np.inf
+
+    d_s = np.zeros(s.size)
+    d_s[batch.rows] = -batch.weight * batch.sign * np.where(right, decay * share, share)
+    back = (a @ d_s.reshape(n, -1)).ravel()  # A is symmetric
+    g = hidden.T @ back
+    g_w1 = ((batch.ax * back[:, None]).T @ active) * dw
+    return loss, g_w1, np.column_stack([-g, g])
 
 
 def loss_and_gradients(
     params: GcnParams,
     adj: NormalizedAdjacency,
-    x: np.ndarray,
-    labels: np.ndarray,
-    mask: Sequence[int],
+    labeled_examples: Iterable[tuple[np.ndarray, np.ndarray, Sequence[int]]],
 ) -> tuple[float, GcnParams]:
-    """Masked mean cross-entropy and its exact gradients w.r.t. both weight matrices."""
-    mask = np.asarray(sorted(mask), dtype=int)
-    if mask.size == 0:
-        raise ValueError("mask must contain at least one node")
-    labels = np.asarray(labels, dtype=int)
-    if (labels[mask] == MISSING_LABEL).any():
-        raise ValueError("masked nodes must have labels")
-    x = np.asarray(x, dtype=float)
-    a = adj.matrix
+    """The loss ``train`` minimizes and its exact gradients w.r.t. both weight matrices.
 
-    z1 = a @ x @ params.w1
-    h = np.maximum(z1, 0.0)
-    p = _softmax_rows(a @ h @ params.w2)
-
-    picked = p[mask, labels[mask]]
-    loss = float(-np.log(picked).mean())
-
-    d_z2 = np.zeros_like(p)
-    d_z2[mask] = p[mask]
-    d_z2[mask, labels[mask]] -= 1.0
-    d_z2 /= mask.size
-
-    g_w2 = (a @ h).T @ d_z2
-    d_h = a @ d_z2 @ params.w2.T
-    d_z1 = d_h * (z1 > 0)
-    g_w1 = (a @ x).T @ d_z1
+    ``labeled_examples`` are ``train``'s (features, labels, mask) triples; the
+    loss is the mean over examples of each mask's mean cross-entropy.
+    """
+    batch = _stack_examples(adj, labeled_examples)
+    if batch.ax.shape[1] != params.w1.shape[0]:
+        raise ValueError(f"features must have {params.w1.shape[0]} columns")
+    loss, g_w1, g_w2 = _batch_loss_and_gradients(params, adj.matrix, batch)
     return loss, GcnParams(g_w1, g_w2)
 
 
@@ -155,71 +210,17 @@ def train(
     labeled_examples: Iterable[tuple[np.ndarray, np.ndarray, Sequence[int]]],
     hyper: TrainConfig = TrainConfig(),
 ) -> GcnParams:
-    """Full-batch gradient descent, averaging gradients over all day-examples.
+    """Full-batch gradient descent on the loss of ``loss_and_gradients``.
 
     ``labeled_examples`` is a list of (features, labels, mask) triples that
     all share ``adj``. Deterministic given the init seed.
     """
-    examples = list(labeled_examples)
-    if not examples:
-        raise ValueError("need at least one labeled example")
-    feature_dim = np.asarray(examples[0][0]).shape[1]
-    params = init_params(params_init_seed, feature_dim, hyper.hidden_dim)
-    if hyper.epochs == 0:
-        return params
-
-    a = adj.matrix
-    n = adj.node_count
-    e = len(examples)
-    # flatten the example axis into the row axis so every epoch is a handful
-    # of 2-d GEMMs; row e*n+i is node i of example e
-    ax = np.empty((e * n, feature_dim))
-    flat_mask = []
-    flat_labels = []
-    weight = np.zeros(e * n)  # per-row loss weight: 1 / (mask size * examples)
-    for i, (x, labels, mask) in enumerate(examples):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (n, feature_dim):
-            raise ValueError(f"example {i}: features must be ({n}, {feature_dim})")
-        labels = np.asarray(labels, dtype=int)
-        mask = np.asarray(sorted(mask), dtype=int)
-        if mask.size == 0:
-            raise ValueError(f"example {i}: empty mask")
-        if (labels[mask] == MISSING_LABEL).any():
-            raise ValueError(f"example {i}: masked nodes must have labels")
-        ax[i * n : (i + 1) * n] = a @ x
-        flat_mask.append(mask + i * n)
-        flat_labels.append(labels[mask])
-        weight[mask + i * n] = 1.0 / (mask.size * e)
-    rows = np.concatenate(flat_mask)
-    row_labels = np.concatenate(flat_labels)
-    row_weight = weight[rows]
-
-    def propagate(m2d: np.ndarray) -> np.ndarray:
-        # per-example A @ m using one GEMM over the flattened layout
-        cols = m2d.shape[1]
-        stacked = m2d.reshape(e, n, cols).transpose(1, 0, 2).reshape(n, e * cols)
-        return (a @ stacked).reshape(n, e, cols).transpose(1, 0, 2).reshape(e * n, cols)
-
+    batch = _stack_examples(adj, labeled_examples)
+    params = init_params(params_init_seed, batch.ax.shape[1], hyper.hidden_dim)
     for epoch in range(hyper.epochs):
-        z1 = ax @ params.w1
-        h = np.maximum(z1, 0.0)
-        ah = propagate(h)
-        p = _softmax_rows(ah @ params.w2)
-
-        picked = p[rows, row_labels]
-        loss = float(-(np.log(picked) * row_weight).sum()) if picked.min() > 0 else np.inf
+        loss, g_w1, g_w2 = _batch_loss_and_gradients(params, adj.matrix, batch)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
-
-        d_z2 = np.zeros_like(p)
-        d_z2[rows] = p[rows] * row_weight[:, None]
-        d_z2[rows, row_labels] -= row_weight
-        g_w2 = ah.T @ d_z2
-        d_h = propagate(d_z2) @ params.w2.T
-        d_z1 = d_h * (z1 > 0)
-        g_w1 = ax.T @ d_z1
-
         params.w1 -= hyper.learning_rate * g_w1
         params.w2 -= hyper.learning_rate * g_w2
     return params

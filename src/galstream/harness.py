@@ -185,6 +185,7 @@ def run_unit(
 
         if strategy == "no_al":
             chosen: tuple[int, ...] = ()
+            evaluated = current  # no query, so the parameters did not change
         else:
             if strategy == "featprop":
                 embeddings = frame.features  # raw features; the strategy propagates
@@ -215,8 +216,8 @@ def run_unit(
                 buffer.append((frame.features, frame.labels, mask))
                 trained.update(mask)
             params = train(init_seed, adj, buffer, hyper)
+            evaluated = forward(params, adj, frame.features)
 
-        evaluated = forward(params, adj, frame.features)
         upcoming = forward(params, adj, next_frame.features)
         slices = build_eval_slices(
             split,

@@ -111,15 +111,15 @@ def test_criterion_2_gradient_check():
         params = GcnParams(
             rng.normal(scale=0.5, size=(3, 4)), rng.normal(scale=0.5, size=(4, 2))
         )
-        _, grads = loss_and_gradients(params, adj, x, labels, mask)
+        _, grads = loss_and_gradients(params, adj, [(x, labels, mask)])
         for w, gw in ((params.w1, grads.w1), (params.w2, grads.w2)):
             flat, gflat = w.ravel(), gw.ravel()
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up, _ = loss_and_gradients(params, adj, x, labels, mask)
+                up, _ = loss_and_gradients(params, adj, [(x, labels, mask)])
                 flat[idx] = orig - h
-                down, _ = loss_and_gradients(params, adj, x, labels, mask)
+                down, _ = loss_and_gradients(params, adj, [(x, labels, mask)])
                 flat[idx] = orig
                 fd = (up - down) / (2 * h)
                 if abs(gflat[idx]) > 1e-8:

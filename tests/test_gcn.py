@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from galstream import (
     GcnParams,
     SyntheticConfig,
     TrainConfig,
+    TrainingDivergedError,
     build_normalized_adjacency,
     embed,
     forward,
@@ -97,7 +100,7 @@ class TestLossAndGradients:
         rng = np.random.default_rng(6)
         adj, x, labels, _, _ = random_setup(rng)
         params = GcnParams(np.zeros((3, 4)), np.zeros((4, 2)))
-        loss, grads = loss_and_gradients(params, adj, x, labels, [2])
+        loss, grads = loss_and_gradients(params, adj, [(x, labels, [2])])
         assert abs(loss - np.log(2)) < 1e-12
 
     def test_confident_correct_prediction_has_zero_loss_and_gradients(self):
@@ -106,7 +109,7 @@ class TestLossAndGradients:
         x = np.array([[1.0], [-1.0]])
         labels = np.array([1, 0])
         params = GcnParams(np.array([[50.0]]), np.array([[-60.0, 60.0]]))
-        loss, grads = loss_and_gradients(params, adj, x, labels, [0])
+        loss, grads = loss_and_gradients(params, adj, [(x, labels, [0])])
         assert loss == 0.0
         assert np.abs(grads.w1).max() == 0.0
         assert np.abs(grads.w2).max() == 0.0
@@ -115,23 +118,53 @@ class TestLossAndGradients:
         rng = np.random.default_rng(7)
         adj, x, labels, _, params = random_setup(rng)
         with pytest.raises(ValueError):
-            loss_and_gradients(params, adj, x, labels, [])
+            loss_and_gradients(params, adj, [(x, labels, [])])
+
+    @pytest.mark.parametrize(
+        "label, mask", [(1, [2, 2]), (-1, [2]), (2, [2]), (-2, [2])]
+    )
+    def test_malformed_mask_or_label_rejected(self, label, mask):
+        rng = np.random.default_rng(8)
+        adj, x, labels, _, params = random_setup(rng)
+        labels[2] = label
+        with pytest.raises(ValueError):
+            loss_and_gradients(params, adj, [(x, labels, mask)])
 
     def test_gradients_match_central_finite_differences(self):
+        # batches of 1-3 day-examples with unequal masks, so the per-row
+        # weight 1 / (mask size * examples) that train applies is checked too
         rng = np.random.default_rng(42)
         h = 1e-5
         for _ in range(20):
             adj, x, labels, mask, params = random_setup(rng)
-            _, grads = loss_and_gradients(params, adj, x, labels, mask)
+            n, d = x.shape
+            examples = [(x, labels, mask)]
+            for _ in range(rng.integers(0, 3)):
+                size = int(rng.integers(1, n + 1))
+                examples.append(
+                    (
+                        rng.normal(size=(n, d)),
+                        rng.integers(0, 2, size=n),
+                        rng.choice(n, size=size, replace=False).tolist(),
+                    )
+                )
+            loss, grads = loss_and_gradients(params, adj, examples)
+            want = np.mean(
+                [
+                    -np.log(forward(params, adj, xe).probabilities[m, ye[m]]).mean()
+                    for xe, ye, m in examples
+                ]
+            )
+            assert abs(loss - want) < 1e-12
             for w, gw in ((params.w1, grads.w1), (params.w2, grads.w2)):
                 flat = w.ravel()
                 gflat = gw.ravel()
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + h
-                    up, _ = loss_and_gradients(params, adj, x, labels, mask)
+                    up, _ = loss_and_gradients(params, adj, examples)
                     flat[idx] = orig - h
-                    down, _ = loss_and_gradients(params, adj, x, labels, mask)
+                    down, _ = loss_and_gradients(params, adj, examples)
                     flat[idx] = orig
                     fd = (up - down) / (2 * h)
                     if abs(gflat[idx]) > 1e-8:
@@ -176,10 +209,18 @@ class TestTrain:
         for epochs in range(0, 120, 5):
             hyper = TrainConfig(hidden_dim=8, epochs=epochs, learning_rate=0.01)
             params = train(11, adj, [(x, labels, mask)], hyper)
-            loss, _ = loss_and_gradients(params, adj, x, labels, mask)
+            loss, _ = loss_and_gradients(params, adj, [(x, labels, mask)])
             losses.append(loss)
         for before, after in zip(losses, losses[1:]):
             assert after <= before + 1e-6
+
+    def test_huge_step_size_raises_diverged_without_warnings(self):
+        adj, x, labels, mask = noiseless_toy()
+        hyper = TrainConfig(hidden_dim=8, epochs=200, learning_rate=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError):
+                train(9, adj, [(x, labels, mask)], hyper)
 
     def test_requires_an_example(self):
         adj, *_ = noiseless_toy()

@@ -7,10 +7,8 @@ diversity/user-burden metric suite.
 """
 
 from .burden import (
-    BurdenReport,
     QueryLog,
     average_time_gap,
-    burden_report,
     centrality_burden_correlation,
     coverage_ratio,
     mean_normalized_centrality,
@@ -41,8 +39,6 @@ from .exceptions import (
 )
 from .gcn import (
     GcnParams,
-    ModelOutput,
-    NormalizedAdjacency,
     TrainConfig,
     build_normalized_adjacency,
     embed,
@@ -53,9 +49,7 @@ from .gcn import (
 )
 from .graphs import (
     CENTRALITY_METRICS,
-    CentralityVector,
     Graph,
-    Partition,
     betweenness_centrality,
     centrality,
     closeness_centrality,
@@ -70,8 +64,6 @@ from .graphs import (
     shortest_path_distances,
 )
 from .harness import (
-    MetricRecord,
-    RunResult,
     build_eval_slices,
     run_experiment,
     run_unit,
@@ -94,7 +86,6 @@ from .metrics import (
 )
 from .reports import emit_reports, recompute_reports
 from .stats import (
-    TestResult,
     anova_oneway,
     chi2_survival,
     f_survival,

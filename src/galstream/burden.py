@@ -63,32 +63,6 @@ class QueryLog:
         return tuple(b - a for a, b in zip(days, days[1:]))
 
 
-@dataclass(frozen=True)
-class BurdenReport:
-    """The full burden profile of one query log at the configured thresholds."""
-
-    sampling_entropy: float
-    coverage_ratio: float
-    average_time_gap: float | None
-    within_gap_pct: Mapping[int, float | None]
-    over_exertion: Mapping[int, float]
-
-
-def burden_report(log: QueryLog, thresholds: Iterable[int] = (1, 2, 3, 4, 5)) -> BurdenReport:
-    """Evaluate the whole burden suite; gap metrics are None when no node was re-queried."""
-    thresholds = tuple(int(t) for t in thresholds)
-    has_gaps = any(log.gaps(n) for n in log.days_by_node)
-    return BurdenReport(
-        sampling_entropy=sampling_entropy(log),
-        coverage_ratio=coverage_ratio(log),
-        average_time_gap=average_time_gap(log) if has_gaps else None,
-        within_gap_pct={
-            t: within_gap_percentage(log, t) if has_gaps else None for t in thresholds
-        },
-        over_exertion={t: over_exertion(log, t) for t in thresholds},
-    )
-
-
 def sampling_entropy(log: QueryLog) -> float:
     """Shannon entropy (natural log) of the per-node query frequency distribution."""
     if log.total_queries == 0:

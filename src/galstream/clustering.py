@@ -64,11 +64,10 @@ def kmeans(
     return centroids, assignment
 
 
-def kmedoids(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> np.ndarray:
+def kmedoids(points: np.ndarray, k: int, max_iter: int = 100) -> np.ndarray:
     """PAM: greedy build then best-improvement swaps; returns sorted medoid indices.
 
-    Fully deterministic; the seed parameter is accepted for interface
-    uniformity with the other clustering primitives.
+    Fully deterministic, so it takes no seed.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -118,18 +117,14 @@ def kmedoids(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> np.n
 
 
 def kcenter_greedy(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    preselected: Iterable[int] = (),
+    points: np.ndarray, k: int, preselected: Iterable[int] = ()
 ) -> np.ndarray:
     """Farthest-first traversal; returns k indices not in ``preselected``.
 
     With no preselected points the traversal starts from index 0, making
-    runs reproducible without randomness (the seed parameter is accepted
-    for interface uniformity). Every later pick maximizes the distance to
-    the nearest already chosen or preselected point; if only preselected
-    points remain eligible they become pickable again (a re-query).
+    runs reproducible without randomness. Every later pick maximizes the
+    distance to the nearest already chosen or preselected point; if only
+    preselected points remain eligible they become pickable again (a re-query).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]

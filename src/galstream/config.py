@@ -11,6 +11,7 @@ import configparser
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from .datasets import SyntheticConfig
 from .exceptions import ConfigError
@@ -49,7 +50,6 @@ class ExperimentConfig:
     hidden_dim: int = 16
     learning_rate: float = 0.05
     epochs: int = 200
-    pagerank_damping: float = 0.85
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -104,15 +104,12 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("learning_rate must be positive")
     if config.epochs < 0:
         raise ConfigError("epochs must be nonnegative")
-    if not 0.0 < config.pagerank_damping < 1.0:
-        raise ConfigError("pagerank_damping must lie strictly between 0 and 1")
     if config.source == "synthetic":
-        _validate_against_dataset(
-            config, config.synthetic.node_count, config.synthetic.days
-        )
+        validate_against_dataset(config, config.synthetic.node_count, config.synthetic.days)
 
 
-def _validate_against_dataset(config: ExperimentConfig, node_count: int, days: int) -> None:
+def validate_against_dataset(config: ExperimentConfig, node_count: int, days: int) -> None:
+    """Run-time invariants that need the loaded dataset's dimensions."""
     holdout = int(round(config.holdout_fraction * node_count))
     pool = node_count - holdout
     if holdout == 0 or pool == 0:
@@ -128,57 +125,9 @@ def _validate_against_dataset(config: ExperimentConfig, node_count: int, days: i
         )
 
 
-def validate_against_dataset(config: ExperimentConfig, node_count: int, days: int) -> None:
-    """Run-time invariants that need the loaded dataset's dimensions."""
-    _validate_against_dataset(config, node_count, days)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-_SECTION_KEYS = {
-    "dataset": {"source", "name", "edges", "features", "labels"},
-    "synthetic": {
-        "nodes",
-        "communities",
-        "days",
-        "feature_dim",
-        "regime_period",
-        "p_in",
-        "p_out",
-        "noise",
-        "offset_scale",
-        "seed",
-    },
-    "experiment": {
-        "strategies",
-        "initial_days",
-        "queries_per_day",
-        "bootstraps",
-        "holdout_fraction",
-        "base_seed",
-        "gap_thresholds",
-        "reference_gap",
-        "rolling_window",
-        "embedding_mode",
-        "tradeoff_metric",
-        "significance_unit",
-        "workers",
-        "output_dir",
-    },
-    "model": {"hidden_dim", "learning_rate", "epochs", "pagerank_damping"},
-}
-
-
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (ValueError, TypeError):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid value") from None
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -192,6 +141,53 @@ def _strategy_list(raw: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
+# [section] key -> (field, cast). A "synthetic." field belongs to SyntheticConfig,
+# every other field to ExperimentConfig; a key absent from the file keeps the
+# dataclass default.
+INI_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
+    "dataset": {
+        "source": ("source", str),
+        "name": ("name", str),
+        "edges": ("edges_path", str),
+        "features": ("features_path", str),
+        "labels": ("labels_path", str),
+    },
+    "synthetic": {
+        "nodes": ("synthetic.node_count", int),
+        "communities": ("synthetic.community_count", int),
+        "days": ("synthetic.days", int),
+        "feature_dim": ("synthetic.feature_dim", int),
+        "regime_period": ("synthetic.regime_period", int),
+        "p_in": ("synthetic.p_in", float),
+        "p_out": ("synthetic.p_out", float),
+        "noise": ("synthetic.noise", float),
+        "offset_scale": ("synthetic.offset_scale", float),
+        "seed": ("synthetic_seed", int),
+    },
+    "experiment": {
+        "strategies": ("strategies", _strategy_list),
+        "initial_days": ("initial_days", int),
+        "queries_per_day": ("queries_per_day", int),
+        "bootstraps": ("bootstraps", int),
+        "holdout_fraction": ("holdout_fraction", float),
+        "base_seed": ("base_seed", int),
+        "gap_thresholds": ("gap_thresholds", _int_list),
+        "reference_gap": ("reference_gap", int),
+        "rolling_window": ("rolling_window", int),
+        "embedding_mode": ("embedding_mode", str),
+        "tradeoff_metric": ("tradeoff_metric", str),
+        "significance_unit": ("significance_unit", str),
+        "workers": ("workers", int),
+        "output_dir": ("output_dir", str),
+    },
+    "model": {
+        "hidden_dim": ("hidden_dim", int),
+        "learning_rate": ("learning_rate", float),
+        "epochs": ("epochs", int),
+    },
+}
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load an INI config file or a run manifest (JSON)."""
     path = Path(path)
@@ -199,7 +195,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     if path.suffix == ".json":
         with open(path) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError(f"{path}: a manifest must be a JSON object")
         return config_from_dict(payload.get("config", payload))
     return _load_ini(path)
 
@@ -211,86 +212,34 @@ def _load_ini(path: Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in INI_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
-            if key not in _SECTION_KEYS[section]:
+            if key not in INI_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     if not parser.has_option("dataset", "source"):
         raise ConfigError("[dataset] source is required (synthetic or files)")
 
-    defaults = ExperimentConfig()
-    synth_defaults = SyntheticConfig()
-    name = _get(parser, "dataset", "name", str, defaults.name)
+    fields: dict = {}
+    synthetic: dict = {}
+    for section, keys in INI_KEYS.items():
+        for key, (field_name, cast) in keys.items():
+            if not parser.has_option(section, key):
+                continue
+            raw = parser.get(section, key)
+            try:
+                value = cast(raw)
+            except (ValueError, TypeError):
+                raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid value") from None
+            owner, _, attr = field_name.rpartition(".")
+            (synthetic if owner else fields)[attr] = value
     try:
-        synthetic = SyntheticConfig(
-            node_count=_get(parser, "synthetic", "nodes", int, synth_defaults.node_count),
-            community_count=_get(
-                parser, "synthetic", "communities", int, synth_defaults.community_count
-            ),
-            days=_get(parser, "synthetic", "days", int, synth_defaults.days),
-            feature_dim=_get(
-                parser, "synthetic", "feature_dim", int, synth_defaults.feature_dim
-            ),
-            regime_period=_get(
-                parser, "synthetic", "regime_period", int, synth_defaults.regime_period
-            ),
-            p_in=_get(parser, "synthetic", "p_in", float, synth_defaults.p_in),
-            p_out=_get(parser, "synthetic", "p_out", float, synth_defaults.p_out),
-            noise=_get(parser, "synthetic", "noise", float, synth_defaults.noise),
-            offset_scale=_get(
-                parser, "synthetic", "offset_scale", float, synth_defaults.offset_scale
-            ),
-            name=name,
+        fields["synthetic"] = SyntheticConfig(
+            **synthetic, name=fields.get("name", ExperimentConfig.name)
         )
     except ValueError as exc:
         raise ConfigError(f"[synthetic] {exc}") from None
-
-    config = ExperimentConfig(
-        source=_get(parser, "dataset", "source", str, "synthetic"),
-        name=name,
-        edges_path=_get(parser, "dataset", "edges", str, None),
-        features_path=_get(parser, "dataset", "features", str, None),
-        labels_path=_get(parser, "dataset", "labels", str, None),
-        synthetic=synthetic,
-        synthetic_seed=_get(parser, "synthetic", "seed", int, defaults.synthetic_seed),
-        strategies=_get(
-            parser, "experiment", "strategies", _strategy_list, defaults.strategies
-        ),
-        initial_days=_get(parser, "experiment", "initial_days", int, defaults.initial_days),
-        queries_per_day=_get(
-            parser, "experiment", "queries_per_day", int, defaults.queries_per_day
-        ),
-        bootstraps=_get(parser, "experiment", "bootstraps", int, defaults.bootstraps),
-        holdout_fraction=_get(
-            parser, "experiment", "holdout_fraction", float, defaults.holdout_fraction
-        ),
-        base_seed=_get(parser, "experiment", "base_seed", int, defaults.base_seed),
-        gap_thresholds=_get(
-            parser, "experiment", "gap_thresholds", _int_list, defaults.gap_thresholds
-        ),
-        reference_gap=_get(parser, "experiment", "reference_gap", int, defaults.reference_gap),
-        rolling_window=_get(
-            parser, "experiment", "rolling_window", int, defaults.rolling_window
-        ),
-        embedding_mode=_get(
-            parser, "experiment", "embedding_mode", str, defaults.embedding_mode
-        ),
-        tradeoff_metric=_get(
-            parser, "experiment", "tradeoff_metric", str, defaults.tradeoff_metric
-        ),
-        significance_unit=_get(
-            parser, "experiment", "significance_unit", str, defaults.significance_unit
-        ),
-        workers=_get(parser, "experiment", "workers", int, defaults.workers),
-        output_dir=_get(parser, "experiment", "output_dir", str, defaults.output_dir),
-        hidden_dim=_get(parser, "model", "hidden_dim", int, defaults.hidden_dim),
-        learning_rate=_get(parser, "model", "learning_rate", float, defaults.learning_rate),
-        epochs=_get(parser, "model", "epochs", int, defaults.epochs),
-        pagerank_damping=_get(
-            parser, "model", "pagerank_damping", float, defaults.pagerank_damping
-        ),
-    )
+    config = ExperimentConfig(**fields)
     validate_config(config)
     return config
 
@@ -303,8 +252,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    payload = dict(payload)
     try:
+        payload = dict(payload)
         synthetic = SyntheticConfig(**payload.pop("synthetic"))
         config = ExperimentConfig(
             synthetic=synthetic,

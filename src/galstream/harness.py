@@ -178,10 +178,10 @@ def run_unit(
     events: list[tuple[int, int]] = []
     history: dict[int, list[int]] = {}
 
+    current = forward(params, adj, frames[initial].features)
     for t in range(initial, dataset.day_count - 1):
         frame = frames[t]
         next_frame = frames[t + 1]
-        current = forward(params, adj, frame.features)
 
         if strategy == "no_al":
             chosen: tuple[int, ...] = ()
@@ -231,6 +231,7 @@ def run_unit(
         records.extend(
             _slice_records(strategy, bootstrap, frame.day_index, slices)
         )
+        current = upcoming  # the next day starts from these parameters and features
 
     if trained & holdout_set:
         raise AssertionError("holdout node entered the labeled buffer")

@@ -157,32 +157,30 @@ def _mean_std_rows(values: list[float]):
     return float(arr.mean()), float(arr.std()), arr.size
 
 
+def _over_logs(fn, logs: list[QueryLog]):
+    """Mean, std and count of ``fn`` over the logs where it is defined."""
+    values = []
+    for log in logs:
+        try:
+            values.append(fn(log))
+        except ValueError:
+            pass
+    return _mean_std_rows(values)
+
+
 def _burden_rows(config, query_logs):
     per_strategy = _strategy_logs(config, query_logs)
     for strategy in config.strategies:
         logs = per_strategy[strategy]
         for name, fn in _BURDEN_SIMPLE:
-            values = []
-            for log in logs:
-                try:
-                    values.append(fn(log))
-                except ValueError:
-                    pass
-            mean, std, n = _mean_std_rows(values)
-            yield (strategy, name, None, mean, std, n)
+            yield (strategy, name, None, *_over_logs(fn, logs))
         for threshold in config.gap_thresholds:
             for name, fn in (
                 ("within_gap_pct", within_gap_percentage),
                 ("over_exertion", over_exertion),
             ):
-                values = []
-                for log in logs:
-                    try:
-                        values.append(fn(log, threshold))
-                    except ValueError:
-                        pass
-                mean, std, n = _mean_std_rows(values)
-                yield (strategy, name, threshold, mean, std, n)
+                stats = _over_logs(lambda log: fn(log, threshold), logs)
+                yield (strategy, name, threshold, *stats)
 
 
 def _tradeoff_rows(config, aggregate, query_logs):
@@ -191,13 +189,9 @@ def _tradeoff_rows(config, aggregate, query_logs):
     for strategy in config.strategies:
         entry = aggregate.get((strategy, "test_set_same_day", cpi_key))
         mean_cpi = entry[0] if entry else None
-        values = []
-        for log in per_strategy[strategy]:
-            try:
-                values.append(over_exertion(log, config.reference_gap))
-            except ValueError:
-                pass
-        mean_exertion, _, _ = _mean_std_rows(values)
+        mean_exertion, _, _ = _over_logs(
+            lambda log: over_exertion(log, config.reference_gap), per_strategy[strategy]
+        )
         yield (strategy, mean_cpi, mean_exertion)
 
 
@@ -222,18 +216,13 @@ def _correlation_rows(config, query_logs, dataset):
         for metric in CENTRALITY_METRICS:
             for quantity in BURDEN_QUANTITIES:
                 for method in CORRELATION_METHODS:
-                    values = []
-                    for log in per_strategy[strategy]:
-                        try:
-                            values.append(
-                                centrality_burden_correlation(
-                                    log, dataset.graph, metric, quantity, method
-                                )
-                            )
-                        except ValueError:
-                            pass
-                    mean, std, n = _mean_std_rows(values)
-                    yield (strategy, metric, quantity, method, mean, std, n)
+                    stats = _over_logs(
+                        lambda log: centrality_burden_correlation(
+                            log, dataset.graph, metric, quantity, method
+                        ),
+                        per_strategy[strategy],
+                    )
+                    yield (strategy, metric, quantity, method, *stats)
 
 
 def _significance_observations(config, records, cpis):

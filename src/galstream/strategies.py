@@ -67,20 +67,19 @@ class SelectionContext:
 
 @dataclass(frozen=True)
 class Selection:
-    """Ordered chosen nodes plus optional per-pool-node scores."""
+    """The chosen nodes, in selection order."""
 
     chosen: tuple[int, ...]
-    scores: dict[int, float] | None = None
 
 
-def _finish(ctx: SelectionContext, chosen, scores=None) -> Selection:
+def _finish(ctx: SelectionContext, chosen) -> Selection:
     chosen = tuple(int(v) for v in chosen)
     pool = set(ctx.pool)
     if len(set(chosen)) != len(chosen) or not set(chosen) <= pool:
         raise AssertionError("strategy produced duplicate or non-pool nodes")
     if len(chosen) != ctx.k:
         raise AssertionError(f"strategy produced {len(chosen)} nodes, expected {ctx.k}")
-    return Selection(chosen=chosen, scores=scores)
+    return Selection(chosen=chosen)
 
 
 def top_k_by_score(pool: tuple[int, ...], scores: Mapping[int, float], k: int) -> list[int]:
@@ -132,7 +131,7 @@ def select_uncertainty(ctx: SelectionContext, variant: str) -> Selection:
         ordered = np.sort(rows, axis=1)
         raw = -(ordered[:, -1] - ordered[:, -2])
     scores = {int(v): float(s) for v, s in zip(pool, raw)}
-    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k), scores)
+    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k))
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +142,13 @@ def select_uncertainty(ctx: SelectionContext, variant: str) -> Selection:
 def select_degree(ctx: SelectionContext) -> Selection:
     values = degree_centrality(ctx.graph).values
     scores = {v: float(values[v]) for v in ctx.pool}
-    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k), scores)
+    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k))
 
 
 def select_pagerank(ctx: SelectionContext) -> Selection:
     values = pagerank(ctx.graph).values
     scores = {v: float(values[v]) for v in ctx.pool}
-    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k), scores)
+    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def select_coreset(ctx: SelectionContext) -> Selection:
     preselected = sorted(
         pool_index[n] for n in ctx.history if ctx.history[n] and n in pool_index
     )
-    picks = kcenter_greedy(points, ctx.k, ctx.rng_seed, preselected)
+    picks = kcenter_greedy(points, ctx.k, preselected)
     return _finish(ctx, [int(pool[i]) for i in picks])
 
 
@@ -253,7 +252,7 @@ def _community_medoids(ctx: SelectionContext) -> list[tuple[int, np.ndarray, lis
         if alloc[c] == 0:
             continue
         members = pools[c]
-        idx = kmedoids(emb[members], alloc[c], ctx.rng_seed)
+        idx = kmedoids(emb[members], alloc[c])
         result.append((c, members, [int(members[i]) for i in idx]))
     return result
 
@@ -349,7 +348,7 @@ def select_age(
         + gamma * percentile_ranks(pr)
     )
     scores = {int(v): float(s) for v, s in zip(pool, combined)}
-    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k), scores)
+    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k))
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def _ref_select(name, ctx):
     if name == "coreset":
         points = emb[pool]
         pre = [pool.index(v) for v in sorted(ctx.history) if ctx.history[v] and v in pool]
-        picks = kcenter_greedy(points, ctx.k, ctx.rng_seed, pre)
+        picks = kcenter_greedy(points, ctx.k, pre)
         return tuple(pool[i] for i in picks)
     if name in ("graphpart", "graphpartfar"):
         part = modularity_partition(ctx.graph)
@@ -237,7 +237,7 @@ def _ref_select(name, ctx):
             if alloc[c] == 0:
                 continue
             members = pools[c]
-            idx = kmedoids(emb[members], alloc[c], ctx.rng_seed)
+            idx = kmedoids(emb[members], alloc[c])
             plan.append((members, [members[i] for i in idx]))
         if name == "graphpart":
             return tuple(m for _, medoids in plan for m in medoids)
@@ -380,7 +380,7 @@ def test_criterion_6_coreset_guarantee():
             dist[list(combo)].min(axis=0).max()
             for combo in itertools.combinations(range(8), 3)
         )
-        picks = kcenter_greedy(points, 3, seed=0)
+        picks = kcenter_greedy(points, 3)
         radius = dist[picks].min(axis=0).max()
         if optimum > 0:
             worst_ratio = max(worst_ratio, radius / optimum)

@@ -23,6 +23,12 @@ def log_from(pool, days_by_node):
     return QueryLog(tuple(pool), {n: tuple(d) for n, d in days_by_node.items()})
 
 
+# three of eight pool nodes sampled; node gaps: 0 -> (1, 4), 1 -> (), 2 -> (4,)
+MIXED_LOG = log_from(range(8), {0: [0, 1, 5], 1: [2], 2: [0, 4]})
+# two single queries: no node was re-queried
+NO_REQUERY_LOG = log_from(range(4), {0: [0], 1: [1]})
+
+
 class TestQueryLog:
     def test_counts_and_gaps(self):
         log = log_from(range(5), {0: [1, 3, 4], 2: [2]})
@@ -78,6 +84,9 @@ class TestCoverage:
     def test_empty_log_is_zero(self):
         assert coverage_ratio(log_from(range(3), {})) == 0.0
 
+    def test_three_of_eight(self):
+        assert abs(coverage_ratio(MIXED_LOG) - 3 / 8) < 1e-12
+
     def test_three_of_twenty_four(self):
         log = log_from(range(24), {0: [0], 1: [0], 2: [0]})
         assert abs(coverage_ratio(log) - 0.125) < 1e-12
@@ -99,6 +108,9 @@ class TestAverageTimeGap:
     def test_outer_mean_over_nodes(self):
         log = log_from(range(4), {0: [0, 1, 2], 1: [0, 3, 6]})
         assert average_time_gap(log) == 2.0
+
+    def test_mixed_log_mean_of_node_means(self):
+        assert average_time_gap(MIXED_LOG) == 3.25  # mean of (2.5, 4.0)
 
     def test_single_sample_nodes_excluded(self):
         log = log_from(range(4), {0: [0, 2], 1: [5]})
@@ -124,6 +136,8 @@ class TestAverageTimeGap:
     def test_no_requeried_node_rejected(self):
         with pytest.raises(ValueError):
             average_time_gap(log_from(range(3), {0: [1], 1: [2]}))
+        with pytest.raises(ValueError):
+            average_time_gap(NO_REQUERY_LOG)
 
 
 class TestWithinGap:
@@ -142,6 +156,16 @@ class TestWithinGap:
         # min gaps: node0=1, node1=4, node2=2; below 3 -> nodes 0 and 2
         assert abs(within_gap_percentage(log, 3) - 2 / 3) < 1e-12
 
+    def test_mixed_log_thresholds(self):
+        # re-queried nodes 0 (min gap 1) and 2 (min gap 4); a gap must be below k
+        assert within_gap_percentage(MIXED_LOG, 1) == 0.0
+        assert within_gap_percentage(MIXED_LOG, 3) == 0.5
+
+    def test_no_requeried_node_rejected(self):
+        for threshold in (1, 2, 3, 4, 5):
+            with pytest.raises(ValueError):
+                within_gap_percentage(NO_REQUERY_LOG, threshold)
+
     def test_threshold_validation(self):
         log = log_from(range(2), {0: [0, 1]})
         with pytest.raises(ValueError):
@@ -157,6 +181,13 @@ class TestOverExertion:
     def test_single_queries_have_no_gaps(self):
         log = log_from(range(8), {n: [n] for n in range(5)})
         assert over_exertion(log, 3) == 0.0
+        for threshold in (1, 2, 3, 4, 5):
+            assert over_exertion(NO_REQUERY_LOG, threshold) == 0.0
+
+    def test_mixed_log_thresholds(self):
+        # only node 0 has a gap <= 3; three nodes were sampled at all
+        assert over_exertion(MIXED_LOG, 1) == 1 / 3
+        assert over_exertion(MIXED_LOG, 3) == 1 / 3
 
     def test_mixed_hand_count(self):
         log = log_from(
@@ -264,28 +295,6 @@ class TestMeanNormalizedCentrality:
     def test_constant_centrality_normalizes_to_zero(self):
         k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         assert normalized_centrality(k3, "degree").tolist() == [0.0, 0.0, 0.0]
-
-
-class TestBurdenReport:
-    def test_full_profile(self):
-        from galstream import burden_report
-
-        log = log_from(range(8), {0: [0, 1, 5], 1: [2], 2: [0, 4]})
-        profile = burden_report(log, thresholds=(1, 3))
-        assert abs(profile.coverage_ratio - 3 / 8) < 1e-12
-        assert profile.average_time_gap == 3.25  # mean of (2.5, 4.0)
-        # only node 0 has a gap <= 3; three nodes were sampled at all
-        assert profile.over_exertion == {1: 1 / 3, 3: 1 / 3}
-        assert profile.within_gap_pct == {1: 0.0, 3: 0.5}
-
-    def test_no_requeries_marks_gap_metrics_none(self):
-        from galstream import burden_report
-
-        log = log_from(range(4), {0: [0], 1: [1]})
-        profile = burden_report(log)
-        assert profile.average_time_gap is None
-        assert all(v is None for v in profile.within_gap_pct.values())
-        assert all(v == 0.0 for v in profile.over_exertion.values())
 
 
 def test_relabeling_invariance():

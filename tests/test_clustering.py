@@ -72,12 +72,12 @@ class TestKmeans:
 class TestKmedoids:
     def test_collinear_points_pick_the_middle(self):
         points = np.array([[0.0], [1.0], [10.0]])
-        assert kmedoids(points, 1, seed=0).tolist() == [1]
+        assert kmedoids(points, 1).tolist() == [1]
 
     def test_k_equals_n_selects_everything(self):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(4, 2))
-        assert kmedoids(points, 4, seed=0).tolist() == [0, 1, 2, 3]
+        assert kmedoids(points, 4).tolist() == [0, 1, 2, 3]
 
     def test_matches_exhaustive_pair_search(self):
         rng = np.random.default_rng(4)
@@ -88,32 +88,32 @@ class TestKmedoids:
                 dist[list(pair)].min(axis=0).sum()
                 for pair in itertools.combinations(range(7), 2)
             )
-            got = kmedoids(points, 2, seed=0)
+            got = kmedoids(points, 2)
             assert abs(dist[got].min(axis=0).sum() - best) < 1e-9
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         points = rng.normal(size=(9, 3))
-        assert kmedoids(points, 3, seed=1).tolist() == kmedoids(points, 3, seed=1).tolist()
+        assert kmedoids(points, 3).tolist() == kmedoids(points, 3).tolist()
 
 
 class TestKcenterGreedy:
     def test_line_endpoints(self):
         points = np.array([[0.0], [1.0], [10.0]])
-        assert sorted(kcenter_greedy(points, 2, seed=0).tolist()) == [0, 2]
+        assert sorted(kcenter_greedy(points, 2).tolist()) == [0, 2]
 
     def test_preselected_single_point_yields_farthest(self):
         points = np.array([[0.0], [4.0], [10.0]])
-        assert kcenter_greedy(points, 1, seed=0, preselected=[2]).tolist() == [0]
+        assert kcenter_greedy(points, 1, preselected=[2]).tolist() == [0]
 
     def test_new_indices_avoid_preselected(self):
         points = np.array([[0.0], [1.0], [2.0], [3.0]])
-        picks = kcenter_greedy(points, 2, seed=0, preselected=[0, 3])
+        picks = kcenter_greedy(points, 2, preselected=[0, 3])
         assert set(picks.tolist()) <= {1, 2}
 
     def test_all_preselected_falls_back_to_requery(self):
         points = np.array([[0.0], [1.0]])
-        picks = kcenter_greedy(points, 1, seed=0, preselected=[0, 1])
+        picks = kcenter_greedy(points, 1, preselected=[0, 1])
         assert picks.tolist() == [0]
 
     def test_covering_radius_within_factor_two_of_optimum(self):
@@ -125,6 +125,6 @@ class TestKcenterGreedy:
                 dist[list(combo)].min(axis=0).max()
                 for combo in itertools.combinations(range(8), 3)
             )
-            picks = kcenter_greedy(points, 3, seed=0)
+            picks = kcenter_greedy(points, 3)
             radius = dist[picks].min(axis=0).max()
             assert radius <= 2.0 * optimum + 1e-9

@@ -1,7 +1,10 @@
-"""Byte-for-byte golden reports for a small study.
+"""Byte-for-byte golden reports for a small study of every strategy.
 
-A change that claims no change in behaviour must leave these files as they
-are. A change that moves numbers regenerates them with
+The study runs twice: once with the default model-based embeddings, whose
+reports live in ``golden/``, and once with ``embedding_mode = "direct"``,
+whose reports live in ``golden/direct/``. A change that claims no change in
+behaviour must leave these files as they are. A change that moves numbers
+regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -14,26 +17,41 @@ from pathlib import Path
 
 import pytest
 
-from galstream import ExperimentConfig, SyntheticConfig, emit_reports, run_experiment
+from galstream import (
+    STRATEGY_NAMES,
+    ExperimentConfig,
+    SyntheticConfig,
+    emit_reports,
+    run_experiment,
+)
+from galstream.reports import REPORT_FILES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_FILES = ("aggregate.csv", "daily.csv")
+REPORTS = tuple(name for name in REPORT_FILES if name.endswith(".csv"))
+MODES = {"": "model_based", "direct/": "direct"}
+GOLDEN_FILES = tuple(prefix + name for prefix in MODES for name in REPORTS)
 
 
-def golden_config(output_dir) -> ExperimentConfig:
+def golden_config(output_dir, embedding_mode="model_based") -> ExperimentConfig:
     return ExperimentConfig(
         synthetic=SyntheticConfig(node_count=40, days=14),
-        strategies=("no_al", "uncertainty_entropy", "pagerank"),
+        strategies=STRATEGY_NAMES,
         bootstraps=2,
         epochs=20,
         learning_rate=0.2,
+        embedding_mode=embedding_mode,
         output_dir=str(output_dir),
     )
 
 
 def write_reports(output_dir) -> dict[str, Path]:
-    config = golden_config(output_dir)
-    return emit_reports(run_experiment(config), config)
+    """Run both studies under ``output_dir``; map each golden name to its file."""
+    paths = {}
+    for prefix, mode in MODES.items():
+        config = golden_config(Path(output_dir) / mode, mode)
+        emitted = emit_reports(run_experiment(config), config)
+        paths.update({prefix + name: emitted[name] for name in REPORTS})
+    return paths
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +65,9 @@ def test_report_matches_golden_bytes(emitted, name):
 
 
 if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_reports(tmp)
         for name in GOLDEN_FILES:
+            (GOLDEN_DIR / name).parent.mkdir(parents=True, exist_ok=True)
             (GOLDEN_DIR / name).write_bytes(paths[name].read_bytes())
     print(f"wrote {', '.join(GOLDEN_FILES)} to {GOLDEN_DIR}", file=sys.stderr)

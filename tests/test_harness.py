@@ -11,12 +11,14 @@ from galstream import (
     SyntheticConfig,
     build_eval_slices,
     emit_reports,
+    harness,
     load_config,
     recompute_reports,
     run_experiment,
     validate_config,
 )
 from galstream.cli import main as cli_main
+from galstream.config import INI_KEYS, config_to_dict
 from galstream.datasets import Split
 from galstream.harness import aggregate_records, compute_cpis, load_configured_dataset
 from galstream.reports import REPORT_FILES, read_daily_records
@@ -174,6 +176,27 @@ class TestRunExperiment:
         # other strategies unaffected
         assert {r.strategy for r in result.records} == {"no_al", "random", "degree", "age"}
 
+    def test_forward_runs_once_per_model_state(self, monkeypatch):
+        config = ExperimentConfig(
+            synthetic=SyntheticConfig(node_count=40, days=14), bootstraps=1, epochs=5
+        )
+        dataset = load_configured_dataset(config)
+        query_days = dataset.day_count - 1 - config.initial_days
+        calls = []
+        real_forward = harness.forward
+
+        def counting_forward(*args):
+            calls.append(args)
+            return real_forward(*args)
+
+        monkeypatch.setattr(harness, "forward", counting_forward)
+        # an active unit runs forward after each retrain and for the next day;
+        # no_al never retrains, so each day needs only the next day's forward
+        for strategy, per_day in (("random", 2), ("no_al", 1)):
+            calls.clear()
+            harness.run_unit(dataset, config, strategy, 0)
+            assert len(calls) == 1 + per_day * query_days
+
     def test_cpi_of_constant_series_is_defined(self, small_run):
         _, result = small_run
         defined = [v for v in result.cpis.values() if v is not None]
@@ -261,6 +284,46 @@ class TestReports:
         assert payload["config"]["strategies"] == list(config.strategies)
 
 
+# [section] key -> (raw value, field path, parsed value); every value is valid
+# and differs from the default
+INI_SAMPLES = {
+    ("dataset", "source"): ("files", "source", "files"),
+    ("dataset", "name"): ("sensors", "name", "sensors"),
+    ("dataset", "edges"): ("e.csv", "edges_path", "e.csv"),
+    ("dataset", "features"): ("f.csv", "features_path", "f.csv"),
+    ("dataset", "labels"): ("l.csv", "labels_path", "l.csv"),
+    ("synthetic", "nodes"): ("50", "synthetic.node_count", 50),
+    ("synthetic", "communities"): ("3", "synthetic.community_count", 3),
+    ("synthetic", "days"): ("20", "synthetic.days", 20),
+    ("synthetic", "feature_dim"): ("5", "synthetic.feature_dim", 5),
+    ("synthetic", "regime_period"): ("4", "synthetic.regime_period", 4),
+    ("synthetic", "p_in"): ("0.4", "synthetic.p_in", 0.4),
+    ("synthetic", "p_out"): ("0.1", "synthetic.p_out", 0.1),
+    ("synthetic", "noise"): ("0.3", "synthetic.noise", 0.3),
+    ("synthetic", "offset_scale"): ("2.0", "synthetic.offset_scale", 2.0),
+    ("synthetic", "seed"): ("7", "synthetic_seed", 7),
+    ("experiment", "strategies"): ("random, degree", "strategies", ("random", "degree")),
+    ("experiment", "initial_days"): ("4", "initial_days", 4),
+    ("experiment", "queries_per_day"): ("3", "queries_per_day", 3),
+    ("experiment", "bootstraps"): ("2", "bootstraps", 2),
+    ("experiment", "holdout_fraction"): ("0.25", "holdout_fraction", 0.25),
+    ("experiment", "base_seed"): ("5", "base_seed", 5),
+    ("experiment", "gap_thresholds"): ("2,4", "gap_thresholds", (2, 4)),
+    ("experiment", "reference_gap"): ("2", "reference_gap", 2),
+    ("experiment", "rolling_window"): ("3", "rolling_window", 3),
+    ("experiment", "embedding_mode"): ("direct", "embedding_mode", "direct"),
+    ("experiment", "tradeoff_metric"): ("f1_macro", "tradeoff_metric", "f1_macro"),
+    ("experiment", "significance_unit"): (
+        "bootstrap_mean", "significance_unit", "bootstrap_mean"
+    ),
+    ("experiment", "workers"): ("3", "workers", 3),
+    ("experiment", "output_dir"): ("elsewhere", "output_dir", "elsewhere"),
+    ("model", "hidden_dim"): ("8", "hidden_dim", 8),
+    ("model", "learning_rate"): ("0.1", "learning_rate", 0.1),
+    ("model", "epochs"): ("50", "epochs", 50),
+}
+
+
 class TestConfigFile:
     def test_ini_round_trip(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -284,10 +347,42 @@ class TestConfigFile:
         assert len(load_config(ini).strategies) == 13
 
     def test_unknown_key_rejected(self, tmp_path):
+        # a removed key, which every manifest written before its removal records
+        stale = {"config": {**config_to_dict(ExperimentConfig()), "pagerank_damping": 0.85}}
+        for name, body, key in (
+            ("exp.ini", "[dataset]\nsource = synthetic\nflavour = mild\n", "flavour"),
+            (
+                "exp.ini",
+                "[dataset]\nsource = synthetic\n\n[model]\npagerank_damping = 0.85\n",
+                "pagerank_damping",
+            ),
+            ("run_manifest.json", json.dumps(stale), "pagerank_damping"),
+        ):
+            path = tmp_path / name
+            path.write_text(body)
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
+
+    def test_ini_key_table_is_the_settable_keys(self):
+        assert {(s, k) for s, keys in INI_KEYS.items() for k in keys} == set(INI_SAMPLES)
+        assert len(INI_SAMPLES) == 32
+
+    @pytest.mark.parametrize("section,key", sorted(INI_SAMPLES))
+    def test_each_ini_key_sets_the_field_it_names(self, tmp_path, section, key):
+        raw, field_path, want = INI_SAMPLES[(section, key)]
+        lines = {"dataset": ["source = synthetic"]}
+        if key == "source":  # a files source must name its files
+            lines["dataset"] = ["edges = e.csv", "features = f.csv", "labels = l.csv"]
+        lines.setdefault(section, []).append(f"{key} = {raw}")
         ini = tmp_path / "exp.ini"
-        ini.write_text("[dataset]\nsource = synthetic\nflavour = mild\n")
-        with pytest.raises(ConfigError, match="flavour"):
-            load_config(ini)
+        ini.write_text(
+            "".join(f"[{s}]\n" + "\n".join(body) + "\n\n" for s, body in lines.items())
+        )
+        got, default = load_config(ini), ExperimentConfig()
+        for attr in field_path.split("."):
+            got, default = getattr(got, attr), getattr(default, attr)
+        assert got == want
+        assert got != default
 
     def test_missing_source_rejected(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -367,7 +462,10 @@ class TestCli:
         assert cli_main(["report", "--result", str(out)]) == 0
 
     def test_missing_config_is_machine_parsable_error(self, tmp_path, capsys):
-        assert cli_main(["validate", "--config", str(tmp_path / "nope.ini")]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error:")
+        (tmp_path / "malformed.json").write_text("{not json")
+        (tmp_path / "list.json").write_text("[]")
+        for name in ("nope.ini", "malformed.json", "list.json"):
+            assert cli_main(["validate", "--config", str(tmp_path / name)]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("error:")

@@ -247,7 +247,7 @@ class TestCoreset:
             got = select("coreset", ctx).chosen
             points = emb[list(pool)]
             pre = [pool.index(v) for v in sorted(history)]
-            picks = kcenter_greedy(points, 3, 3, pre)
+            picks = kcenter_greedy(points, 3, pre)
             want = tuple(pool[i] for i in picks)
             assert got == want
 
@@ -330,7 +330,7 @@ class TestGraphPart:
             graph=BRIDGED_TRIANGLES, pool=(0, 1, 2, 3), k=1, embeddings=emb
         )
         # community 0 = {0,1,2} has the larger pool; its 1-medoid is node 1
-        want = kmedoids(emb[[0, 1, 2]], 1, 0)[0]
+        want = kmedoids(emb[[0, 1, 2]], 1)[0]
         assert select("graphpart", ctx).chosen == ((0, 1, 2)[want],)
 
     def test_bridged_triangles_full_pool_matches_per_community_medoids(self):
@@ -340,7 +340,7 @@ class TestGraphPart:
         chosen = select("graphpart", ctx).chosen
         want = []
         for members in ([0, 1, 2], [3, 4, 5]):
-            idx = kmedoids(emb[members], 1, 0)[0]
+            idx = kmedoids(emb[members], 1)[0]
             want.append(members[idx])
         assert list(chosen) == want
 

@@ -194,15 +194,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     if path.suffix == ".json":
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ConfigError(f"{path}: a manifest must be a JSON object")
-        return config_from_dict(payload.get("config", payload))
+        return config_from_dict(read_manifest(path)["config"])
     return _load_ini(path)
+
+
+def read_manifest(path: str | Path) -> dict:
+    """Parse a ``run_manifest.json``: a JSON object whose ``config`` is an object."""
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path}: a manifest must be a JSON object")
+    if not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"{path}: a manifest needs a 'config' object")
+    return manifest
 
 
 def _load_ini(path: Path) -> ExperimentConfig:

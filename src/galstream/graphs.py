@@ -2,9 +2,11 @@
 
 All functions are pure: they take an immutable :class:`Graph` and return
 fresh (read-only) arrays, so they are safe to call from any number of
-workers. The iterative measures (eigenvector centrality, pagerank) are
-cached per graph because benchmark runs re-request them every day on the
-same static structure.
+workers. Every centrality and the modularity partition are cached per
+graph, because benchmark runs re-request them every day on the same static
+structure. The four path centralities (betweenness, closeness, harmonic,
+load) share one cached all-pairs shortest-path pass, a level-synchronous
+BFS from every source (Brandes 2001), and each reads what it needs from it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -94,9 +97,11 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.node_count, self.node_count))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        rows = np.repeat(np.arange(self.node_count), self.degrees())
+        cols = np.fromiter(
+            chain.from_iterable(self.adjacency), dtype=int, count=2 * self.edge_count
+        )
+        a[rows, cols] = 1.0
         return a
 
 
@@ -153,42 +158,92 @@ def shortest_path_distances(g: Graph, source: int) -> np.ndarray:
     return dist
 
 
-def _bfs_paths(g: Graph, source: int):
-    """BFS bookkeeping for Brandes-style accumulation.
+# The BFS runs from a block of sources at once. The block size follows from
+# the edge count, so one block's expansion pairs, over all its levels, number
+# about this many.
+_PAIR_ENTRIES = 1 << 14
 
-    Returns (visit order, distances, shortest-path counts, predecessor lists).
+
+class _ShortestPaths(NamedTuple):
+    distances: np.ndarray  # (n, n) hop distances, UNREACHABLE where unreachable
+    sigma: np.ndarray  # (n, n) shortest-path counts, as floats
+    betweenness: np.ndarray  # Brandes dependencies summed over sources, halved
+    through: np.ndarray  # per node, the pairs' shortest paths strictly through it
+
+
+@lru_cache(maxsize=64)
+def _shortest_paths(g: Graph) -> _ShortestPaths:
+    """One level-synchronous BFS from every source, shared by the path centralities.
+
+    A block of sources expands each level over the adjacency lists at once.
+    The pair (i-th source of the block, node) is keyed ``i * n + node``; the
+    frontier holds the keys in the order a one-source FIFO BFS discovers
+    them: by the rank of the first parent, then by node id. Each sum adds
+    its terms in that BFS's order, so every value has the bits of a
+    per-source BFS:
+    ``sigma[w]`` adds its parents in pop order, and the Brandes dependency
+    ``delta[v] += sigma[v] / sigma[w] * (1 + delta[w])`` runs over w in
+    reverse discovery order, then over w's parents in pop order. The
+    dependencies of the sources are added into the betweenness in source
+    order. ``beyond[s, v] = 1 + sum of beyond[s, w]`` over the successors w
+    of v counts the shortest paths that start at v and lead away from s, so
+    ``sigma[s, v] * (beyond[s, v] - 1)`` counts the s-t shortest paths that
+    pass strictly through v, summed over t.
     """
     n = g.node_count
-    dist = np.full(n, UNREACHABLE, dtype=int)
-    sigma = np.zeros(n)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    dist[source] = 0
-    sigma[source] = 1.0
-    order: list[int] = []
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in g.adjacency[v]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return order, dist, sigma, preds
-
-
-def _all_pairs_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Distance matrix and shortest-path-count matrix (sigma) for all pairs."""
-    n = g.node_count
+    rows, neighbors = np.nonzero(g.adjacency_matrix())
+    degree = np.bincount(rows, minlength=n)
+    first_neighbor = np.cumsum(degree) - degree
+    block = max(1, min(n, _PAIR_ENTRIES // max(1, neighbors.size)))
     dist = np.full((n, n), UNREACHABLE, dtype=int)
     sigma = np.zeros((n, n))
-    for s in range(n):
-        _, d, sg, _ = _bfs_paths(g, s)
-        dist[s] = d
-        sigma[s] = sg
-    return dist, sigma
+    betweenness = np.zeros(n)
+    through = np.zeros(n)
+    for first in range(0, n, block):
+        b = min(block, n - first)
+        dist_b = dist[first : first + b].reshape(-1)  # views into the full matrices
+        sigma_b = sigma[first : first + b].reshape(-1)
+        roots = np.arange(b) * (n + 1) + first  # key of (source first + i, itself)
+        dist_b[roots] = 0
+        sigma_b[roots] = 1.0
+        frontier = roots
+        levels = []  # per level, (parent, child) keys in Brandes' order
+        depth = 0
+        while frontier.size:
+            depth += 1
+            v = frontier % n
+            counts = degree[v]
+            offsets = np.repeat(first_neighbor[v] - (np.cumsum(counts) - counts), counts)
+            parent = np.repeat(frontier, counts)
+            child = parent - parent % n + neighbors[offsets + np.arange(offsets.size)]
+            new = dist_b[child] == UNREACHABLE
+            parent, child = parent[new], child[new]
+            keys, first_seen, inverse = np.unique(
+                child, return_index=True, return_inverse=True
+            )
+            discovery = np.argsort(first_seen)
+            frontier = keys[discovery]
+            dist_b[frontier] = depth
+            np.add.at(sigma_b, child, sigma_b[parent])
+            rank = np.empty_like(discovery)
+            rank[discovery] = np.arange(discovery.size)
+            backward = np.argsort(-rank[inverse], kind="stable")
+            levels.append((parent[backward], child[backward]))
+        delta = np.zeros(b * n)
+        beyond = (dist_b != UNREACHABLE).astype(float)
+        for parent, child in reversed(levels):
+            ratio = sigma_b[parent] / sigma_b[child]
+            np.add.at(delta, parent, ratio * (1.0 + delta[child]))
+            np.add.at(beyond, parent, beyond[child])
+        delta[roots] = 0.0
+        beyond[roots] = 1.0
+        for row in delta.reshape(b, n):
+            betweenness += row
+        through += (sigma_b * (beyond - 1.0)).reshape(b, n).sum(axis=0)
+    dist.setflags(write=False)
+    sigma.setflags(write=False)
+    # each unordered pair was counted from both endpoints
+    return _ShortestPaths(dist, sigma, betweenness / 2.0, through / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,28 +262,15 @@ def degree_centrality(g: Graph) -> CentralityVector:
 @lru_cache(maxsize=64)
 def betweenness_centrality(g: Graph) -> CentralityVector:
     """Unnormalized betweenness over unordered node pairs (Brandes accumulation)."""
-    n = g.node_count
-    bc = np.zeros(n)
-    for s in range(n):
-        order, _, sigma, preds = _bfs_paths(g, s)
-        delta = np.zeros(n)
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
-    # each unordered pair was counted from both endpoints
-    return CentralityVector("betweenness", bc / 2.0)
+    return CentralityVector("betweenness", _shortest_paths(g).betweenness)
 
 
 @lru_cache(maxsize=64)
 def closeness_centrality(g: Graph) -> CentralityVector:
     """Reciprocal of the summed distances to the reachable nodes (0 if isolated)."""
-    values = np.zeros(g.node_count)
-    for v in range(g.node_count):
-        dist = shortest_path_distances(g, v)
-        total = dist[dist > 0].sum()
-        values[v] = 1.0 / total if total > 0 else 0.0
+    dist = _shortest_paths(g).distances
+    totals = np.maximum(dist, 0).sum(axis=1)  # UNREACHABLE is negative
+    values = np.where(totals > 0, 1.0 / np.maximum(totals, 1), 0.0)
     return CentralityVector("closeness", values)
 
 
@@ -236,10 +278,10 @@ def closeness_centrality(g: Graph) -> CentralityVector:
 def harmonic_centrality(g: Graph) -> CentralityVector:
     """Sum of reciprocal distances to every reachable node."""
     values = np.zeros(g.node_count)
-    for v in range(g.node_count):
-        dist = shortest_path_distances(g, v)
+    for v, dist in enumerate(_shortest_paths(g).distances):
         reach = dist > 0
-        values[v] = (1.0 / dist[reach]).sum() if reach.any() else 0.0
+        if reach.any():
+            values[v] = (1.0 / dist[reach]).sum()
     return CentralityVector("harmonic", values)
 
 
@@ -275,26 +317,16 @@ def load_centrality(g: Graph) -> CentralityVector:
 
     Every distinct shortest path of every connected pair counts once in the
     denominator; the numerator counts the paths with the node strictly inside.
+    Both are sums of integer path counts held as floats, so they are exact,
+    and independent of the order of summation, while the counts stay below
+    2**53; beyond that the numerator may round differently from a pairwise
+    sum of ``sigma[s, v] * sigma[v, t]``.
     """
-    n = g.node_count
-    dist, sigma = _all_pairs_counts(g)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    connected = upper & (dist > 0)
-    total = sigma[connected].sum()
-    values = np.zeros(n)
+    paths = _shortest_paths(g)
+    total = paths.sigma[np.triu(paths.distances > 0, k=1)].sum()
     if total == 0:
-        return CentralityVector("load", values)
-    for v in range(n):
-        dv = dist[v]
-        on_path = (
-            (dist > 0)
-            & (dv[:, None] > 0)
-            & (dv[None, :] > 0)
-            & (dv[:, None] + dv[None, :] == dist)
-        )
-        through = sigma[:, v][:, None] * sigma[v, :][None, :]
-        values[v] = through[on_path & upper].sum() / total
-    return CentralityVector("load", values)
+        return CentralityVector("load", np.zeros(g.node_count))
+    return CentralityVector("load", paths.through / total)
 
 
 @lru_cache(maxsize=64)

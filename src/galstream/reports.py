@@ -29,7 +29,7 @@ from .burden import (
     sampling_entropy,
     within_gap_percentage,
 )
-from .config import ExperimentConfig, config_from_dict, config_to_dict
+from .config import ExperimentConfig, config_from_dict, config_to_dict, read_manifest
 from .datasets import Dataset, make_split
 from .exceptions import ConfigError
 from .graphs import CENTRALITY_METRICS
@@ -423,8 +423,7 @@ def recompute_reports(result_dir: str | Path) -> dict[str, Path]:
     manifest_path = out / "run_manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no run_manifest.json under {out}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_manifest(manifest_path)
     config = config_from_dict(manifest["config"])
     dataset = load_configured_dataset(config)
     records = read_daily_records(out / "daily.csv")

@@ -469,3 +469,11 @@ class TestCli:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1
             assert err[0].startswith("error:")
+
+    @pytest.mark.parametrize("body", ["{}", "{not", "[]", '{"config": []}'])
+    def test_bad_manifest_is_machine_parsable_report_error(self, tmp_path, capsys, body):
+        (tmp_path / "run_manifest.json").write_text(body)
+        assert cli_main(["report", "--result", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")

@@ -8,6 +8,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .exceptions import ConvergenceError
 from .graphs import CENTRALITY_METRICS, Graph, centrality
 from .stats import average_ranks
 
@@ -192,9 +193,16 @@ def mean_normalized_centrality(
 ) -> dict[str, dict[str, float | None]]:
     """Query-count-weighted mean normalized centrality of each strategy's queried nodes.
 
-    Strategies with empty logs get ``None`` entries (the missing marker).
+    Strategies with empty logs, and centralities the graph cannot support
+    (they raise ``ValueError`` or ``ConvergenceError``), get ``None``
+    entries (the missing marker).
     """
-    normalized = {m: normalized_centrality(g, m) for m in CENTRALITY_METRICS}
+    normalized = {}
+    for m in CENTRALITY_METRICS:
+        try:
+            normalized[m] = normalized_centrality(g, m)
+        except (ValueError, ConvergenceError):
+            pass
     table: dict[str, dict[str, float | None]] = {}
     for name, log in logs.items():
         if log.total_queries == 0:
@@ -204,6 +212,7 @@ def mean_normalized_centrality(
         weights = np.array([len(log.days_by_node[n]) for n in nodes], dtype=float)
         weights /= weights.sum()
         table[name] = {
-            m: float((normalized[m][nodes] * weights).sum()) for m in CENTRALITY_METRICS
+            m: float((normalized[m][nodes] * weights).sum()) if m in normalized else None
+            for m in CENTRALITY_METRICS
         }
     return table

@@ -67,44 +67,40 @@ def kmeans(
 def kmedoids(points: np.ndarray, k: int, max_iter: int = 100) -> np.ndarray:
     """PAM: greedy build then best-improvement swaps; returns sorted medoid indices.
 
-    Fully deterministic, so it takes no seed.
+    Fully deterministic, so it takes no seed. Each candidate's cost is one
+    row sum of an array, the same sum a one-candidate loop takes. A swap
+    beats the best so far only when it costs at least 1e-12 less, trying
+    medoids, then candidates, in id order.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     dist = _pairwise_distances(points)
 
     # BUILD: start from the 1-medoid optimum, then greedily add
     medoids = [int(dist.sum(axis=1).argmin())]
     nearest = dist[medoids[0]].copy()
     while len(medoids) < k:
-        best_idx = -1
-        best_cost = np.inf
-        for cand in range(n):
-            if cand in medoids:
-                continue
-            cost = float(np.minimum(nearest, dist[cand]).sum())
-            if cost < best_cost:
-                best_cost = cost
-                best_idx = cand
-        medoids.append(best_idx)
-        nearest = np.minimum(nearest, dist[best_idx])
+        cost = np.minimum(nearest, dist).sum(axis=1)
+        cost[medoids] = np.inf
+        best = int(cost.argmin())  # the first minimum, as a strict < scan keeps
+        medoids.append(best)
+        nearest = np.minimum(nearest, dist[best])
 
     # SWAP: apply the best strictly improving swap until none remains
-    def total_cost(meds: list[int]) -> float:
-        return float(dist[meds].min(axis=0).sum())
-
-    current = total_cost(medoids)
+    current = float(dist[medoids].min(axis=0).sum())
     for _ in range(max_iter):
         best_swap = None
         best_cost = current
+        candidates = np.setdiff1d(np.arange(n), medoids)
         for m in sorted(medoids):
-            for cand in range(n):
-                if cand in medoids:
-                    continue
-                trial = [c for c in medoids if c != m] + [cand]
-                cost = total_cost(trial)
+            others = [c for c in medoids if c != m]
+            base = dist[others].min(axis=0, initial=np.inf)
+            costs = np.minimum(base, dist[candidates]).sum(axis=1)
+            for cand, cost in zip(candidates.tolist(), costs.tolist()):
                 if cost < best_cost - 1e-12:
                     best_cost = cost
                     best_swap = (m, cand)

@@ -55,6 +55,8 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...] = field(
         init=False, compare=False, repr=False
     )
+    # the measures are cached per graph, so hash the edge tuple only once
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -76,6 +78,10 @@ class Graph:
         object.__setattr__(
             self, "adjacency", tuple(tuple(sorted(ns)) for ns in neighbors)
         )
+        object.__setattr__(self, "_hash", hash((self.node_count, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -285,7 +291,6 @@ def harmonic_centrality(g: Graph) -> CentralityVector:
     return CentralityVector("harmonic", values)
 
 
-@lru_cache(maxsize=64)
 def eigenvector_centrality(
     g: Graph, max_iter: int = 1000, tol: float = 1e-9
 ) -> CentralityVector:
@@ -294,21 +299,32 @@ def eigenvector_centrality(
     Iterates on A + I rather than A itself: the identity shift leaves the
     principal eigenvector unchanged but keeps the iteration from oscillating
     on bipartite structures (stars, trees), where the raw adjacency matrix
-    has a matching negative eigenvalue.
+    has a matching negative eigenvalue. A graph on which the iteration does
+    not converge raises on every call, but iterates only once.
     """
     if g.edge_count == 0:
         raise ValueError("eigenvector centrality needs at least one edge")
+    vector, converged = _power_iteration(g, max_iter, tol)
+    if not converged:
+        raise ConvergenceError(
+            f"eigenvector centrality did not converge in {max_iter} iterations",
+            last=vector.values,
+        )
+    return vector
+
+
+@lru_cache(maxsize=64)
+def _power_iteration(g: Graph, max_iter: int, tol: float) -> tuple[CentralityVector, bool]:
+    """The last iterate of the power iteration on A + I, and whether it converged."""
     a = g.adjacency_matrix()
     x = np.full(g.node_count, 1.0 / np.sqrt(g.node_count))
     for _ in range(max_iter):
         y = x + a @ x
         y /= np.linalg.norm(y)
         if np.max(np.abs(y - x)) < tol:
-            return CentralityVector("eigenvector", y)
+            return CentralityVector("eigenvector", y), True
         x = y
-    raise ConvergenceError(
-        f"eigenvector centrality did not converge in {max_iter} iterations", last=x
-    )
+    return CentralityVector("eigenvector", x), False
 
 
 @lru_cache(maxsize=64)
@@ -430,55 +446,38 @@ def modularity_partition(g: Graph) -> Partition:
     community-id pair. Community ids during agglomeration are the smallest
     member node id, and the result is relabeled to contiguous ids ordered
     by smallest member. An edgeless graph yields singletons.
+
+    The gains are a dense matrix, ``-inf`` off the connected pairs ``a < b``,
+    so its row-major argmax is the first best pair; a merge recomputes only
+    the merged community's row and column, and its edge counts add exactly.
     """
     n = g.node_count
-    owner = list(range(n))  # node -> community id (smallest member id)
     if g.edge_count == 0:
         return Partition(np.arange(n), n)
 
     m = float(g.edge_count)
-    deg = g.degrees().astype(float)
-    deg_sum = {c: deg[c] for c in range(n)}
-    # between[a][b] = number of edges between communities a and b (a != b)
-    between: dict[int, dict[int, float]] = {c: {} for c in range(n)}
-    for u, v in g.edges:
-        between[u][v] = between[u].get(v, 0.0) + 1.0
-        between[v][u] = between[v].get(u, 0.0) + 1.0
-
-    alive = set(range(n))
-    while len(alive) > 1:
-        best_gain = 0.0
-        best_pair = None
-        # pairs are scanned in lexicographic order, so on equal gain the
-        # smallest (a, b) pair wins by keeping the first maximum
-        for a in sorted(alive):
-            for b in sorted(between[a]):
-                if b <= a:
-                    continue
-                gain = between[a][b] / m - 2.0 * deg_sum[a] * deg_sum[b] / (2.0 * m) ** 2
-                if gain > best_gain:
-                    best_gain = gain
-                    best_pair = (a, b)
-        if best_pair is None or best_gain <= 0.0:
+    scale = (2.0 * m) ** 2
+    deg_sum = g.degrees().astype(float)
+    between = g.adjacency_matrix()  # edges between communities a and b (a != b)
+    gain = between / m - (2.0 * deg_sum)[:, None] * deg_sum[None, :] / scale
+    gain[~np.triu(between > 0, k=1)] = -np.inf
+    owner = np.arange(n)  # node -> community id (smallest member id)
+    while True:
+        a, b = divmod(int(gain.argmax()), n)
+        if gain[a, b] <= 0.0:
             break
-        a, b = best_pair
         # fold b into a
-        for c, w in between[b].items():
-            if c == a:
-                continue
-            between[a][c] = between[a].get(c, 0.0) + w
-            between[c][a] = between[c].get(a, 0.0) + w
-            del between[c][b]
-        between[a].pop(b, None)
-        del between[b]
+        row = between[a] + between[b]
+        row[[a, b]] = 0.0
+        between[a] = between[:, a] = row
+        between[b] = between[:, b] = 0.0
         deg_sum[a] += deg_sum[b]
-        del deg_sum[b]
-        alive.remove(b)
-        for node in range(n):
-            if owner[node] == b:
-                owner[node] = a
+        owner[owner == b] = a
+        gain[b] = gain[:, b] = -np.inf
+        # both factors are integers held exactly, so the product is symmetric
+        row_gain = np.where(row > 0, row / m - 2.0 * deg_sum[a] * deg_sum / scale, -np.inf)
+        gain[a, a + 1 :] = row_gain[a + 1 :]
+        gain[:a, a] = row_gain[:a]
 
-    ids = sorted(alive)
-    relabel = {c: i for i, c in enumerate(ids)}
-    community_of = np.array([relabel[owner[v]] for v in range(n)], dtype=int)
+    ids, community_of = np.unique(owner, return_inverse=True)
     return Partition(community_of, len(ids))

@@ -31,7 +31,7 @@ from .burden import (
 )
 from .config import ExperimentConfig, config_from_dict, config_to_dict, read_manifest
 from .datasets import Dataset, make_split
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ConvergenceError
 from .graphs import CENTRALITY_METRICS
 from .harness import (
     MetricRecord,
@@ -158,12 +158,15 @@ def _mean_std_rows(values: list[float]):
 
 
 def _over_logs(fn, logs: list[QueryLog]):
-    """Mean, std and count of ``fn`` over the logs where it is defined."""
+    """Mean, std and count of ``fn`` over the logs where it is defined.
+
+    A centrality the graph cannot support leaves ``fn`` undefined on every log.
+    """
     values = []
     for log in logs:
         try:
             values.append(fn(log))
-        except ValueError:
+        except (ValueError, ConvergenceError):
             pass
     return _mean_std_rows(values)
 

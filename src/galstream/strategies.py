@@ -269,10 +269,9 @@ def diversity_radius(ctx: SelectionContext) -> float:
     n = len(points)
     if n < 2:
         return 0.0
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    pairs = dist[np.triu_indices(n, k=1)]
-    return 0.5 * float(np.median(pairs))
+    first, second = np.triu_indices(n, k=1)
+    diff = points[first] - points[second]
+    return 0.5 * float(np.median(np.sqrt((diff * diff).sum(axis=1))))
 
 
 def select_graphpartfar(ctx: SelectionContext) -> Selection:
@@ -289,24 +288,17 @@ def select_graphpartfar(ctx: SelectionContext) -> Selection:
     anchor_nodes = [n for n in sorted(ctx.history) if ctx.history[n]]
     chosen: list[int] = []
 
-    def min_dist_to_anchors(node: int) -> float:
-        anchors = anchor_nodes + chosen
-        if not anchors:
-            return math.inf
-        d = emb[anchors] - emb[node]
-        return float(np.sqrt((d * d).sum(axis=1)).min())
-
     for _, members, medoids in _community_medoids(ctx):
         for medoid in medoids:
-            candidates = [int(v) for v in members if v not in chosen]
-            if medoid in chosen:
-                pick = max(candidates, key=lambda v: (min_dist_to_anchors(v), -v))
-            elif min_dist_to_anchors(medoid) < delta:
-                farthest = max(candidates, key=lambda v: (min_dist_to_anchors(v), -v))
-                pick = farthest if min_dist_to_anchors(farthest) >= delta else medoid
-            else:
-                pick = medoid
-            chosen.append(pick)
+            candidates = members[~np.isin(members, chosen)]
+            diff = emb[anchor_nodes + chosen][None, :, :] - emb[candidates][:, None, :]
+            dist = np.sqrt((diff * diff).sum(axis=2)).min(axis=1, initial=np.inf)
+            farthest = int(dist.argmax())  # candidates ascend, so ties go to the smaller id
+            stolen = medoid in chosen
+            pick = medoid
+            if stolen or dist[np.searchsorted(candidates, medoid)] < delta <= dist[farthest]:
+                pick = candidates[farthest]
+            chosen.append(int(pick))
     return _finish(ctx, chosen)
 
 

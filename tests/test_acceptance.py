@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from graph_oracles import ORACLES, random_graph
+from partition_oracles import oracle_partition_plan
 from scipy import integrate
 from scipy.stats import rankdata
 
@@ -34,11 +35,9 @@ from galstream import (
     f_survival,
     kcenter_greedy,
     kmeans,
-    kmedoids,
     kruskal_wallis,
     load_config,
     loss_and_gradients,
-    modularity_partition,
     over_exertion,
     run_experiment,
     sampling_entropy,
@@ -226,19 +225,7 @@ def _ref_select(name, ctx):
         picks = kcenter_greedy(points, ctx.k, pre)
         return tuple(pool[i] for i in picks)
     if name in ("graphpart", "graphpartfar"):
-        part = modularity_partition(ctx.graph)
-        pools = {
-            c: [v for v in pool if part.community_of[v] == c]
-            for c in range(part.community_count)
-        }
-        alloc = _ref_allocate(ctx.k, {c: len(p) for c, p in pools.items()})
-        plan = []
-        for c in sorted(alloc):
-            if alloc[c] == 0:
-                continue
-            members = pools[c]
-            idx = kmedoids(emb[members], alloc[c])
-            plan.append((members, [members[i] for i in idx]))
+        plan = oracle_partition_plan(ctx, _ref_allocate)
         if name == "graphpart":
             return tuple(m for _, medoids in plan for m in medoids)
         # graphpartfar

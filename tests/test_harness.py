@@ -8,6 +8,7 @@ import pytest
 from galstream import (
     ConfigError,
     ExperimentConfig,
+    Graph,
     SyntheticConfig,
     build_eval_slices,
     emit_reports,
@@ -19,7 +20,7 @@ from galstream import (
 )
 from galstream.cli import main as cli_main
 from galstream.config import INI_KEYS, config_to_dict
-from galstream.datasets import Split
+from galstream.datasets import Dataset, DayFrame, Split, save_dataset
 from galstream.harness import aggregate_records, compute_cpis, load_configured_dataset
 from galstream.reports import REPORT_FILES, read_daily_records
 
@@ -282,6 +283,55 @@ class TestReports:
         payload = json.loads(paths["run_manifest.json"].read_text())
         assert payload["config"]["queries_per_day"] == config.queries_per_day
         assert payload["config"]["strategies"] == list(config.strategies)
+
+
+def _files_dataset(tmp_path, graph):
+    """A 6-day stream on ``graph``, saved as a files dataset; label = sign of f0."""
+    rng = np.random.default_rng(8)
+    frames = []
+    for day in range(6):
+        features = rng.normal(size=(graph.node_count, 2))
+        frames.append(DayFrame(day, features, (features[:, 0] > 0).astype(int)))
+    dataset = Dataset(graph=graph, days=tuple(frames), feature_dim=2)
+    paths = save_dataset(dataset, tmp_path / "data")
+    return dataset, {f"{key}_path": str(path) for key, path in paths.items()}
+
+
+@pytest.mark.parametrize(
+    "graph, unsupported",
+    [
+        # the power iteration does not converge in 1000 steps on a long path
+        (Graph.from_edges(60, [(i, i + 1) for i in range(59)]), "eigenvector"),
+        (Graph(node_count=30, edges=()), "eigenvector"),
+    ],
+    ids=["path-60", "edgeless-30"],
+)
+def test_unsupported_centrality_becomes_missing_marker(tmp_path, graph, unsupported):
+    dataset, files = _files_dataset(tmp_path, graph)
+    config = small_config(
+        tmp_path,
+        source="files",
+        **files,
+        strategies=("no_al", "degree", "random"),
+        initial_days=2,
+        bootstraps=1,
+        epochs=5,
+    )
+    paths = emit_reports(run_experiment(config, dataset), config, dataset)
+    heatmap = paths["centrality_heatmap.csv"].read_text().splitlines()
+    column = heatmap[0].split(",").index(unsupported)
+    assert [row.split(",")[column] for row in heatmap[1:]] == ["NA"] * 3
+    correlation = [
+        row for row in paths["centrality_correlation.csv"].read_text().splitlines()
+        if row.split(",")[1] == unsupported
+    ]
+    assert len(correlation) == 3 * 3 * 2
+    assert all(row.endswith(",NA,NA,0") for row in correlation)
+    before = {name: paths[name].read_bytes() for name in REPORT_FILES}
+    recompute_reports(paths["daily.csv"].parent)
+    for name in REPORT_FILES:
+        if name != "run_manifest.json":
+            assert paths[name].read_bytes() == before[name], name
 
 
 # [section] key -> (raw value, field path, parsed value); every value is valid

@@ -209,6 +209,18 @@ def read_manifest(path: str | Path) -> dict:
         raise ConfigError(f"{path}: a manifest must be a JSON object")
     if not isinstance(manifest.get("config"), dict):
         raise ConfigError(f"{path}: a manifest needs a 'config' object")
+    failures = manifest.get("failures", [])
+    if not isinstance(failures, list) or not all(
+        isinstance(f, list)
+        and len(f) == 3
+        and isinstance(f[0], str)
+        and type(f[1]) is int
+        and isinstance(f[2], str)
+        for f in failures
+    ):
+        raise ConfigError(
+            f"{path}: each 'failures' entry must be [strategy, bootstrap, message]"
+        )
     return manifest
 
 

@@ -137,6 +137,8 @@ def load_dataset(
             )
         day = _parse_int(feature_path, lineno, row[0], "day")
         node = _parse_int(feature_path, lineno, row[1], "node")
+        if node < 0:
+            raise DataFormatError(feature_path, lineno, f"unknown node id {node}")
         if (day, node) in cells:
             raise DataFormatError(feature_path, lineno, f"duplicate (day,node) row ({day},{node})")
         values = np.zeros(feature_dim)

@@ -376,18 +376,13 @@ def pagerank(
 @lru_cache(maxsize=64)
 def clustering_coefficient(g: Graph) -> CentralityVector:
     """Local triangle density: 2 T(v) / (deg(v) (deg(v) - 1)); 0 when deg < 2."""
-    neighbor_sets = [set(ns) for ns in g.adjacency]
+    a = g.adjacency_matrix()
+    # row sums of (A @ A) * A without a third n x n array; exact integer counts in float64
+    twice_triangles = np.einsum("ij,ij->i", a @ a, a)
+    d = g.degrees()
     values = np.zeros(g.node_count)
-    for v, ns in enumerate(g.adjacency):
-        d = len(ns)
-        if d < 2:
-            continue
-        triangles = 0
-        for i in range(d):
-            for j in range(i + 1, d):
-                if ns[j] in neighbor_sets[ns[i]]:
-                    triangles += 1
-        values[v] = 2.0 * triangles / (d * (d - 1))
+    wedge = d >= 2
+    values[wedge] = twice_triangles[wedge] / (d[wedge] * (d[wedge] - 1))
     return CentralityVector("clustering_coefficient", values)
 
 

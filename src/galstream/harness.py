@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,9 @@ class MetricRecord(NamedTuple):
     value: float | None
 
 
+SeriesKey = tuple[str, int, str, str]  # (strategy, bootstrap, category, metric)
+
+
 @dataclass
 class UnitResult:
     strategy: str
@@ -64,7 +68,7 @@ class RunResult:
     query_logs: dict[tuple[str, int], QueryLog]
     splits: dict[int, Split]
     trained_nodes: dict[tuple[str, int], frozenset[int]]
-    cpis: dict[tuple[str, int, str, str], float | None]
+    cpis: dict[SeriesKey, float | None]
     aggregate: dict[tuple[str, str, str], tuple[float, float, int]]
     failures: list[tuple[str, int, str]] = field(default_factory=list)
 
@@ -175,7 +179,6 @@ def run_unit(
     params = train(init_seed, adj, buffer, hyper)
 
     records: list[MetricRecord] = []
-    events: list[tuple[int, int]] = []
     history: dict[int, list[int]] = {}
 
     current = forward(params, adj, frames[initial].features)
@@ -207,7 +210,6 @@ def run_unit(
             if set(chosen) & holdout_set:
                 raise AssertionError("holdout node selected for querying")
             for v in chosen:
-                events.append((frame.day_index, v))
                 history.setdefault(v, []).append(frame.day_index)
             mask = [v for v in chosen if frame.labels[v] != MISSING_LABEL]
             if mask:
@@ -235,13 +237,12 @@ def run_unit(
 
     if trained & holdout_set:
         raise AssertionError("holdout node entered the labeled buffer")
-    log = QueryLog.from_events(split.pool, events)
     return UnitResult(
         strategy=strategy,
         bootstrap=bootstrap,
         split=split,
         records=records,
-        query_log=log,
+        query_log=QueryLog(split.pool, history),
         trained_nodes=frozenset(trained),
     )
 
@@ -259,39 +260,61 @@ def _execute_unit(args) -> tuple[str, int, UnitResult | None, str | None]:
 # ---------------------------------------------------------------------------
 
 
-def compute_cpis(
-    records: list[MetricRecord],
-) -> dict[tuple[str, int, str, str], float | None]:
+def day_series(records: list[MetricRecord]) -> dict[SeriesKey, tuple[list[int], list[float]]]:
+    """Each key's defined (days, values), in record order.
+
+    A key whose every value is undefined maps to two empty lists, so it
+    keeps its place with an undefined CPI.
+    """
+    series: dict[SeriesKey, tuple[list[int], list[float]]] = {}
+    for strategy, bootstrap, day, category, metric, value in records:
+        key = (strategy, bootstrap, category, metric)
+        entry = series.get(key)
+        if entry is None:  # not setdefault: that would build two lists per record
+            entry = series[key] = ([], [])
+        if value is not None:
+            entry[0].append(day)
+            entry[1].append(value)
+    return series
+
+
+def keys_by_metric(series: dict[SeriesKey, tuple]) -> dict[tuple[str, str, str], list[SeriesKey]]:
+    """(strategy, category, metric) -> its series keys in bootstrap order, sorted."""
+    order = sorted(series, key=lambda k: (k[0], k[2], k[3], k[1]))
+    return {
+        name: list(keys) for name, keys in groupby(order, key=lambda k: (k[0], k[2], k[3]))
+    }
+
+
+def compute_cpis(records: list[MetricRecord]) -> dict[SeriesKey, float | None]:
     """Per (strategy, bootstrap, category, metric) CPI over the defined day series.
 
     Undefined (None) when fewer than two days are defined or the defined
     days are not uniformly spaced.
     """
-    series: dict[tuple[str, int, str, str], list[tuple[int, float]]] = {}
-    seen: dict[tuple[str, int, str, str], None] = {}
-    for r in records:
-        key = (r.strategy, r.bootstrap, r.category, r.metric)
-        seen.setdefault(key, None)
-        if r.value is not None:
-            series.setdefault(key, []).append((r.day, r.value))
-    out: dict[tuple[str, int, str, str], float | None] = {}
-    for key in seen:
-        points = sorted(series.get(key, []))
+    out: dict[SeriesKey, float | None] = {}
+    for key, (days, values) in day_series(records).items():
         value: float | None = None
-        if len(points) >= 2:
-            days = tuple(d for d, _ in points)
+        if len(days) >= 2:
+            days, values = zip(*sorted(zip(days, values)))
             gaps = np.diff(days)
             if (gaps == gaps[0]).all():
-                value = cpi(
-                    PerformanceSeries(key[3], days, np.array([v for _, v in points]))
-                )
+                value = cpi(PerformanceSeries(key[3], days, np.array(values)))
         out[key] = value
     return out
 
 
+def mean_std(values: list[float]) -> tuple[float | None, float | None, int]:
+    """Mean, population std and count; undefined for no values."""
+    if not values:
+        return None, None, 0
+    arr = np.array(values)
+    return float(arr.mean()), float(arr.std()), arr.size
+
+
 def aggregate_records(
     records: list[MetricRecord],
-    cpis: dict[tuple[str, int, str, str], float | None],
+    cpis: dict[SeriesKey, float | None],
 ) -> dict[tuple[str, str, str], tuple[float, float, int]]:
     """Mean and population std across bootstraps.
 
@@ -299,31 +322,15 @@ def aggregate_records(
     CPI metrics use the per-bootstrap CPI values directly and appear under
     ``cpi_<metric>``.
     """
-    per_bootstrap: dict[tuple[str, str, str], dict[int, list[float]]] = {}
-    for r in records:
-        if r.value is None:
-            continue
-        key = (r.strategy, r.category, r.metric)
-        per_bootstrap.setdefault(key, {}).setdefault(r.bootstrap, []).append(r.value)
-
+    series = day_series(records)
     out: dict[tuple[str, str, str], tuple[float, float, int]] = {}
-    for key in sorted(per_bootstrap):
-        values = [
-            float(np.mean(day_values))
-            for _, day_values in sorted(per_bootstrap[key].items())
-        ]
-        arr = np.array(values)
-        out[key] = (float(arr.mean()), float(arr.std()), len(values))
-
-    cpi_values: dict[tuple[str, str, str], dict[int, float]] = {}
-    for (strategy, bootstrap, category, metric), value in cpis.items():
-        if value is None:
-            continue
-        key = (strategy, category, f"cpi_{metric}")
-        cpi_values.setdefault(key, {})[bootstrap] = value
-    for key in sorted(cpi_values):
-        arr = np.array([v for _, v in sorted(cpi_values[key].items())])
-        out[key] = (float(arr.mean()), float(arr.std()), arr.size)
+    for (strategy, category, metric), keys in keys_by_metric(series).items():
+        means = [float(np.mean(series[k][1])) for k in keys if series[k][1]]
+        if means:
+            out[(strategy, category, metric)] = mean_std(means)
+        defined = [cpis[k] for k in keys if cpis.get(k) is not None]
+        if defined:
+            out[(strategy, category, f"cpi_{metric}")] = mean_std(defined)
     return out
 
 

@@ -26,6 +26,8 @@ PERFORMANCE_METRICS = (
     "auc_pr",
 )
 
+THRESHOLD = 0.5  # class-1 score at or above which a node is predicted positive
+
 
 @dataclass(frozen=True)
 class EvalSlice:
@@ -55,14 +57,8 @@ class EvalSlice:
         return self.probabilities[:, 1]
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie strictly between 0 and 1")
-
-
-def _predictions(s: EvalSlice, threshold: float) -> np.ndarray:
-    _check_threshold(threshold)
-    return (s.scores() >= threshold).astype(int)
+def _predictions(s: EvalSlice) -> np.ndarray:
+    return (s.scores() >= THRESHOLD).astype(int)
 
 
 def _binary_f1(truth: np.ndarray, pred: np.ndarray, positive: int) -> float:
@@ -75,14 +71,14 @@ def _binary_f1(truth: np.ndarray, pred: np.ndarray, positive: int) -> float:
     return 2.0 * tp / (2 * tp + fp + fn)
 
 
-def accuracy(s: EvalSlice, threshold: float = 0.5) -> float:
-    pred = _predictions(s, threshold)
+def accuracy(s: EvalSlice) -> float:
+    pred = _predictions(s)
     return float((pred == s.true_labels).mean())
 
 
-def precision(s: EvalSlice, threshold: float = 0.5) -> float:
+def precision(s: EvalSlice) -> float:
     """Precision of class 1; 0 when nothing is predicted positive."""
-    pred = _predictions(s, threshold)
+    pred = _predictions(s)
     predicted_pos = int((pred == 1).sum())
     if predicted_pos == 0:
         return 0.0
@@ -90,9 +86,9 @@ def precision(s: EvalSlice, threshold: float = 0.5) -> float:
     return tp / predicted_pos
 
 
-def recall(s: EvalSlice, threshold: float = 0.5) -> float:
+def recall(s: EvalSlice) -> float:
     """Recall of class 1; 0 when there are no true positives to find."""
-    pred = _predictions(s, threshold)
+    pred = _predictions(s)
     actual_pos = int((s.true_labels == 1).sum())
     if actual_pos == 0:
         return 0.0
@@ -100,17 +96,17 @@ def recall(s: EvalSlice, threshold: float = 0.5) -> float:
     return tp / actual_pos
 
 
-def f1_micro(s: EvalSlice, threshold: float = 0.5) -> float:
+def f1_micro(s: EvalSlice) -> float:
     """Micro-averaged F1; equals accuracy for single-label binary tasks."""
-    pred = _predictions(s, threshold)
+    pred = _predictions(s)
     tp = int((pred == s.true_labels).sum())  # per-class TP summed over both classes
     n = s.true_labels.size
     # micro precision == micro recall == tp / n
     return tp / n
 
 
-def f1_macro(s: EvalSlice, threshold: float = 0.5) -> float:
-    pred = _predictions(s, threshold)
+def f1_macro(s: EvalSlice) -> float:
+    pred = _predictions(s)
     return 0.5 * (
         _binary_f1(s.true_labels, pred, 0) + _binary_f1(s.true_labels, pred, 1)
     )
@@ -171,10 +167,10 @@ _THRESHOLD_METRICS = {
 }
 
 
-def compute_metric(s: EvalSlice, name: str, threshold: float = 0.5) -> float:
+def compute_metric(s: EvalSlice, name: str) -> float:
     """Evaluate any supported metric by name."""
     if name in _THRESHOLD_METRICS:
-        return _THRESHOLD_METRICS[name](s, threshold)
+        return _THRESHOLD_METRICS[name](s)
     if name == "auc_roc":
         return auc_roc(s)
     if name == "auc_pr":

@@ -31,14 +31,17 @@ from .burden import (
 )
 from .config import ExperimentConfig, config_from_dict, config_to_dict, read_manifest
 from .datasets import Dataset, make_split
-from .exceptions import ConfigError, ConvergenceError
+from .exceptions import ConfigError, ConvergenceError, DataFormatError
 from .graphs import CENTRALITY_METRICS
 from .harness import (
     MetricRecord,
     RunResult,
     aggregate_records,
     compute_cpis,
+    day_series,
+    keys_by_metric,
     load_configured_dataset,
+    mean_std,
 )
 from .metrics import EVAL_CATEGORIES, PERFORMANCE_METRICS, PerformanceSeries, rolling_mean_std
 from .stats import anova_oneway, kruskal_wallis
@@ -57,6 +60,11 @@ REPORT_FILES = (
     "queries.csv",
     "run_manifest.json",
 )
+
+_DAILY_HEADER = ["strategy", "bootstrap", "day", "category", "metric", "value"]
+_QUERY_HEADER = ["strategy", "bootstrap", "day", "node"]
+
+_METRIC_ORDER = PERFORMANCE_METRICS + tuple(f"cpi_{m}" for m in PERFORMANCE_METRICS)
 
 _BURDEN_SIMPLE = (
     ("sampling_entropy", sampling_entropy),
@@ -101,60 +109,36 @@ def _daily_rows(records: list[MetricRecord]):
 
 
 def _aggregate_rows(config, aggregate):
-    metric_order = list(PERFORMANCE_METRICS) + [f"cpi_{m}" for m in PERFORMANCE_METRICS]
     for strategy in config.strategies:
         for category in EVAL_CATEGORIES:
-            for metric in metric_order:
+            for metric in _METRIC_ORDER:
                 entry = aggregate.get((strategy, category, metric))
-                if entry is None:
-                    continue
-                mean, std, n = entry
-                yield (strategy, category, metric, mean, std, n)
+                if entry is not None:
+                    yield (strategy, category, metric, *entry)
 
 
-def _rolling_rows(config, records):
-    by_key: dict[tuple[str, str, str], dict[int, list[float]]] = {}
-    for r in records:
-        if r.value is None:
-            continue
-        by_key.setdefault((r.strategy, r.category, r.metric), {}).setdefault(
-            r.day, []
-        ).append(r.value)
+def _rolling_rows(config, series):
+    groups = keys_by_metric(series)
     for strategy in config.strategies:
         for category in EVAL_CATEGORIES:
             for metric in PERFORMANCE_METRICS:
-                days_map = by_key.get((strategy, category, metric))
-                if not days_map:
+                keys = groups.get((strategy, category, metric), ())
+                columns = [dict(zip(*series[k])) for k in keys]
+                days = sorted(set().union(*columns))
+                if not days:
                     continue
-                days = sorted(days_map)
-                values = np.array([np.mean(days_map[d]) for d in days])
-                series = PerformanceSeries(metric, tuple(days), values)
-                means, stds = rolling_mean_std(series, config.rolling_window)
-                for i, day in enumerate(days):
-                    yield (
-                        strategy,
-                        category,
-                        metric,
-                        day,
-                        float(means.values[i]),
-                        float(stds.values[i]),
-                    )
+                values = np.array([np.mean([c[d] for c in columns if d in c]) for d in days])
+                means, stds = rolling_mean_std(
+                    PerformanceSeries(metric, tuple(days), values), config.rolling_window
+                )
+                for day, mean, std in zip(days, means.values, stds.values):
+                    yield (strategy, category, metric, day, float(mean), float(std))
 
 
 def _strategy_logs(config, query_logs) -> dict[str, list[QueryLog]]:
-    per_strategy: dict[str, list[QueryLog]] = {s: [] for s in config.strategies}
-    for (strategy, bootstrap) in sorted(
-        query_logs, key=lambda k: (config.strategies.index(k[0]), k[1])
-    ):
-        per_strategy[strategy].append(query_logs[(strategy, bootstrap)])
-    return per_strategy
-
-
-def _mean_std_rows(values: list[float]):
-    if not values:
-        return None, None, 0
-    arr = np.array(values)
-    return float(arr.mean()), float(arr.std()), arr.size
+    """Each strategy's logs in bootstrap order."""
+    keys = sorted(query_logs)
+    return {s: [query_logs[k] for k in keys if k[0] == s] for s in config.strategies}
 
 
 def _over_logs(fn, logs: list[QueryLog]):
@@ -168,11 +152,10 @@ def _over_logs(fn, logs: list[QueryLog]):
             values.append(fn(log))
         except (ValueError, ConvergenceError):
             pass
-    return _mean_std_rows(values)
+    return mean_std(values)
 
 
-def _burden_rows(config, query_logs):
-    per_strategy = _strategy_logs(config, query_logs)
+def _burden_rows(config, per_strategy):
     for strategy in config.strategies:
         logs = per_strategy[strategy]
         for name, fn in _BURDEN_SIMPLE:
@@ -186,8 +169,7 @@ def _burden_rows(config, query_logs):
                 yield (strategy, name, threshold, *stats)
 
 
-def _tradeoff_rows(config, aggregate, query_logs):
-    per_strategy = _strategy_logs(config, query_logs)
+def _tradeoff_rows(config, aggregate, per_strategy):
     cpi_key = f"cpi_{config.tradeoff_metric}"
     for strategy in config.strategies:
         entry = aggregate.get((strategy, "test_set_same_day", cpi_key))
@@ -198,23 +180,18 @@ def _tradeoff_rows(config, aggregate, query_logs):
         yield (strategy, mean_cpi, mean_exertion)
 
 
-def _heatmap_rows(config, query_logs, dataset):
-    per_strategy = _strategy_logs(config, query_logs)
+def _heatmap_rows(config, per_strategy, dataset):
     for strategy in config.strategies:
-        tables = [
-            mean_normalized_centrality({strategy: log}, dataset.graph)[strategy]
-            for log in per_strategy[strategy]
-        ]
+        logs = {str(i): log for i, log in enumerate(per_strategy[strategy])}
+        tables = mean_normalized_centrality(logs, dataset.graph).values()
         row = [strategy]
         for metric in CENTRALITY_METRICS:
-            values = [t[metric] for t in tables if t[metric] is not None]
-            mean, _, _ = _mean_std_rows(values)
+            mean, _, _ = mean_std([t[metric] for t in tables if t[metric] is not None])
             row.append(mean)
         yield tuple(row)
 
 
-def _correlation_rows(config, query_logs, dataset):
-    per_strategy = _strategy_logs(config, query_logs)
+def _correlation_rows(config, per_strategy, dataset):
     for strategy in config.strategies:
         for metric in CENTRALITY_METRICS:
             for quantity in BURDEN_QUANTITIES:
@@ -228,44 +205,28 @@ def _correlation_rows(config, query_logs, dataset):
                     yield (strategy, metric, quantity, method, *stats)
 
 
-def _significance_observations(config, records, cpis):
+def _significance_observations(config, series, cpis):
     """Per (category, metric): strategy -> observation list."""
     obs: dict[tuple[str, str], dict[str, list[float]]] = {}
-    if config.significance_unit == "day":
-        for r in records:
-            if r.value is None:
-                continue
-            obs.setdefault((r.category, r.metric), {}).setdefault(r.strategy, []).append(
-                r.value
-            )
-    else:  # bootstrap_mean
-        sums: dict[tuple[str, str, str, int], list[float]] = {}
-        for r in records:
-            if r.value is None:
-                continue
-            sums.setdefault((r.category, r.metric, r.strategy, r.bootstrap), []).append(
-                r.value
-            )
-        for (category, metric, strategy, _), values in sorted(sums.items()):
-            obs.setdefault((category, metric), {}).setdefault(strategy, []).append(
-                float(np.mean(values))
-            )
-    for (strategy, bootstrap, category, metric), value in sorted(cpis.items()):
-        if value is None:
-            continue
-        obs.setdefault((category, f"cpi_{metric}"), {}).setdefault(strategy, []).append(
-            value
-        )
+    for (strategy, category, metric), keys in keys_by_metric(series).items():
+        if config.significance_unit == "day":
+            values = [v for k in keys for v in series[k][1]]
+        else:  # bootstrap_mean
+            values = [float(np.mean(series[k][1])) for k in keys if series[k][1]]
+        if values:
+            obs.setdefault((category, metric), {})[strategy] = values
+        defined = [cpis[k] for k in keys if cpis.get(k) is not None]
+        if defined:
+            obs.setdefault((category, f"cpi_{metric}"), {})[strategy] = defined
     return obs
 
 
-def _significance_rows(config, records, cpis):
-    obs = _significance_observations(config, records, cpis)
-    metric_order = list(PERFORMANCE_METRICS) + [f"cpi_{m}" for m in PERFORMANCE_METRICS]
+def _significance_rows(config, series, cpis):
+    obs = _significance_observations(config, series, cpis)
     for category in EVAL_CATEGORIES:
-        for metric in metric_order:
-            groups = obs.get((category, metric))
-            if not groups or len(groups) < 2:
+        for metric in _METRIC_ORDER:
+            groups = obs.get((category, metric), {})
+            if len(groups) < 2:
                 continue
             named = {s: groups[s] for s in config.strategies if s in groups}
             try:
@@ -309,12 +270,12 @@ def emit_reports(
     paths = {name: out / name for name in REPORT_FILES}
     _write_csv(
         paths["daily.csv"],
-        ["strategy", "bootstrap", "day", "category", "metric", "value"],
+        _DAILY_HEADER,
         _daily_rows(result.records),
     )
     _write_csv(
         paths["queries.csv"],
-        ["strategy", "bootstrap", "day", "node"],
+        _QUERY_HEADER,
         _query_rows(config, result.query_logs),
     )
     _write_derived(paths, result, config, dataset)
@@ -331,6 +292,8 @@ def emit_reports(
 
 
 def _write_derived(paths, result: RunResult, config, dataset) -> None:
+    series = day_series(result.records)
+    per_strategy = _strategy_logs(config, result.query_logs)
     _write_csv(
         paths["aggregate.csv"],
         ["strategy", "category", "metric", "mean", "std", "n"],
@@ -339,51 +302,54 @@ def _write_derived(paths, result: RunResult, config, dataset) -> None:
     _write_csv(
         paths["rolling.csv"],
         ["strategy", "category", "metric", "day", "rolling_mean", "rolling_std"],
-        _rolling_rows(config, result.records),
+        _rolling_rows(config, series),
     )
     _write_csv(
         paths["burden.csv"],
         ["strategy", "metric", "threshold", "mean", "std", "n"],
-        _burden_rows(config, result.query_logs),
+        _burden_rows(config, per_strategy),
     )
     _write_csv(
         paths["tradeoff.csv"],
         ["strategy", "mean_cpi", "mean_over_exertion"],
-        _tradeoff_rows(config, result.aggregate, result.query_logs),
+        _tradeoff_rows(config, result.aggregate, per_strategy),
     )
     _write_csv(
         paths["centrality_heatmap.csv"],
         ["strategy"] + list(CENTRALITY_METRICS),
-        _heatmap_rows(config, result.query_logs, dataset),
+        _heatmap_rows(config, per_strategy, dataset),
     )
     _write_csv(
         paths["centrality_correlation.csv"],
         ["strategy", "centrality", "burden_quantity", "method", "mean", "std", "n"],
-        _correlation_rows(config, result.query_logs, dataset),
+        _correlation_rows(config, per_strategy, dataset),
     )
     _write_csv(
         paths["significance.csv"],
         ["category", "metric", "anova_f", "anova_p", "kw_h", "kw_p"],
-        _significance_rows(config, result.records, result.cpis),
+        _significance_rows(config, series, result.cpis),
     )
+
+
+def _report_rows(path: str | Path, header: list[str]):
+    """The rows of a report CSV, after checking its header and each row's width."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise DataFormatError(path, 1, f"header must be {','.join(header)}")
+        for row in filter(None, reader):  # blank lines carry no row
+            if len(row) != len(header):
+                raise DataFormatError(
+                    path, reader.line_num, f"expected {len(header)} columns, got {len(row)}"
+                )
+            yield row
 
 
 def read_daily_records(path: str | Path) -> list[MetricRecord]:
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            value = None if row["value"] == NA else float(row["value"])
-            records.append(
-                MetricRecord(
-                    row["strategy"],
-                    int(row["bootstrap"]),
-                    int(row["day"]),
-                    row["category"],
-                    row["metric"],
-                    value,
-                )
-            )
+    for strategy, bootstrap, day, category, metric, value in _report_rows(path, _DAILY_HEADER):
+        value = None if value == NA else float(value)
+        records.append(MetricRecord(strategy, int(bootstrap), int(day), category, metric, value))
     return records
 
 
@@ -399,11 +365,8 @@ def read_query_logs(
     pairs with no events (no_al) get an empty log, mirroring the run path.
     """
     events: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            key = (row["strategy"], int(row["bootstrap"]))
-            events.setdefault(key, []).append((int(row["day"]), int(row["node"])))
+    for strategy, bootstrap, day, node in _report_rows(path, _QUERY_HEADER):
+        events.setdefault((strategy, int(bootstrap)), []).append((int(day), int(node)))
     logs = {}
     pools: dict[int, tuple[int, ...]] = {}
     for strategy in config.strategies:

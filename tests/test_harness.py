@@ -527,3 +527,29 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "name, old, new, message",
+        [
+            ("daily.csv", ",value\n", ",score\n", "daily.csv:1"),
+            ("daily.csv", ",accuracy,", ",accuracy\n", "daily.csv:2: expected 6 columns, got 5"),
+            ("queries.csv", ",node\n", ",vertex\n", "queries.csv:1"),
+            ("run_manifest.json", '"failures": []', '"failures": [["random"]]', "failures"),
+        ],
+        ids=["daily-header", "daily-short-row", "queries-header", "manifest-failure-entry"],
+    )
+    def test_malformed_run_is_machine_parsable_report_error(
+        self, tmp_path, capsys, name, old, new, message
+    ):
+        ini = self.write_config(tmp_path)
+        assert cli_main(["run", "--config", str(ini)]) == 0
+        path = tmp_path / "results" / name
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        capsys.readouterr()
+        assert cli_main(["report", "--result", str(tmp_path / "results")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+        assert message in err[0]

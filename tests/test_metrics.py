@@ -50,11 +50,6 @@ class TestThresholdMetrics:
             s = make_slice(rng.integers(0, 2, size=n), rng.random(n))
             assert abs(f1_micro(s) - accuracy(s)) < 1e-12
 
-    def test_threshold_bounds(self):
-        s = make_slice([1, 0], [0.9, 0.1])
-        with pytest.raises(ValueError):
-            accuracy(s, threshold=0.0)
-
     def test_empty_slice_rejected(self):
         with pytest.raises(UndefinedMetricError):
             EvalSlice("test_set_same_day", 0, np.array([], dtype=int), np.zeros((0, 2)))

@@ -18,30 +18,46 @@ CORRELATION_METHODS = ("pearson", "spearman")
 
 @dataclass(frozen=True)
 class QueryLog:
-    """Which pool nodes were queried on which days, for one benchmark run."""
+    """Which pool nodes were queried on which days, summarised once in ascending node order."""
 
     pool: tuple[int, ...]
     days_by_node: Mapping[int, tuple[int, ...]]
     total_queries: int = field(init=False)
+    # the queried nodes and their query counts
+    sampled: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    # the nodes queried at least twice, with their smallest and mean gap
+    # between consecutive query days
+    requeried: np.ndarray = field(init=False, repr=False, compare=False)
+    min_gaps: np.ndarray = field(init=False, repr=False, compare=False)
+    mean_gaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pool = tuple(sorted(set(int(v) for v in self.pool)))
         pool_set = set(pool)
-        by_node = {}
-        total = 0
+        by_node, min_gaps, mean_gaps = {}, [], []
         for node, days in sorted(self.days_by_node.items()):
             node = int(node)
             if node not in pool_set:
                 raise ValueError(f"queried node {node} is not a pool node")
             days = tuple(int(d) for d in days)
-            if any(b <= a for a, b in zip(days, days[1:])):
-                raise ValueError(f"query days for node {node} must strictly increase")
+            if len(days) > 1:
+                min_gaps.append(min(b - a for a, b in zip(days, days[1:])))
+                if min_gaps[-1] <= 0:
+                    raise ValueError(f"query days for node {node} must strictly increase")
+                mean_gaps.append((days[-1] - days[0]) / (len(days) - 1))
             if days:
                 by_node[node] = days
-                total += len(days)
+        sampled = np.array(list(by_node), dtype=np.intp)
+        counts = np.array([len(days) for days in by_node.values()], dtype=np.int64)
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "days_by_node", by_node)
-        object.__setattr__(self, "total_queries", total)
+        object.__setattr__(self, "total_queries", int(counts.sum()))
+        object.__setattr__(self, "sampled", sampled)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "requeried", sampled[counts > 1])
+        object.__setattr__(self, "min_gaps", np.array(min_gaps, dtype=np.int64))
+        object.__setattr__(self, "mean_gaps", np.array(mean_gaps, dtype=float))
 
     @classmethod
     def from_events(cls, pool: Iterable[int], events: Iterable[tuple[int, int]]) -> "QueryLog":
@@ -55,22 +71,13 @@ class QueryLog:
     def pool_size(self) -> int:
         return len(self.pool)
 
-    def query_counts(self) -> dict[int, int]:
-        """Queries per pool node (zero included)."""
-        return {n: len(self.days_by_node.get(n, ())) for n in self.pool}
-
-    def gaps(self, node: int) -> tuple[int, ...]:
-        days = self.days_by_node.get(node, ())
-        return tuple(b - a for a, b in zip(days, days[1:]))
-
 
 def sampling_entropy(log: QueryLog) -> float:
     """Shannon entropy (natural log) of the per-node query frequency distribution."""
     if log.total_queries == 0:
         raise ValueError("sampling entropy is undefined for an empty log")
     h = 0.0
-    for days in log.days_by_node.values():
-        p = len(days) / log.total_queries
+    for p in (log.counts / log.total_queries).tolist():  # a pairwise sum changes the last bits
         h -= p * math.log(p)
     return h
 
@@ -79,51 +86,30 @@ def coverage_ratio(log: QueryLog) -> float:
     """Fraction of pool nodes queried at least once."""
     if log.pool_size == 0:
         raise ValueError("coverage ratio needs a nonempty pool")
-    return len(log.days_by_node) / log.pool_size
+    return log.sampled.size / log.pool_size
 
 
 def average_time_gap(log: QueryLog) -> float:
-    """Mean over re-queried nodes of their mean gap between consecutive queries.
-
-    Nodes queried fewer than twice have no gaps and are excluded from the
-    outer mean.
-    """
-    per_node = [
-        float(np.mean(gaps)) for node in log.days_by_node if (gaps := log.gaps(node))
-    ]
-    if not per_node:
+    """Mean over re-queried nodes of their mean gap between consecutive queries."""
+    if log.requeried.size == 0:
         raise ValueError("no node was queried at least twice")
-    return float(np.mean(per_node))
+    return float(np.mean(log.mean_gaps))
 
 
 def within_gap_percentage(log: QueryLog, threshold_k: int) -> float:
     """Fraction of re-queried nodes whose smallest gap is below ``threshold_k``."""
     if threshold_k < 1:
         raise ValueError("threshold must be at least 1")
-    qualifying = 0
-    hits = 0
-    for node in log.days_by_node:
-        gaps = log.gaps(node)
-        if not gaps:
-            continue
-        qualifying += 1
-        if min(gaps) < threshold_k:
-            hits += 1
-    if qualifying == 0:
+    if log.requeried.size == 0:
         raise ValueError("no node was queried at least twice")
-    return hits / qualifying
+    return int(np.count_nonzero(log.min_gaps < threshold_k)) / log.requeried.size
 
 
 def over_exertion(log: QueryLog, threshold: int) -> float:
     """Fraction of sampled nodes re-queried within ``threshold`` days at least once."""
-    if len(log.days_by_node) == 0:
+    if log.sampled.size == 0:
         raise ValueError("over-exertion is undefined for an empty log")
-    exerted = sum(
-        1
-        for node in log.days_by_node
-        if any(gap <= threshold for gap in log.gaps(node))
-    )
-    return exerted / len(log.days_by_node)
+    return int(np.count_nonzero(log.min_gaps <= threshold)) / log.sampled.size
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +127,18 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((xc * yc).sum() / (sx * sy))
 
 
-def burden_quantity(log: QueryLog, quantity: str) -> dict[int, float]:
-    """Per-node burden values; nodes without gaps are omitted for gap quantities."""
+def burden_quantity(log: QueryLog, quantity: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and their values: the whole pool for counts, re-queried nodes for gaps."""
     if quantity == "query_count":
-        return {n: float(c) for n, c in log.query_counts().items()}
-    if quantity not in BURDEN_QUANTITIES:
-        raise ValueError(f"unknown burden quantity {quantity!r}")
-    out = {}
-    for node in log.days_by_node:
-        gaps = log.gaps(node)
-        if not gaps:
-            continue
-        out[node] = float(min(gaps)) if quantity == "min_gap" else float(np.mean(gaps))
-    return out
+        nodes = np.array(log.pool, dtype=np.intp)
+        values = np.zeros(nodes.size)
+        values[np.searchsorted(nodes, log.sampled)] = log.counts
+        return nodes, values
+    if quantity == "min_gap":
+        return log.requeried, log.min_gaps.astype(float)
+    if quantity == "mean_gap":
+        return log.requeried, log.mean_gaps
+    raise ValueError(f"unknown burden quantity {quantity!r}")
 
 
 def centrality_burden_correlation(
@@ -167,12 +152,10 @@ def centrality_burden_correlation(
     if method not in CORRELATION_METHODS:
         raise ValueError(f"unknown correlation method {method!r}")
     values = centrality(g, centrality_metric).values
-    burden = burden_quantity(log, quantity)
-    nodes = sorted(burden)
-    if len(nodes) < 3:
+    nodes, y = burden_quantity(log, quantity)
+    if nodes.size < 3:
         raise ValueError("need at least three nodes with a defined burden quantity")
     x = values[nodes]
-    y = np.array([burden[n] for n in nodes])
     if method == "spearman":
         x = average_ranks(x)
         y = average_ranks(y)
@@ -208,11 +191,9 @@ def mean_normalized_centrality(
         if log.total_queries == 0:
             table[name] = {m: None for m in CENTRALITY_METRICS}
             continue
-        nodes = sorted(log.days_by_node)
-        weights = np.array([len(log.days_by_node[n]) for n in nodes], dtype=float)
-        weights /= weights.sum()
+        weights = log.counts / log.total_queries
         table[name] = {
-            m: float((normalized[m][nodes] * weights).sum()) if m in normalized else None
+            m: float((normalized[m][log.sampled] * weights).sum()) if m in normalized else None
             for m in CENTRALITY_METRICS
         }
     return table

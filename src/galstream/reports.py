@@ -331,8 +331,11 @@ def _write_derived(paths, result: RunResult, config, dataset) -> None:
     )
 
 
-def _report_rows(path: str | Path, header: list[str]):
-    """The rows of a report CSV, after checking its header and each row's width."""
+def _report_rows(path: str | Path, header: list[str], parse):
+    """``parse(*row)`` for each row of a report CSV, after checking its header and width.
+
+    A row ``parse`` rejects with ``ValueError`` is reported with its file and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
@@ -342,15 +345,22 @@ def _report_rows(path: str | Path, header: list[str]):
                 raise DataFormatError(
                     path, reader.line_num, f"expected {len(header)} columns, got {len(row)}"
                 )
-            yield row
+            try:
+                parsed = parse(*row)
+            except ValueError as exc:
+                raise DataFormatError(path, reader.line_num, str(exc)) from None
+            yield parsed
+
+
+def _daily_record(strategy, bootstrap, day, category, metric, value) -> MetricRecord:
+    value = None if value == NA else float(value)
+    if value is not None and not 0.0 <= value <= 1.0:
+        raise ValueError("values must be finite and lie in [0, 1]")
+    return MetricRecord(strategy, int(bootstrap), int(day), category, metric, value)
 
 
 def read_daily_records(path: str | Path) -> list[MetricRecord]:
-    records = []
-    for strategy, bootstrap, day, category, metric, value in _report_rows(path, _DAILY_HEADER):
-        value = None if value == NA else float(value)
-        records.append(MetricRecord(strategy, int(bootstrap), int(day), category, metric, value))
-    return records
+    return list(_report_rows(path, _DAILY_HEADER, _daily_record))
 
 
 def read_query_logs(
@@ -362,25 +372,30 @@ def read_query_logs(
     """Rebuild per-(strategy, bootstrap) logs; pools come from the replayed splits.
 
     Pairs listed in ``failed`` had no log in the original run and are skipped;
-    pairs with no events (no_al) get an empty log, mirroring the run path.
+    pairs with no events (no_al) get an empty log, mirroring the run path. A
+    row that queries a node outside its pool or repeats an earlier row is
+    rejected with its line.
     """
-    events: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for strategy, bootstrap, day, node in _report_rows(path, _QUERY_HEADER):
-        events.setdefault((strategy, int(bootstrap)), []).append((int(day), int(node)))
-    logs = {}
-    pools: dict[int, tuple[int, ...]] = {}
-    for strategy in config.strategies:
-        for bootstrap in range(config.bootstraps):
-            if (strategy, bootstrap) in failed:
-                continue
-            if bootstrap not in pools:
-                split = make_split(
-                    dataset, config.holdout_fraction, config.base_seed + bootstrap
-                )
-                pools[bootstrap] = split.pool
-            key = (strategy, bootstrap)
-            logs[key] = QueryLog.from_events(pools[bootstrap], events.get(key, []))
-    return logs
+    pools = {
+        b: frozenset(make_split(dataset, config.holdout_fraction, config.base_seed + b).pool)
+        for b in range(config.bootstraps)
+    }
+    events: dict[tuple[str, int], set[tuple[int, int]]] = {
+        (s, b): set() for s in config.strategies for b in pools if (s, b) not in failed
+    }
+
+    def event(strategy, bootstrap, day, node):
+        key, day, node = (strategy, int(bootstrap)), int(day), int(node)
+        if key in events and node not in pools[key[1]]:
+            raise ValueError(f"queried node {node} is not a pool node")
+        if (day, node) in events.get(key, ()):
+            raise ValueError(f"repeats the query of node {node} on day {day}")
+        return key, day, node
+
+    for key, day, node in _report_rows(path, _QUERY_HEADER, event):
+        if key in events:
+            events[key].add((day, node))
+    return {key: QueryLog.from_events(pools[key[1]], pairs) for key, pairs in events.items()}
 
 
 def recompute_reports(result_dir: str | Path) -> dict[str, Path]:

@@ -31,11 +31,22 @@ NO_REQUERY_LOG = log_from(range(4), {0: [0], 1: [1]})
 
 class TestQueryLog:
     def test_counts_and_gaps(self):
-        log = log_from(range(5), {0: [1, 3, 4], 2: [2]})
-        assert log.total_queries == 4
-        assert log.query_counts() == {0: 3, 1: 0, 2: 1, 3: 0, 4: 0}
-        assert log.gaps(0) == (2, 1)
-        assert log.gaps(2) == ()
+        log = log_from(range(8), {4: [0, 6, 7, 9], 0: [1, 3, 4], 2: [2]})
+        assert log.total_queries == 8
+        assert log.sampled.tolist() == [0, 2, 4]
+        assert log.counts.tolist() == [3, 1, 4]
+        # node 0 gaps (2, 1), node 4 gaps (6, 1, 2); node 2 has none
+        assert log.requeried.tolist() == [0, 4]
+        assert log.min_gaps.tolist() == [1, 1]
+        assert log.mean_gaps.tolist() == [1.5, 3.0]
+
+    def test_no_requeried_node_has_empty_gap_summary(self):
+        assert NO_REQUERY_LOG.sampled.tolist() == [0, 1]
+        for array in (NO_REQUERY_LOG.requeried, NO_REQUERY_LOG.min_gaps, NO_REQUERY_LOG.mean_gaps):
+            assert array.size == 0
+        assert over_exertion(NO_REQUERY_LOG, 3) == 0.0
+        with pytest.raises(ValueError, match="at least twice"):
+            average_time_gap(NO_REQUERY_LOG)
 
     def test_rejects_non_pool_node(self):
         with pytest.raises(ValueError):
@@ -257,10 +268,15 @@ class TestCorrelation:
 
     def test_gap_quantities(self):
         log = log_from(range(5), {0: [0, 1, 5], 1: [0, 3]})
-        q = burden_quantity(log, "min_gap")
-        assert q == {0: 1.0, 1: 3.0}
-        q = burden_quantity(log, "mean_gap")
-        assert q == {0: 2.5, 1: 3.0}
+        nodes, values = burden_quantity(log, "min_gap")
+        assert nodes.tolist() == [0, 1] and values.tolist() == [1.0, 3.0]
+        nodes, values = burden_quantity(log, "mean_gap")
+        assert nodes.tolist() == [0, 1] and values.tolist() == [2.5, 3.0]
+        nodes, values = burden_quantity(log, "query_count")
+        assert nodes.tolist() == [0, 1, 2, 3, 4]
+        assert values.tolist() == [3.0, 2.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            burden_quantity(log, "max_gap")
 
 
 class TestMeanNormalizedCentrality:

@@ -1,0 +1,135 @@
+"""The burden suite's summary arrays against their per-node loop references.
+
+``QueryLog`` summarises a log once and every burden measure reads that
+summary; ``burden_oracles`` rebuilds each node's gaps wherever it needs
+them. The tests require the same bits, or the same error, on every log.
+"""
+
+import numpy as np
+from burden_oracles import (
+    oracle_average_time_gap,
+    oracle_burden_quantity,
+    oracle_centrality_burden_correlation,
+    oracle_gaps,
+    oracle_mean_normalized_centrality,
+    oracle_over_exertion,
+    oracle_query_counts,
+    oracle_sampling_entropy,
+    oracle_within_gap_percentage,
+)
+from graph_oracles import random_graph
+
+from galstream import (
+    CENTRALITY_METRICS,
+    QueryLog,
+    average_time_gap,
+    centrality_burden_correlation,
+    mean_normalized_centrality,
+    over_exertion,
+    sampling_entropy,
+    within_gap_percentage,
+)
+from galstream.burden import BURDEN_QUANTITIES, CORRELATION_METHODS, burden_quantity
+from galstream.exceptions import ConvergenceError
+
+THRESHOLDS = range(0, 8)
+
+
+def _logs(rng):
+    """Seeded logs: empty ones, single-query-only ones and pools with unqueried nodes."""
+    yield QueryLog(tuple(range(6)), {})
+    yield QueryLog((), {})
+    for i in range(240):
+        n = int(rng.integers(1, 25))
+        pool = sorted(rng.choice(2 * n, size=n, replace=False).tolist())
+        sampled = rng.choice(pool, size=int(rng.integers(0, n + 1)), replace=False)
+        span = int(rng.integers(1, 40))
+        most = 1 if i % 4 == 0 else span  # every fourth log queries each node once
+        days = {}
+        for node in sampled:
+            size = int(rng.integers(1, min(most, 8) + 1))
+            days[int(node)] = sorted(rng.choice(span, size=size, replace=False).tolist())
+        yield QueryLog(tuple(pool), days)
+
+
+def _outcome(fn, *args):
+    """The value's bits, or the error's type and message."""
+    try:
+        value = fn(*args)
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):  # a mean_normalized_centrality table
+        return {
+            name: {m: v if v is None else v.hex() for m, v in row.items()}
+            for name, row in value.items()
+        }
+    if isinstance(value, tuple):  # burden_quantity arrays
+        return tuple((a.dtype.kind, a.tobytes()) for a in value)
+    raise AssertionError(f"unexpected result {value!r}")
+
+
+def _oracle_quantity_arrays(log, quantity):
+    burden = oracle_burden_quantity(log, quantity)
+    nodes = sorted(burden)
+    return np.array(nodes, dtype=np.intp), np.array([burden[n] for n in nodes])
+
+
+def test_summary_arrays_match_loop_reference():
+    rng = np.random.default_rng(808)
+    kinds = {"empty": 0, "single_only": 0, "unqueried": 0}
+    for log in _logs(rng):
+        counts = {n: c for n, c in oracle_query_counts(log).items() if c}
+        gaps = {n: g for n in log.days_by_node if (g := oracle_gaps(log, n))}
+        assert log.sampled.tolist() == list(counts)
+        assert log.counts.tolist() == list(counts.values())
+        assert log.total_queries == sum(counts.values())
+        assert log.requeried.tolist() == list(gaps)
+        assert log.min_gaps.tolist() == [min(g) for g in gaps.values()]
+        want = np.array([float(np.mean(g)) for g in gaps.values()])
+        assert log.mean_gaps.tobytes() == want.tobytes()
+        kinds["empty"] += not counts
+        kinds["single_only"] += bool(counts) and not gaps
+        kinds["unqueried"] += len(counts) < len(log.pool)
+    assert all(count >= 10 for count in kinds.values()), kinds
+
+
+def test_per_log_measures_match_loop_reference():
+    rng = np.random.default_rng(909)
+    checked = 0
+    for log in _logs(rng):
+        pairs = [
+            (sampling_entropy, oracle_sampling_entropy, ()),
+            (average_time_gap, oracle_average_time_gap, ()),
+        ]
+        for t in THRESHOLDS:
+            pairs.append((within_gap_percentage, oracle_within_gap_percentage, (t,)))
+            pairs.append((over_exertion, oracle_over_exertion, (t,)))
+        for quantity in BURDEN_QUANTITIES + ("max_gap",):
+            pairs.append((burden_quantity, _oracle_quantity_arrays, (quantity,)))
+        for fn, oracle, args in pairs:
+            assert _outcome(fn, log, *args) == _outcome(oracle, log, *args), (fn.__name__, args)
+        checked += 1
+    assert checked >= 200
+
+
+def test_graph_measures_match_loop_reference():
+    rng = np.random.default_rng(1010)
+    logs = list(_logs(rng))
+    for start in range(0, len(logs), 6):
+        batch = logs[start : start + 6]
+        n = max((max(log.pool) + 1 for log in batch if log.pool), default=1)
+        g = random_graph(rng, n + int(rng.integers(0, 4)), float(rng.uniform(0.05, 0.5)))
+        named = {str(i): log for i, log in enumerate(batch)}
+        assert _outcome(mean_normalized_centrality, named, g) == _outcome(
+            oracle_mean_normalized_centrality, named, g
+        )
+        for log in batch:
+            for metric in CENTRALITY_METRICS:
+                for quantity in BURDEN_QUANTITIES:
+                    for method in CORRELATION_METHODS:
+                        args = (log, g, metric, quantity, method)
+                        got = _outcome(centrality_burden_correlation, *args)
+                        want = _outcome(oracle_centrality_burden_correlation, *args)
+                        assert got == want, (metric, quantity, method)

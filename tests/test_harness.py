@@ -457,6 +457,26 @@ class TestConfigFile:
             validate_config(ExperimentConfig(gap_thresholds=(0,)))
 
 
+def _replacing(old, new):
+    """An edit that replaces the first ``old`` of a file's text."""
+
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+
+    return edit
+
+
+def _inserting(row):
+    """An edit that inserts ``row`` right after a CSV's header, as its line 2."""
+    return lambda text: text.replace("\n", f"\n{row}\n", 1)
+
+
+def _repeating_first_row(text):
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, first, first, rest])
+
+
 class TestCli:
     def write_config(self, tmp_path, **kv):
         ini = tmp_path / "cfg.ini"
@@ -529,24 +549,63 @@ class TestCli:
         assert err[0].startswith("error:")
 
     @pytest.mark.parametrize(
-        "name, old, new, message",
+        "name, edit, message",
         [
-            ("daily.csv", ",value\n", ",score\n", "daily.csv:1"),
-            ("daily.csv", ",accuracy,", ",accuracy\n", "daily.csv:2: expected 6 columns, got 5"),
-            ("queries.csv", ",node\n", ",vertex\n", "queries.csv:1"),
-            ("run_manifest.json", '"failures": []', '"failures": [["random"]]', "failures"),
+            ("daily.csv", _replacing(",value\n", ",score\n"), "daily.csv:1"),
+            (
+                "daily.csv",
+                _replacing(",accuracy,", ",accuracy\n"),
+                "daily.csv:2: expected 6 columns, got 5",
+            ),
+            ("queries.csv", _replacing(",node\n", ",vertex\n"), "queries.csv:1"),
+            (
+                "run_manifest.json",
+                _replacing('"failures": []', '"failures": [["random"]]'),
+                "failures",
+            ),
+            (
+                "daily.csv",
+                _inserting("random,x,2,test_set_same_day,accuracy,0.5"),
+                "daily.csv:2: invalid literal for int()",
+            ),
+            ("queries.csv", _inserting("random,0,two,3"), "queries.csv:2: invalid literal"),
+            (
+                "daily.csv",
+                _inserting("random,0,2,test_set_same_day,accuracy,nan"),
+                "daily.csv:2: values must be finite and lie in [0, 1]",
+            ),
+            (
+                "daily.csv",
+                _inserting("random,0,2,test_set_same_day,accuracy,1.5"),
+                "daily.csv:2: values must be finite and lie in [0, 1]",
+            ),
+            ("queries.csv", _repeating_first_row, "queries.csv:3: repeats the query of node"),
+            (
+                "queries.csv",
+                _inserting("random,0,1,999"),
+                "queries.csv:2: queried node 999 is not a pool node",
+            ),
         ],
-        ids=["daily-header", "daily-short-row", "queries-header", "manifest-failure-entry"],
+        ids=[
+            "daily-header",
+            "daily-short-row",
+            "queries-header",
+            "manifest-failure-entry",
+            "daily-non-numeric",
+            "queries-non-numeric",
+            "daily-nan",
+            "daily-out-of-range",
+            "queries-repeated-row",
+            "queries-non-pool-node",
+        ],
     )
     def test_malformed_run_is_machine_parsable_report_error(
-        self, tmp_path, capsys, name, old, new, message
+        self, tmp_path, capsys, name, edit, message
     ):
         ini = self.write_config(tmp_path)
         assert cli_main(["run", "--config", str(ini)]) == 0
         path = tmp_path / "results" / name
-        text = path.read_text()
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
+        path.write_text(edit(path.read_text()))
         capsys.readouterr()
         assert cli_main(["report", "--result", str(tmp_path / "results")]) == 2
         err = capsys.readouterr().err.strip().splitlines()

@@ -17,12 +17,7 @@ from galstream import (
 
 truth = np.array([1, 1, 0, 0, 1, 0])
 scores = np.array([0.92, 0.41, 0.58, 0.12, 0.77, 0.33])
-s = EvalSlice(
-    category="test_set_same_day",
-    day=0,
-    true_labels=truth,
-    probabilities=np.column_stack([1 - scores, scores]),
-)
+s = EvalSlice(true_labels=truth, probabilities=np.column_stack([1 - scores, scores]))
 
 print("labels:", truth.tolist())
 print("scores:", scores.tolist())

@@ -63,9 +63,6 @@ class GcnParams:
         if not (np.isfinite(self.w1).all() and np.isfinite(self.w2).all()):
             raise ValueError("parameters must be finite")
 
-    def copy(self) -> "GcnParams":
-        return GcnParams(self.w1.copy(), self.w2.copy())
-
 
 @dataclass(frozen=True)
 class ModelOutput:

@@ -139,9 +139,6 @@ class Partition:
         ):
             raise ValueError("community ids must be contiguous 0..count-1")
 
-    def members(self, community: int) -> np.ndarray:
-        return np.flatnonzero(self.community_of == community)
-
 
 # ---------------------------------------------------------------------------
 # Shortest paths

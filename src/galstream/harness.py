@@ -49,6 +49,7 @@ class MetricRecord(NamedTuple):
 
 
 SeriesKey = tuple[str, int, str, str]  # (strategy, bootstrap, category, metric)
+DaySeries = dict[SeriesKey, tuple[list[int], list[float]]]  # key -> defined (days, values)
 
 
 @dataclass
@@ -95,7 +96,6 @@ def load_configured_dataset(config: ExperimentConfig) -> Dataset:
 def build_eval_slices(
     split: Split,
     chosen: tuple[int, ...],
-    day_index: int,
     labels_now: np.ndarray,
     labels_next: np.ndarray,
     probs_now: np.ndarray,
@@ -122,12 +122,7 @@ def build_eval_slices(
         if not keep:
             slices[category] = None
             continue
-        slices[category] = EvalSlice(
-            category=category,
-            day=day_index,
-            true_labels=labels[keep],
-            probabilities=probs[keep],
-        )
+        slices[category] = EvalSlice(labels[keep], probs[keep])
     return slices
 
 
@@ -224,7 +219,6 @@ def run_unit(
         slices = build_eval_slices(
             split,
             chosen,
-            frame.day_index,
             frame.labels,
             next_frame.labels,
             evaluated.probabilities,
@@ -260,13 +254,13 @@ def _execute_unit(args) -> tuple[str, int, UnitResult | None, str | None]:
 # ---------------------------------------------------------------------------
 
 
-def day_series(records: list[MetricRecord]) -> dict[SeriesKey, tuple[list[int], list[float]]]:
+def day_series(records: list[MetricRecord]) -> DaySeries:
     """Each key's defined (days, values), in record order.
 
     A key whose every value is undefined maps to two empty lists, so it
     keeps its place with an undefined CPI.
     """
-    series: dict[SeriesKey, tuple[list[int], list[float]]] = {}
+    series: DaySeries = {}
     for strategy, bootstrap, day, category, metric, value in records:
         key = (strategy, bootstrap, category, metric)
         entry = series.get(key)
@@ -286,14 +280,14 @@ def keys_by_metric(series: dict[SeriesKey, tuple]) -> dict[tuple[str, str, str],
     }
 
 
-def compute_cpis(records: list[MetricRecord]) -> dict[SeriesKey, float | None]:
-    """Per (strategy, bootstrap, category, metric) CPI over the defined day series.
+def compute_cpis(series: DaySeries) -> dict[SeriesKey, float | None]:
+    """Per (strategy, bootstrap, category, metric) CPI over its :func:`day_series` entry.
 
     Undefined (None) when fewer than two days are defined or the defined
     days are not uniformly spaced.
     """
     out: dict[SeriesKey, float | None] = {}
-    for key, (days, values) in day_series(records).items():
+    for key, (days, values) in series.items():
         value: float | None = None
         if len(days) >= 2:
             days, values = zip(*sorted(zip(days, values)))
@@ -313,16 +307,15 @@ def mean_std(values: list[float]) -> tuple[float | None, float | None, int]:
 
 
 def aggregate_records(
-    records: list[MetricRecord],
+    series: DaySeries,
     cpis: dict[SeriesKey, float | None],
 ) -> dict[tuple[str, str, str], tuple[float, float, int]]:
-    """Mean and population std across bootstraps.
+    """Mean and population std across bootstraps of the :func:`day_series` entries.
 
     Plain metrics are first averaged over each bootstrap's defined days;
     CPI metrics use the per-bootstrap CPI values directly and appear under
     ``cpi_<metric>``.
     """
-    series = day_series(records)
     out: dict[tuple[str, str, str], tuple[float, float, int]] = {}
     for (strategy, category, metric), keys in keys_by_metric(series).items():
         means = [float(np.mean(series[k][1])) for k in keys if series[k][1]]
@@ -370,7 +363,8 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         trained_nodes[(strategy, bootstrap)] = unit.trained_nodes
         splits[bootstrap] = unit.split
 
-    cpis = compute_cpis(records)
+    series = day_series(records)
+    cpis = compute_cpis(series)
     return RunResult(
         config=config,
         records=records,
@@ -378,6 +372,6 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         splits=splits,
         trained_nodes=trained_nodes,
         cpis=cpis,
-        aggregate=aggregate_records(records, cpis),
+        aggregate=aggregate_records(series, cpis),
         failures=failures,
     )

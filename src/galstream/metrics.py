@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import UndefinedMetricError
-from .stats import average_ranks
+from .stats import average_ranks, tie_runs
 
 EVAL_CATEGORIES = (
     "test_set_same_day",
@@ -31,12 +31,18 @@ THRESHOLD = 0.5  # class-1 score at or above which a node is predicted positive
 
 @dataclass(frozen=True)
 class EvalSlice:
-    """Ground truth and predicted class probabilities for one node category on one day."""
+    """Ground truth and predicted class probabilities for one node category on one day.
 
-    category: str
-    day: int
+    The confusion matrix at ``THRESHOLD`` is counted once, at construction;
+    class 1 is the positive class.
+    """
+
     true_labels: np.ndarray
     probabilities: np.ndarray
+    tp: int = field(init=False, compare=False)
+    fp: int = field(init=False, compare=False)
+    fn: int = field(init=False, compare=False)
+    tn: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.true_labels, dtype=int)
@@ -51,76 +57,61 @@ class EvalSlice:
         probs.setflags(write=False)
         object.__setattr__(self, "true_labels", labels)
         object.__setattr__(self, "probabilities", probs)
+        predicted = probs[:, 1] >= THRESHOLD
+        positive = labels == 1
+        tp = int(np.count_nonzero(predicted & positive))
+        fp = int(np.count_nonzero(predicted)) - tp
+        fn = int(np.count_nonzero(positive)) - tp
+        object.__setattr__(self, "tp", tp)
+        object.__setattr__(self, "fp", fp)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "tn", labels.size - tp - fp - fn)
 
     def scores(self) -> np.ndarray:
         """Predicted probability of class 1."""
         return self.probabilities[:, 1]
 
 
-def _predictions(s: EvalSlice) -> np.ndarray:
-    return (s.scores() >= THRESHOLD).astype(int)
-
-
-def _binary_f1(truth: np.ndarray, pred: np.ndarray, positive: int) -> float:
-    tp = int(((pred == positive) & (truth == positive)).sum())
-    fp = int(((pred == positive) & (truth != positive)).sum())
-    fn = int(((pred != positive) & (truth == positive)).sum())
-    if 2 * tp + fp + fn == 0:
+def _f1(hits: int, errors: int) -> float:
+    """F1 of one class from its true positives and the slice's errors; 0 when absent."""
+    if 2 * hits + errors == 0:
         # class absent from both truth and prediction
         return 0.0
-    return 2.0 * tp / (2 * tp + fp + fn)
+    return 2.0 * hits / (2 * hits + errors)
 
 
 def accuracy(s: EvalSlice) -> float:
-    pred = _predictions(s)
-    return float((pred == s.true_labels).mean())
+    return (s.tp + s.tn) / s.true_labels.size
 
 
 def precision(s: EvalSlice) -> float:
     """Precision of class 1; 0 when nothing is predicted positive."""
-    pred = _predictions(s)
-    predicted_pos = int((pred == 1).sum())
-    if predicted_pos == 0:
-        return 0.0
-    tp = int(((pred == 1) & (s.true_labels == 1)).sum())
-    return tp / predicted_pos
+    return s.tp / (s.tp + s.fp) if s.tp + s.fp else 0.0
 
 
 def recall(s: EvalSlice) -> float:
     """Recall of class 1; 0 when there are no true positives to find."""
-    pred = _predictions(s)
-    actual_pos = int((s.true_labels == 1).sum())
-    if actual_pos == 0:
-        return 0.0
-    tp = int(((pred == 1) & (s.true_labels == 1)).sum())
-    return tp / actual_pos
+    return s.tp / (s.tp + s.fn) if s.tp + s.fn else 0.0
 
 
 def f1_micro(s: EvalSlice) -> float:
     """Micro-averaged F1; equals accuracy for single-label binary tasks."""
-    pred = _predictions(s)
-    tp = int((pred == s.true_labels).sum())  # per-class TP summed over both classes
-    n = s.true_labels.size
-    # micro precision == micro recall == tp / n
-    return tp / n
+    return accuracy(s)  # micro precision == micro recall == (tp + tn) / n
 
 
 def f1_macro(s: EvalSlice) -> float:
-    pred = _predictions(s)
-    return 0.5 * (
-        _binary_f1(s.true_labels, pred, 0) + _binary_f1(s.true_labels, pred, 1)
-    )
+    errors = s.fp + s.fn  # a false positive of one class is a false negative of the other
+    return 0.5 * (_f1(s.tn, errors) + _f1(s.tp, errors))
 
 
 def auc_roc(s: EvalSlice) -> float:
     """Mann-Whitney AUC with average ranks for tied scores."""
-    truth = s.true_labels
-    n_pos = int((truth == 1).sum())
-    n_neg = truth.size - n_pos
+    n_pos = s.tp + s.fn
+    n_neg = s.fp + s.tn
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC-ROC is undefined for a single-class slice")
     ranks = average_ranks(s.scores())
-    pos_rank_sum = ranks[truth == 1].sum()
+    pos_rank_sum = ranks[s.true_labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -130,52 +121,32 @@ def auc_pr(s: EvalSlice) -> float:
     One (precision, recall) point per distinct score threshold, descending;
     area adds precision times the recall increment at each step.
     """
-    truth = s.true_labels
-    scores = s.scores()
-    n_pos = int((truth == 1).sum())
+    n_pos = s.tp + s.fn
     if n_pos == 0:
         raise UndefinedMetricError("AUC-PR is undefined without positives")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_truth = truth[order]
-    area = 0.0
-    tp = 0
-    taken = 0
-    prev_recall = 0.0
-    i = 0
-    n = truth.size
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_truth[i : j + 1].sum())
-        taken += j - i + 1
-        recall_here = tp / n_pos
-        precision_here = tp / taken
-        area += (recall_here - prev_recall) * precision_here
-        prev_recall = recall_here
-        i = j + 1
-    return area
+    order, _, last = tie_runs(-s.scores())
+    tp = np.cumsum(s.true_labels[order])[last]
+    recalls = tp / n_pos
+    steps = np.diff(recalls, prepend=0.0) * (tp / (last + 1))
+    return float(np.add.accumulate(steps)[-1])  # np.sum would add pairwise
 
 
-_THRESHOLD_METRICS = {
+_METRICS = {
     "accuracy": accuracy,
     "precision": precision,
     "recall": recall,
     "f1_micro": f1_micro,
     "f1_macro": f1_macro,
+    "auc_roc": auc_roc,
+    "auc_pr": auc_pr,
 }
 
 
 def compute_metric(s: EvalSlice, name: str) -> float:
     """Evaluate any supported metric by name."""
-    if name in _THRESHOLD_METRICS:
-        return _THRESHOLD_METRICS[name](s)
-    if name == "auc_roc":
-        return auc_roc(s)
-    if name == "auc_pr":
-        return auc_pr(s)
-    raise ValueError(f"unknown metric {name!r}; expected one of {PERFORMANCE_METRICS}")
+    if name not in _METRICS:
+        raise ValueError(f"unknown metric {name!r}; expected one of {PERFORMANCE_METRICS}")
+    return _METRICS[name](s)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from bisect import bisect_left
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .graphs import CENTRALITY_METRICS
 from .harness import (
     MetricRecord,
     RunResult,
+    SeriesKey,
     aggregate_records,
     compute_cpis,
     day_series,
@@ -278,7 +280,7 @@ def emit_reports(
         _QUERY_HEADER,
         _query_rows(config, result.query_logs),
     )
-    _write_derived(paths, result, config, dataset)
+    _write_derived(paths, result, config, dataset, day_series(result.records))
 
     manifest = {
         "config": config_to_dict(config),
@@ -291,8 +293,8 @@ def emit_reports(
     return paths
 
 
-def _write_derived(paths, result: RunResult, config, dataset) -> None:
-    series = day_series(result.records)
+def _write_derived(paths, result: RunResult, config, dataset, series) -> None:
+    """Every derived report of ``result``; ``series`` is its records' :func:`day_series`."""
     per_strategy = _strategy_logs(config, result.query_logs)
     _write_csv(
         paths["aggregate.csv"],
@@ -360,7 +362,28 @@ def _daily_record(strategy, bootstrap, day, category, metric, value) -> MetricRe
 
 
 def read_daily_records(path: str | Path) -> list[MetricRecord]:
-    return list(_report_rows(path, _DAILY_HEADER, _daily_record))
+    """The records of ``daily.csv``; a row that repeats an earlier row's
+    (strategy, bootstrap, day, category, metric) is rejected with its line."""
+    # each series' days so far, in ascending order; a set of five-field keys
+    # would hold a tuple per row, about 8 MB more peak memory on 82k rows
+    days_of: dict[SeriesKey, list[int]] = {}
+
+    def record(*row) -> MetricRecord:
+        r = _daily_record(*row)
+        key = (r.strategy, r.bootstrap, r.category, r.metric)
+        days = days_of.get(key)
+        if days is None:
+            days = days_of[key] = []
+        at = bisect_left(days, r.day)
+        if at < len(days) and days[at] == r.day:
+            raise ValueError(
+                f"repeats the {r.metric} of {r.strategy} bootstrap {r.bootstrap} "
+                f"on day {r.day} in {r.category}"
+            )
+        days.insert(at, r.day)
+        return r
+
+    return list(_report_rows(path, _DAILY_HEADER, record))
 
 
 def read_query_logs(
@@ -371,10 +394,11 @@ def read_query_logs(
 ) -> dict[tuple[str, int], QueryLog]:
     """Rebuild per-(strategy, bootstrap) logs; pools come from the replayed splits.
 
-    Pairs listed in ``failed`` had no log in the original run and are skipped;
-    pairs with no events (no_al) get an empty log, mirroring the run path. A
-    row that queries a node outside its pool or repeats an earlier row is
-    rejected with its line.
+    Pairs listed in ``failed`` had no log in the original run; pairs with no
+    events (no_al) get an empty log, mirroring the run path. A row is
+    rejected with its line if its pair has no log (a strategy the config
+    does not run, a bootstrap out of range, or a failed pair), if it queries
+    a node outside its pool, or if it repeats an earlier row.
     """
     pools = {
         b: frozenset(make_split(dataset, config.holdout_fraction, config.base_seed + b).pool)
@@ -386,15 +410,16 @@ def read_query_logs(
 
     def event(strategy, bootstrap, day, node):
         key, day, node = (strategy, int(bootstrap)), int(day), int(node)
-        if key in events and node not in pools[key[1]]:
+        if key not in events:
+            raise ValueError(f"{strategy} bootstrap {key[1]} is not a logged unit of this run")
+        if node not in pools[key[1]]:
             raise ValueError(f"queried node {node} is not a pool node")
-        if (day, node) in events.get(key, ()):
+        if (day, node) in events[key]:
             raise ValueError(f"repeats the query of node {node} on day {day}")
         return key, day, node
 
     for key, day, node in _report_rows(path, _QUERY_HEADER, event):
-        if key in events:
-            events[key].add((day, node))
+        events[key].add((day, node))
     return {key: QueryLog.from_events(pools[key[1]], pairs) for key, pairs in events.items()}
 
 
@@ -410,7 +435,8 @@ def recompute_reports(result_dir: str | Path) -> dict[str, Path]:
     records = read_daily_records(out / "daily.csv")
     failed = {(s, int(b)) for s, b, _ in manifest.get("failures", [])}
     query_logs = read_query_logs(out / "queries.csv", config, dataset, failed)
-    cpis = compute_cpis(records)
+    series = day_series(records)
+    cpis = compute_cpis(series)
     result = RunResult(
         config=config,
         records=records,
@@ -418,8 +444,8 @@ def recompute_reports(result_dir: str | Path) -> dict[str, Path]:
         splits={},
         trained_nodes={},
         cpis=cpis,
-        aggregate=aggregate_records(records, cpis),
+        aggregate=aggregate_records(series, cpis),
     )
     paths = {name: out / name for name in REPORT_FILES}
-    _write_derived(paths, result, config, dataset)
+    _write_derived(paths, result, config, dataset, series)
     return paths

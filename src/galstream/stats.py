@@ -26,18 +26,23 @@ class TestResult(NamedTuple):
     pvalue: float
 
 
+def tie_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable ascending order of ``values``, and the first and last sorted
+    position of each run of equal values."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.ones(ordered.size + 1, dtype=bool)  # each run's first position, then the end
+    starts[1:-1] = ordered[1:] != ordered[:-1]
+    bounds = np.flatnonzero(starts)
+    return order, bounds[:-1], bounds[1:] - 1
+
+
 def average_ranks(values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n with tied values sharing their average rank."""
     x = np.asarray(values, dtype=float)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    order, first, last = tie_runs(x)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 
@@ -223,7 +228,8 @@ def _kw_statistic_from_rank_sums(
 
 def _tie_correction(pooled: np.ndarray) -> float:
     n = pooled.size
-    _, counts = np.unique(pooled, return_counts=True)
+    _, first, last = tie_runs(pooled)
+    counts = last - first + 1
     return 1.0 - float((counts**3 - counts).sum()) / (n**3 - n)
 
 

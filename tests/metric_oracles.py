@@ -1,0 +1,133 @@
+"""Loop references for the slice metrics and the rank statistics.
+
+These are the recount-per-metric versions of the threshold metrics and
+the element-at-a-time tie walks of average ranks, the Kruskal-Wallis tie
+correction, AUC-ROC and AUC-PR. The library counts each slice's
+confusion matrix once and groups tied values in one place; the tests
+require the same bits, not close values, because both keep every value's
+arithmetic and summation order. Slow on purpose.
+"""
+
+import numpy as np
+
+from galstream.exceptions import UndefinedMetricError
+from galstream.metrics import THRESHOLD
+
+
+def oracle_average_ranks(values):
+    """Ranks 1..n with tied values sharing their average rank."""
+    x = np.asarray(values, dtype=float)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def oracle_tie_correction(pooled):
+    n = pooled.size
+    _, counts = np.unique(pooled, return_counts=True)
+    return 1.0 - float((counts**3 - counts).sum()) / (n**3 - n)
+
+
+def _predictions(s):
+    return (s.scores() >= THRESHOLD).astype(int)
+
+
+def _binary_f1(truth, pred, positive):
+    tp = int(((pred == positive) & (truth == positive)).sum())
+    fp = int(((pred == positive) & (truth != positive)).sum())
+    fn = int(((pred != positive) & (truth == positive)).sum())
+    if 2 * tp + fp + fn == 0:
+        return 0.0
+    return 2.0 * tp / (2 * tp + fp + fn)
+
+
+def oracle_accuracy(s):
+    pred = _predictions(s)
+    return float((pred == s.true_labels).mean())
+
+
+def oracle_precision(s):
+    pred = _predictions(s)
+    predicted_pos = int((pred == 1).sum())
+    if predicted_pos == 0:
+        return 0.0
+    tp = int(((pred == 1) & (s.true_labels == 1)).sum())
+    return tp / predicted_pos
+
+
+def oracle_recall(s):
+    pred = _predictions(s)
+    actual_pos = int((s.true_labels == 1).sum())
+    if actual_pos == 0:
+        return 0.0
+    tp = int(((pred == 1) & (s.true_labels == 1)).sum())
+    return tp / actual_pos
+
+
+def oracle_f1_micro(s):
+    pred = _predictions(s)
+    tp = int((pred == s.true_labels).sum())
+    return tp / s.true_labels.size
+
+
+def oracle_f1_macro(s):
+    pred = _predictions(s)
+    return 0.5 * (_binary_f1(s.true_labels, pred, 0) + _binary_f1(s.true_labels, pred, 1))
+
+
+def oracle_auc_roc(s):
+    truth = s.true_labels
+    n_pos = int((truth == 1).sum())
+    n_neg = truth.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError("AUC-ROC is undefined for a single-class slice")
+    ranks = oracle_average_ranks(s.scores())
+    pos_rank_sum = ranks[truth == 1].sum()
+    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def oracle_auc_pr(s):
+    truth = s.true_labels
+    scores = s.scores()
+    n_pos = int((truth == 1).sum())
+    if n_pos == 0:
+        raise UndefinedMetricError("AUC-PR is undefined without positives")
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_truth = truth[order]
+    area = 0.0
+    tp = 0
+    taken = 0
+    prev_recall = 0.0
+    i = 0
+    n = truth.size
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_truth[i : j + 1].sum())
+        taken += j - i + 1
+        recall_here = tp / n_pos
+        precision_here = tp / taken
+        area += (recall_here - prev_recall) * precision_here
+        prev_recall = recall_here
+        i = j + 1
+    return area
+
+
+ORACLE_METRICS = {
+    "accuracy": oracle_accuracy,
+    "precision": oracle_precision,
+    "recall": oracle_recall,
+    "f1_micro": oracle_f1_micro,
+    "f1_macro": oracle_f1_macro,
+    "auc_roc": oracle_auc_roc,
+    "auc_pr": oracle_auc_pr,
+}

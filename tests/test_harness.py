@@ -21,7 +21,7 @@ from galstream import (
 from galstream.cli import main as cli_main
 from galstream.config import INI_KEYS, config_to_dict
 from galstream.datasets import Dataset, DayFrame, Split, save_dataset
-from galstream.harness import aggregate_records, compute_cpis, load_configured_dataset
+from galstream.harness import aggregate_records, compute_cpis, day_series, load_configured_dataset
 from galstream.reports import REPORT_FILES, read_daily_records
 
 SMALL_SYNTH = SyntheticConfig(
@@ -63,7 +63,7 @@ class TestBuildEvalSlices:
 
     def test_categories_partition_the_pool(self):
         slices = build_eval_slices(
-            self.split, (3, 4), 5, self.labels_now, self.labels_next,
+            self.split, (3, 4), self.labels_now, self.labels_next,
             self.probs_now, self.probs_next,
         )
         assert set(slices) == {
@@ -79,7 +79,7 @@ class TestBuildEvalSlices:
 
     def test_no_queries_omits_train_slice_entirely(self):
         slices = build_eval_slices(
-            self.split, (), 5, self.labels_now, self.labels_next,
+            self.split, (), self.labels_now, self.labels_next,
             self.probs_now, self.probs_next,
         )
         assert "train_next_day" not in slices
@@ -88,7 +88,7 @@ class TestBuildEvalSlices:
     def test_emptied_slice_becomes_undefined_marker(self):
         all_missing = np.full(6, -1)
         slices = build_eval_slices(
-            self.split, (3, 4), 5, all_missing, self.labels_next,
+            self.split, (3, 4), all_missing, self.labels_next,
             self.probs_now, self.probs_next,
         )
         assert slices["test_set_same_day"] is None
@@ -233,8 +233,9 @@ class TestReports:
     def test_aggregate_recomputed_from_daily_matches(self, emitted):
         _, result, paths = emitted
         records = read_daily_records(paths["daily.csv"])
-        cpis = compute_cpis(records)
-        agg = aggregate_records(records, cpis)
+        series = day_series(records)
+        cpis = compute_cpis(series)
+        agg = aggregate_records(series, cpis)
         assert set(agg) == set(result.aggregate)
         for key, (mean, std, n) in agg.items():
             want = result.aggregate[key]
@@ -585,6 +586,17 @@ class TestCli:
                 _inserting("random,0,1,999"),
                 "queries.csv:2: queried node 999 is not a pool node",
             ),
+            ("daily.csv", _repeating_first_row, "daily.csv:3: repeats the accuracy of random"),
+            (
+                "queries.csv",
+                _inserting("bogus,0,1,3"),
+                "queries.csv:2: bogus bootstrap 0 is not a logged unit",
+            ),
+            (
+                "queries.csv",
+                _inserting("random,7,1,3"),
+                "queries.csv:2: random bootstrap 7 is not a logged unit",
+            ),
         ],
         ids=[
             "daily-header",
@@ -597,6 +609,9 @@ class TestCli:
             "daily-out-of-range",
             "queries-repeated-row",
             "queries-non-pool-node",
+            "daily-repeated-row",
+            "queries-unknown-strategy",
+            "queries-bootstrap-out-of-range",
         ],
     )
     def test_malformed_run_is_machine_parsable_report_error(

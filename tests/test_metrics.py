@@ -23,7 +23,7 @@ from galstream import (
 def make_slice(truth, scores):
     scores = np.asarray(scores, dtype=float)
     probs = np.column_stack([1.0 - scores, scores])
-    return EvalSlice("test_set_same_day", 0, np.asarray(truth), probs)
+    return EvalSlice(np.asarray(truth), probs)
 
 
 class TestThresholdMetrics:
@@ -52,7 +52,7 @@ class TestThresholdMetrics:
 
     def test_empty_slice_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            EvalSlice("test_set_same_day", 0, np.array([], dtype=int), np.zeros((0, 2)))
+            EvalSlice(np.array([], dtype=int), np.zeros((0, 2)))
 
 
 def auc_roc_pair_oracle(truth, scores):

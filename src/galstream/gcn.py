@@ -151,37 +151,68 @@ def _stack_examples(
     return _Batch(ax, rows, sign.ravel()[rows], weight.ravel()[rows])
 
 
-def _batch_loss_and_gradients(
-    params: GcnParams, a: np.ndarray, batch: _Batch
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted cross-entropy of the labelled rows and its exact gradients.
+class _Workspace:
+    """The buffers of ``_batch_loss_and_gradients``, allocated once per batch.
 
-    With two classes the softmax of a row is the logistic of its logit
-    difference s = A relu(A x w1) dw, where dw = w2[:, 1] - w2[:, 0]. So one
-    column goes through A forward and one back, and the gradient of w2 is
-    [-g, g]. The loss is infinite once a labelled row's true-class
-    probability underflows to 0.
+    Every array with one entry per stacked (node, example) row lives here and
+    is filled in place each epoch, so an epoch allocates only the per-labelled-
+    row logistic temporaries and the (features, hidden) gradient of w1.
     """
-    n = a.shape[0]
-    dw = params.w2[:, 1] - params.w2[:, 0]
-    z1 = batch.ax @ params.w1
-    active = z1 > 0
-    hidden = np.maximum(z1, 0.0)
-    s = (a @ (hidden @ dw).reshape(n, -1)).ravel()
 
-    margin = s[batch.rows] * batch.sign  # true-class logit minus the other
+    def __init__(self, batch: _Batch, nodes: int, hidden_dim: int) -> None:
+        rows, features = batch.ax.shape
+        self.hidden = np.empty((rows, hidden_dim))  # z1 = ax @ w1, then relu in place
+        self.active = np.empty((rows, hidden_dim))  # 1.0 where z1 > 0, else 0.0
+        self.col = np.empty(rows)  # hidden @ dw
+        self.s = np.empty(rows)  # logit difference, A @ col
+        self.d_s = np.zeros(rows)  # d loss / d s; unlabelled rows stay 0
+        self.back = np.empty(rows)  # A @ d_s
+        self.ax_t = np.ascontiguousarray(batch.ax.T)  # (features, rows)
+        self.ax_back_t = np.empty((features, rows))  # (ax * back[:, None]).T
+        self.g_w2 = np.empty((hidden_dim, 2), order="F")  # [-g, g], columns contiguous
+        self.scale = -batch.weight * batch.sign
+        # node-major (nodes, examples) views for the two products with A
+        self.col_nodes = self.col.reshape(nodes, -1)
+        self.s_nodes = self.s.reshape(nodes, -1)
+        self.d_s_nodes = self.d_s.reshape(nodes, -1)
+        self.back_nodes = self.back.reshape(nodes, -1)
+
+
+def _batch_loss_and_gradients(
+    params: GcnParams, a: np.ndarray, batch: _Batch, ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """True-class probabilities of the labelled rows and the exact loss gradients.
+
+    The loss is the weighted cross-entropy ``-(log(picked) * batch.weight).sum()``;
+    it is finite exactly when ``picked.min() > 0``, since every probability
+    lies in [0, 1] and the weights sum to 1. With two classes the softmax of a
+    row is the logistic of its logit difference s = A relu(A x w1) dw, where
+    dw = w2[:, 1] - w2[:, 0]. So one column goes through A forward and one
+    back, and the gradient of w2 is [-g, g]. The returned w2 gradient is a
+    workspace buffer, overwritten by the next call.
+    """
+    dw = params.w2[:, 1] - params.w2[:, 0]
+    np.matmul(batch.ax, params.w1, out=ws.hidden)
+    np.greater(ws.hidden, 0.0, out=ws.active)
+    np.maximum(ws.hidden, 0.0, out=ws.hidden)
+    np.matmul(ws.hidden, dw, out=ws.col)
+    np.matmul(a, ws.col_nodes, out=ws.s_nodes)
+
+    margin = ws.s[batch.rows] * batch.sign  # true-class logit minus the other
     decay = np.exp(-np.abs(margin))  # never overflows
     share = 1.0 / (1.0 + decay)
     right = margin >= 0
-    picked = np.where(right, share, decay * share)
-    loss = float(-(np.log(picked) * batch.weight).sum()) if picked.min() > 0 else np.inf
+    wrong_share = decay * share
+    picked = np.where(right, share, wrong_share)
 
-    d_s = np.zeros(s.size)
-    d_s[batch.rows] = -batch.weight * batch.sign * np.where(right, decay * share, share)
-    back = (a @ d_s.reshape(n, -1)).ravel()  # A is symmetric
-    g = hidden.T @ back
-    g_w1 = ((batch.ax * back[:, None]).T @ active) * dw
-    return loss, g_w1, np.column_stack([-g, g])
+    ws.d_s[batch.rows] = ws.scale * np.where(right, wrong_share, share)
+    np.matmul(a, ws.d_s_nodes, out=ws.back_nodes)  # A is symmetric
+    np.matmul(ws.hidden.T, ws.back, out=ws.g_w2[:, 1])
+    np.negative(ws.g_w2[:, 1], out=ws.g_w2[:, 0])
+    np.multiply(ws.ax_t, ws.back, out=ws.ax_back_t)
+    g_w1 = ws.ax_back_t @ ws.active
+    g_w1 *= dw
+    return picked, g_w1, ws.g_w2
 
 
 def loss_and_gradients(
@@ -192,12 +223,15 @@ def loss_and_gradients(
     """The loss ``train`` minimizes and its exact gradients w.r.t. both weight matrices.
 
     ``labeled_examples`` are ``train``'s (features, labels, mask) triples; the
-    loss is the mean over examples of each mask's mean cross-entropy.
+    loss is the mean over examples of each mask's mean cross-entropy. It is
+    infinite once a labelled node's true-class probability underflows to 0.
     """
     batch = _stack_examples(adj, labeled_examples)
     if batch.ax.shape[1] != params.w1.shape[0]:
         raise ValueError(f"features must have {params.w1.shape[0]} columns")
-    loss, g_w1, g_w2 = _batch_loss_and_gradients(params, adj.matrix, batch)
+    ws = _Workspace(batch, adj.node_count, params.w1.shape[1])
+    picked, g_w1, g_w2 = _batch_loss_and_gradients(params, adj.matrix, batch, ws)
+    loss = float(-(np.log(picked) * batch.weight).sum()) if picked.min() > 0 else np.inf
     return loss, GcnParams(g_w1, g_w2)
 
 
@@ -210,13 +244,15 @@ def train(
     """Full-batch gradient descent on the loss of ``loss_and_gradients``.
 
     ``labeled_examples`` is a list of (features, labels, mask) triples that
-    all share ``adj``. Deterministic given the init seed.
+    all share ``adj``. Deterministic given the init seed. Raises
+    ``TrainingDivergedError`` at the first epoch whose loss is infinite.
     """
     batch = _stack_examples(adj, labeled_examples)
     params = init_params(params_init_seed, batch.ax.shape[1], hyper.hidden_dim)
+    ws = _Workspace(batch, adj.node_count, hyper.hidden_dim)
     for epoch in range(hyper.epochs):
-        loss, g_w1, g_w2 = _batch_loss_and_gradients(params, adj.matrix, batch)
-        if not np.isfinite(loss):
+        picked, g_w1, g_w2 = _batch_loss_and_gradients(params, adj.matrix, batch, ws)
+        if not picked.min() > 0:
             raise TrainingDivergedError(epoch)
         params.w1 -= hyper.learning_rate * g_w1
         params.w2 -= hyper.learning_rate * g_w2

@@ -197,16 +197,25 @@ def cpi(series: PerformanceSeries) -> float:
 def rolling_mean_std(
     series: PerformanceSeries, window: int
 ) -> tuple[PerformanceSeries, PerformanceSeries]:
-    """Trailing-window mean and population std; the window grows from 1 at the start."""
+    """Trailing-window mean and population std; the window grows from 1 at the start.
+
+    Full windows are gathered as the rows of one matrix and reduced along
+    its rows, which gives the bits of reducing each window on its own; only
+    the growing prefix, at most ``window - 1`` values, is reduced one window
+    at a time.
+    """
     if window < 1:
         raise ValueError("window must be at least 1")
     v = series.values
     means = np.empty(v.size)
     stds = np.empty(v.size)
-    for i in range(v.size):
-        chunk = v[max(0, i - window + 1) : i + 1]
-        means[i] = chunk.mean()
-        stds[i] = chunk.std()
+    for i in range(min(window - 1, v.size)):
+        means[i] = v[: i + 1].mean()
+        stds[i] = v[: i + 1].std()
+    if v.size >= window:
+        full = v[np.arange(v.size - window + 1)[:, None] + np.arange(window)]
+        means[window - 1 :] = full.mean(axis=1)
+        stds[window - 1 :] = full.std(axis=1)
     return (
         PerformanceSeries(f"{series.metric}_rolling_mean", series.days, means),
         PerformanceSeries(f"{series.metric}_rolling_std", series.days, stds),

@@ -182,13 +182,15 @@ def f_survival(f: float, df1: int, df2: int) -> float:
 
 
 def _as_groups(groups) -> list[np.ndarray]:
-    if isinstance(groups, Mapping):
-        groups = list(groups.values())
-    arrays = [np.asarray(g, dtype=float) for g in groups]
+    named = dict(groups) if isinstance(groups, Mapping) else dict(enumerate(groups))
+    arrays = [np.asarray(g, dtype=float) for g in named.values()]
     if len(arrays) < 2:
         raise ValueError("need at least two groups")
     if any(a.size == 0 for a in arrays):
         raise ValueError("every group must be nonempty")
+    for name, a in zip(named, arrays):
+        if not np.isfinite(a).all():
+            raise ValueError(f"group {name!r} holds a non-finite observation")
     total = sum(a.size for a in arrays)
     if total < len(arrays) + 1:
         raise ValueError("need more observations than groups")

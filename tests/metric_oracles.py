@@ -1,11 +1,12 @@
 """Loop references for the slice metrics and the rank statistics.
 
-These are the recount-per-metric versions of the threshold metrics and
-the element-at-a-time tie walks of average ranks, the Kruskal-Wallis tie
-correction, AUC-ROC and AUC-PR. The library counts each slice's
-confusion matrix once and groups tied values in one place; the tests
-require the same bits, not close values, because both keep every value's
-arithmetic and summation order. Slow on purpose.
+These are the recount-per-metric versions of the threshold metrics, the
+element-at-a-time tie walks of average ranks, the Kruskal-Wallis tie
+correction, AUC-ROC and AUC-PR, and the window-at-a-time rolling mean and
+std. The library counts each slice's confusion matrix once, groups tied
+values in one place and reduces every full rolling window in one call;
+the tests require the same bits, not close values, because both keep
+every value's arithmetic and summation order. Slow on purpose.
 """
 
 import numpy as np
@@ -131,3 +132,15 @@ ORACLE_METRICS = {
     "auc_roc": oracle_auc_roc,
     "auc_pr": oracle_auc_pr,
 }
+
+
+def oracle_rolling_mean_std(values, window):
+    """Trailing-window mean and population std, one window at a time."""
+    v = np.asarray(values, dtype=float)
+    means = np.empty(v.size)
+    stds = np.empty(v.size)
+    for i in range(v.size):
+        chunk = v[max(0, i - window + 1) : i + 1]
+        means[i] = chunk.mean()
+        stds[i] = chunk.std()
+    return means, stds

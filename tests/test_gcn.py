@@ -216,11 +216,26 @@ class TestTrain:
 
     def test_huge_step_size_raises_diverged_without_warnings(self):
         adj, x, labels, mask = noiseless_toy()
-        hyper = TrainConfig(hidden_dim=8, epochs=200, learning_rate=1e6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(TrainingDivergedError):
-                train(9, adj, [(x, labels, mask)], hyper)
+        for learning_rate, epoch in [(1e6, 1), (1e3, 1), (50.0, 2)]:
+            hyper = TrainConfig(hidden_dim=8, epochs=200, learning_rate=learning_rate)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(TrainingDivergedError) as err:
+                    train(9, adj, [(x, labels, mask)], hyper)
+            assert err.value.epoch == epoch, learning_rate
+
+    def test_one_epoch_steps_along_the_reported_gradient(self):
+        # train and loss_and_gradients run one routine: a single epoch is
+        # exactly the initial weights minus the step times its gradients
+        rng = np.random.default_rng(16)
+        adj, x, labels, mask = noiseless_toy()
+        examples = [(x, labels, mask), (rng.normal(size=x.shape), labels, [0, 3, 7])]
+        hyper = TrainConfig(hidden_dim=8, epochs=1, learning_rate=0.3)
+        trained = train(9, adj, examples, hyper)
+        init = init_params(9, x.shape[1], 8)
+        _, grads = loss_and_gradients(init, adj, examples)
+        assert np.array_equal(trained.w1, init.w1 - hyper.learning_rate * grads.w1)
+        assert np.array_equal(trained.w2, init.w2 - hyper.learning_rate * grads.w2)
 
     def test_requires_an_example(self):
         adj, *_ = noiseless_toy()

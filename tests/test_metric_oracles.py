@@ -4,13 +4,26 @@
 the one grouping of tied values; ``metric_oracles`` recounts each metric
 and walks each run of ties element by element. The tests require the
 same bits, or the same error type, on every slice and vector.
+``rolling_mean_std`` reduces every full window in one call and is held
+to the same bits as reducing one window at a time.
 """
 
 import numpy as np
 import pytest
-from metric_oracles import ORACLE_METRICS, oracle_average_ranks, oracle_tie_correction
+from metric_oracles import (
+    ORACLE_METRICS,
+    oracle_average_ranks,
+    oracle_rolling_mean_std,
+    oracle_tie_correction,
+)
 
-from galstream import PERFORMANCE_METRICS, EvalSlice, compute_metric
+from galstream import (
+    PERFORMANCE_METRICS,
+    EvalSlice,
+    PerformanceSeries,
+    compute_metric,
+    rolling_mean_std,
+)
 from galstream.exceptions import UndefinedMetricError
 from galstream.metrics import THRESHOLD
 from galstream.stats import _tie_correction, average_ranks, tie_runs
@@ -110,6 +123,21 @@ def test_ranks_and_tie_correction_match_loop_reference():
                 np.float64(_tie_correction(x)).tobytes()
                 == np.float64(oracle_tie_correction(x)).tobytes()
             )
+
+
+def test_rolling_mean_std_matches_loop_reference():
+    rng = np.random.default_rng(1213)
+    for _ in range(1000):
+        size = int(rng.integers(1, 60))
+        window = int(rng.integers(1, 40))
+        values = rng.random(size)
+        if rng.random() < 1 / 3:  # few distinct values, so windows hold ties
+            values = values.round(2)
+        series = PerformanceSeries("accuracy", tuple(range(size)), values)
+        means, stds = rolling_mean_std(series, window)
+        want_means, want_stds = oracle_rolling_mean_std(values, window)
+        assert means.values.tobytes() == want_means.tobytes(), (size, window)
+        assert stds.values.tobytes() == want_stds.tobytes(), (size, window)
 
 
 def test_unknown_metric_rejected():

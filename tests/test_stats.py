@@ -244,3 +244,12 @@ class TestKruskalWallis:
         _, p_chi2 = kruskal_wallis(groups)
         _, p_exact = kruskal_wallis(groups, p_method="exact")
         assert abs(p_chi2 - p_exact) < 0.05
+
+
+@pytest.mark.parametrize("test", [anova_oneway, kruskal_wallis])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_observation_rejected_naming_its_group(test, bad):
+    with pytest.raises(ValueError, match="group 'b' holds a non-finite"):
+        test({"a": [0.1, 0.4, 0.3], "b": [bad, 0.2, 0.5]})
+    with pytest.raises(ValueError, match="group 0 holds a non-finite"):
+        test([[0.1, bad, 0.3], [bad, 0.2, 0.5]])

@@ -6,7 +6,7 @@ import argparse
 import sys
 import time
 
-from .config import load_config, override_output_dir, validate_config
+from .config import load_config, override_output_dir
 from .datasets import generate_synthetic, save_dataset
 from .exceptions import GalstreamError
 from .harness import load_configured_dataset, run_experiment
@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = override_output_dir(load_config(args.config), args.out)
-    validate_config(config)
     prepare_output_dir(config.output_dir)
     dataset = load_configured_dataset(config)
     started = time.monotonic()
@@ -68,7 +67,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
-    validate_config(config)
     print(f"config ok: {len(config.strategies)} strategies, source={config.source}")
     return 0
 

@@ -4,10 +4,15 @@ One work unit is a (strategy, bootstrap) pair. Units are pure functions of
 (dataset, config, strategy, bootstrap), each with its own derived seeds, so
 serial and parallel execution produce identical results and a failing unit
 aborts only itself.
+
+A run's daily metric values live in one :class:`DailyTable` of parallel
+columns; one sort of it makes each series a contiguous day-ordered slice,
+which the CPIs, the aggregates and every derived report read.
 """
 
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -40,6 +45,7 @@ _MODEL_SEED_TAG = 1_000_003  # disjoint from day indices
 
 
 class MetricRecord(NamedTuple):
+    """One row of a :class:`DailyTable`, by name; ``value`` is None where undefined."""
     strategy: str
     bootstrap: int
     day: int
@@ -49,7 +55,66 @@ class MetricRecord(NamedTuple):
 
 
 SeriesKey = tuple[str, int, str, str]  # (strategy, bootstrap, category, metric)
-DaySeries = dict[SeriesKey, tuple[list[int], list[float]]]  # key -> defined (days, values)
+STRATEGY_CODES, CATEGORY_CODES, METRIC_CODES = (
+    {name: code for code, name in enumerate(names)}
+    for names in (STRATEGY_NAMES, EVAL_CATEGORIES, PERFORMANCE_METRICS)
+)
+
+
+class DailyTable:
+    """Flat (strategy, bootstrap, day, category, metric, value) rows as parallel ``columns``.
+
+    Names are codes into their vocabularies; an undefined value is NaN. One
+    stable lexsort by (strategy, category, metric, bootstrap, day) makes each
+    series a slice ``slices[key]`` of the defined ``series_days`` and
+    ``series_values``, in day order; ``groups`` lists each (strategy, category,
+    metric)'s series in bootstrap order, and ``series_means`` holds the mean
+    of each series with a defined value. ``first_repeat`` is the first row
+    that repeats an earlier row's five keys, or None.
+    """
+
+    def __init__(self, rows: array) -> None:
+        flat = np.array(rows).reshape(-1, 6).T
+        self.columns = (*flat[:5].astype(np.int64), flat[5].copy())
+        strategy, bootstrap, day, category, metric, value = self.columns
+        order = np.lexsort((day, bootstrap, metric, category, strategy))
+        key, value = np.stack([strategy, category, metric, bootstrap, day])[:, order], value[order]
+        changed = key[:, 1:] != key[:, :-1]
+        starts = np.flatnonzero(np.r_[order.size > 0, changed[:4].any(axis=0)])
+        defined = ~np.isnan(value)
+        bounds = np.r_[0, np.cumsum(defined)][np.r_[starts, order.size]].tolist()
+        self.slices: dict[SeriesKey, slice] = {
+            (STRATEGY_NAMES[s], b, EVAL_CATEGORIES[c], PERFORMANCE_METRICS[m]): slice(lo, hi)
+            for (s, c, m, b, _), lo, hi in zip(key[:, starts].T.tolist(), bounds, bounds[1:])
+        }
+        self.groups = {g: list(ks) for g, ks in groupby(self.slices, lambda k: (k[0], k[2], k[3]))}
+        self.series_days, self.series_values = key[4][defined], value[defined]
+        defined_series = ((k, self.series_values[r]) for k, r in self.slices.items())
+        self.series_means = {k: float(np.mean(v)) for k, v in defined_series if v.size}
+        repeats = order[1:][~changed.any(axis=0)]
+        self.first_repeat = int(repeats.min()) if repeats.size else None
+
+    def __len__(self) -> int:
+        return self.columns[0].size
+
+    def __iter__(self):
+        return map(MetricRecord._make, self.named_rows())
+
+    def named_rows(self):
+        """Each row as a plain tuple in :class:`MetricRecord` field order."""
+        s, b, d, c, m, v = self.columns
+        vocabularies = (STRATEGY_NAMES, EVAL_CATEGORIES, PERFORMANCE_METRICS)
+        s, c, m = (np.array(names, dtype=object)[x] for names, x in zip(vocabularies, (s, c, m)))
+        return zip(*(x.tolist() for x in (s, b, d, c, m, np.where(np.isnan(v), None, v))))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DailyTable) and all(
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(self.columns, other.columns)
+        )
+
+    def group_rows(self, keys: list[SeriesKey]) -> slice:
+        """The defined rows of a group's series, in bootstrap then day order."""
+        return slice(self.slices[keys[0]].start, self.slices[keys[-1]].stop)
 
 
 @dataclass
@@ -57,7 +122,7 @@ class UnitResult:
     strategy: str
     bootstrap: int
     split: Split
-    records: list[MetricRecord]
+    rows: array  # flat DailyTable rows
     query_log: QueryLog
     trained_nodes: frozenset[int]
 
@@ -65,7 +130,7 @@ class UnitResult:
 @dataclass
 class RunResult:
     config: ExperimentConfig
-    records: list[MetricRecord]
+    records: DailyTable
     query_logs: dict[tuple[str, int], QueryLog]
     splits: dict[int, Split]
     trained_nodes: dict[tuple[str, int], frozenset[int]]
@@ -127,23 +192,22 @@ def build_eval_slices(
 
 
 def _slice_records(
-    strategy: str, bootstrap: int, day: int, slices: dict[str, EvalSlice | None]
-) -> list[MetricRecord]:
-    records = []
+    rows: array, strategy: int, bootstrap: int, day: int, slices: dict[str, EvalSlice | None]
+) -> None:
     for category in EVAL_CATEGORIES:
         if category not in slices:
             continue  # category absent (no_al has no train slice)
         s = slices[category]
         for metric in PERFORMANCE_METRICS:
             if s is None:
-                value = None
+                value = np.nan
             else:
                 try:
                     value = float(compute_metric(s, metric))
                 except UndefinedMetricError:
-                    value = None
-            records.append(MetricRecord(strategy, bootstrap, day, category, metric, value))
-    return records
+                    value = np.nan
+            codes = (CATEGORY_CODES[category], METRIC_CODES[metric])
+            rows.extend((strategy, bootstrap, day, *codes, value))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +237,7 @@ def run_unit(
         raise RuntimeError("no labeled pool nodes in the initial training window")
     params = train(init_seed, adj, buffer, hyper)
 
-    records: list[MetricRecord] = []
+    rows = array("d")
     history: dict[int, list[int]] = {}
 
     current = forward(params, adj, frames[initial].features)
@@ -224,9 +288,7 @@ def run_unit(
             evaluated.probabilities,
             upcoming.probabilities,
         )
-        records.extend(
-            _slice_records(strategy, bootstrap, frame.day_index, slices)
-        )
+        _slice_records(rows, STRATEGY_CODES[strategy], bootstrap, frame.day_index, slices)
         current = upcoming  # the next day starts from these parameters and features
 
     if trained & holdout_set:
@@ -235,7 +297,7 @@ def run_unit(
         strategy=strategy,
         bootstrap=bootstrap,
         split=split,
-        records=records,
+        rows=rows,
         query_log=QueryLog(split.pool, history),
         trained_nodes=frozenset(trained),
     )
@@ -254,47 +316,19 @@ def _execute_unit(args) -> tuple[str, int, UnitResult | None, str | None]:
 # ---------------------------------------------------------------------------
 
 
-def day_series(records: list[MetricRecord]) -> DaySeries:
-    """Each key's defined (days, values), in record order.
-
-    A key whose every value is undefined maps to two empty lists, so it
-    keeps its place with an undefined CPI.
-    """
-    series: DaySeries = {}
-    for strategy, bootstrap, day, category, metric, value in records:
-        key = (strategy, bootstrap, category, metric)
-        entry = series.get(key)
-        if entry is None:  # not setdefault: that would build two lists per record
-            entry = series[key] = ([], [])
-        if value is not None:
-            entry[0].append(day)
-            entry[1].append(value)
-    return series
-
-
-def keys_by_metric(series: dict[SeriesKey, tuple]) -> dict[tuple[str, str, str], list[SeriesKey]]:
-    """(strategy, category, metric) -> its series keys in bootstrap order, sorted."""
-    order = sorted(series, key=lambda k: (k[0], k[2], k[3], k[1]))
-    return {
-        name: list(keys) for name, keys in groupby(order, key=lambda k: (k[0], k[2], k[3]))
-    }
-
-
-def compute_cpis(series: DaySeries) -> dict[SeriesKey, float | None]:
-    """Per (strategy, bootstrap, category, metric) CPI over its :func:`day_series` entry.
+def compute_cpis(table: DailyTable) -> dict[SeriesKey, float | None]:
+    """Each series' CPI over its defined days.
 
     Undefined (None) when fewer than two days are defined or the defined
     days are not uniformly spaced.
     """
     out: dict[SeriesKey, float | None] = {}
-    for key, (days, values) in series.items():
-        value: float | None = None
-        if len(days) >= 2:
-            days, values = zip(*sorted(zip(days, values)))
-            gaps = np.diff(days)
-            if (gaps == gaps[0]).all():
-                value = cpi(PerformanceSeries(key[3], days, np.array(values)))
-        out[key] = value
+    for key, rows in table.slices.items():
+        series = PerformanceSeries(key[3], table.series_days[rows], table.series_values[rows])
+        try:
+            out[key] = cpi(series)
+        except ValueError:  # cpi needs two or more uniformly spaced days
+            out[key] = None
     return out
 
 
@@ -307,18 +341,18 @@ def mean_std(values: list[float]) -> tuple[float | None, float | None, int]:
 
 
 def aggregate_records(
-    series: DaySeries,
+    table: DailyTable,
     cpis: dict[SeriesKey, float | None],
 ) -> dict[tuple[str, str, str], tuple[float, float, int]]:
-    """Mean and population std across bootstraps of the :func:`day_series` entries.
+    """Mean and population std across bootstraps of each (strategy, category, metric).
 
     Plain metrics are first averaged over each bootstrap's defined days;
     CPI metrics use the per-bootstrap CPI values directly and appear under
     ``cpi_<metric>``.
     """
     out: dict[tuple[str, str, str], tuple[float, float, int]] = {}
-    for (strategy, category, metric), keys in keys_by_metric(series).items():
-        means = [float(np.mean(series[k][1])) for k in keys if series[k][1]]
+    for (strategy, category, metric), keys in table.groups.items():
+        means = [table.series_means[k] for k in keys if k in table.series_means]
         if means:
             out[(strategy, category, metric)] = mean_std(means)
         defined = [cpis[k] for k in keys if cpis.get(k) is not None]
@@ -349,7 +383,7 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     else:
         outcomes = [_execute_unit(u) for u in units]
 
-    records: list[MetricRecord] = []
+    rows = array("d")
     query_logs: dict[tuple[str, int], QueryLog] = {}
     trained_nodes: dict[tuple[str, int], frozenset[int]] = {}
     splits: dict[int, Split] = {}
@@ -358,13 +392,13 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         if unit is None:
             failures.append((strategy, bootstrap, error))
             continue
-        records.extend(unit.records)
+        rows.extend(unit.rows)
         query_logs[(strategy, bootstrap)] = unit.query_log
         trained_nodes[(strategy, bootstrap)] = unit.trained_nodes
         splits[bootstrap] = unit.split
 
-    series = day_series(records)
-    cpis = compute_cpis(series)
+    records = DailyTable(rows)
+    cpis = compute_cpis(records)
     return RunResult(
         config=config,
         records=records,
@@ -372,6 +406,6 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
         splits=splits,
         trained_nodes=trained_nodes,
         cpis=cpis,
-        aggregate=aggregate_records(series, cpis),
+        aggregate=aggregate_records(records, cpis),
         failures=failures,
     )

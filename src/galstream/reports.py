@@ -3,8 +3,9 @@
 ``daily.csv`` and ``queries.csv`` are the primary outputs; everything else
 is derived from them (plus the deterministic dataset) and can be recomputed
 with :func:`recompute_reports`, which the CLI exposes as ``report``. Both
-paths share the same writers, so recomputed files match the originals byte
-for byte.
+paths share the writers and the day-ordered series of one
+:class:`~galstream.harness.DailyTable`, so recomputed files match the
+originals byte for byte whatever the row order of ``daily.csv``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from bisect import bisect_left
+from array import array
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +37,13 @@ from .datasets import Dataset, make_split
 from .exceptions import ConfigError, ConvergenceError, DataFormatError
 from .graphs import CENTRALITY_METRICS
 from .harness import (
-    MetricRecord,
+    CATEGORY_CODES,
+    METRIC_CODES,
+    STRATEGY_CODES,
+    DailyTable,
     RunResult,
-    SeriesKey,
     aggregate_records,
     compute_cpis,
-    day_series,
-    keys_by_metric,
     load_configured_dataset,
     mean_std,
 )
@@ -105,11 +107,6 @@ def prepare_output_dir(path: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _daily_rows(records: list[MetricRecord]):
-    for r in records:
-        yield (r.strategy, r.bootstrap, r.day, r.category, r.metric, r.value)
-
-
 def _aggregate_rows(config, aggregate):
     for strategy in config.strategies:
         for category in EVAL_CATEGORIES:
@@ -119,21 +116,23 @@ def _aggregate_rows(config, aggregate):
                     yield (strategy, category, metric, *entry)
 
 
-def _rolling_rows(config, series):
-    groups = keys_by_metric(series)
+def _rolling_rows(config, table: DailyTable):
     for strategy in config.strategies:
         for category in EVAL_CATEGORIES:
             for metric in PERFORMANCE_METRICS:
-                keys = groups.get((strategy, category, metric), ())
-                columns = [dict(zip(*series[k])) for k in keys]
-                days = sorted(set().union(*columns))
-                if not days:
+                keys = table.groups.get((strategy, category, metric))
+                rows = table.group_rows(keys) if keys else slice(0)
+                days, values = table.series_days[rows], table.series_values[rows]
+                if not days.size:
                     continue
-                values = np.array([np.mean([c[d] for c in columns if d in c]) for d in days])
+                by_day = np.argsort(days, kind="stable")  # keeps bootstrap order within a day
+                days, starts = np.unique(days[by_day], return_index=True)
+                values, edges = values[by_day], [*starts.tolist(), by_day.size]
+                per_day = np.array([np.mean(values[a:b]) for a, b in zip(edges, edges[1:])])
                 means, stds = rolling_mean_std(
-                    PerformanceSeries(metric, tuple(days), values), config.rolling_window
+                    PerformanceSeries(metric, days, per_day), config.rolling_window
                 )
-                for day, mean, std in zip(days, means.values, stds.values):
+                for day, mean, std in zip(means.days, means.values, stds.values):
                     yield (strategy, category, metric, day, float(mean), float(std))
 
 
@@ -207,14 +206,14 @@ def _correlation_rows(config, per_strategy, dataset):
                     yield (strategy, metric, quantity, method, *stats)
 
 
-def _significance_observations(config, series, cpis):
+def _significance_observations(config, table: DailyTable, cpis):
     """Per (category, metric): strategy -> observation list."""
     obs: dict[tuple[str, str], dict[str, list[float]]] = {}
-    for (strategy, category, metric), keys in keys_by_metric(series).items():
+    for (strategy, category, metric), keys in table.groups.items():
         if config.significance_unit == "day":
-            values = [v for k in keys for v in series[k][1]]
+            values = table.series_values[table.group_rows(keys)].tolist()
         else:  # bootstrap_mean
-            values = [float(np.mean(series[k][1])) for k in keys if series[k][1]]
+            values = [table.series_means[k] for k in keys if k in table.series_means]
         if values:
             obs.setdefault((category, metric), {})[strategy] = values
         defined = [cpis[k] for k in keys if cpis.get(k) is not None]
@@ -223,8 +222,8 @@ def _significance_observations(config, series, cpis):
     return obs
 
 
-def _significance_rows(config, series, cpis):
-    obs = _significance_observations(config, series, cpis)
+def _significance_rows(config, table, cpis):
+    obs = _significance_observations(config, table, cpis)
     for category in EVAL_CATEGORIES:
         for metric in _METRIC_ORDER:
             groups = obs.get((category, metric), {})
@@ -270,17 +269,13 @@ def emit_reports(
         dataset = load_configured_dataset(config)
 
     paths = {name: out / name for name in REPORT_FILES}
-    _write_csv(
-        paths["daily.csv"],
-        _DAILY_HEADER,
-        _daily_rows(result.records),
-    )
+    _write_csv(paths["daily.csv"], _DAILY_HEADER, result.records.named_rows())
     _write_csv(
         paths["queries.csv"],
         _QUERY_HEADER,
         _query_rows(config, result.query_logs),
     )
-    _write_derived(paths, result, config, dataset, day_series(result.records))
+    _write_derived(paths, result, config, dataset)
 
     manifest = {
         "config": config_to_dict(config),
@@ -293,8 +288,8 @@ def emit_reports(
     return paths
 
 
-def _write_derived(paths, result: RunResult, config, dataset, series) -> None:
-    """Every derived report of ``result``; ``series`` is its records' :func:`day_series`."""
+def _write_derived(paths, result: RunResult, config, dataset) -> None:
+    """Every derived report of ``result``."""
     per_strategy = _strategy_logs(config, result.query_logs)
     _write_csv(
         paths["aggregate.csv"],
@@ -304,7 +299,7 @@ def _write_derived(paths, result: RunResult, config, dataset, series) -> None:
     _write_csv(
         paths["rolling.csv"],
         ["strategy", "category", "metric", "day", "rolling_mean", "rolling_std"],
-        _rolling_rows(config, series),
+        _rolling_rows(config, result.records),
     )
     _write_csv(
         paths["burden.csv"],
@@ -329,12 +324,12 @@ def _write_derived(paths, result: RunResult, config, dataset, series) -> None:
     _write_csv(
         paths["significance.csv"],
         ["category", "metric", "anova_f", "anova_p", "kw_h", "kw_p"],
-        _significance_rows(config, series, result.cpis),
+        _significance_rows(config, result.records, result.cpis),
     )
 
 
 def _report_rows(path: str | Path, header: list[str], parse):
-    """``parse(*row)`` for each row of a report CSV, after checking its header and width.
+    """``(line, parse(*row))`` for each row of a report CSV, after checking its header and width.
 
     A row ``parse`` rejects with ``ValueError`` is reported with its file and line.
     """
@@ -351,39 +346,56 @@ def _report_rows(path: str | Path, header: list[str], parse):
                 parsed = parse(*row)
             except ValueError as exc:
                 raise DataFormatError(path, reader.line_num, str(exc)) from None
-            yield parsed
+            yield reader.line_num, parsed
 
 
-def _daily_record(strategy, bootstrap, day, category, metric, value) -> MetricRecord:
-    value = None if value == NA else float(value)
-    if value is not None and not 0.0 <= value <= 1.0:
-        raise ValueError("values must be finite and lie in [0, 1]")
-    return MetricRecord(strategy, int(bootstrap), int(day), category, metric, value)
+def _code(codes: dict[str, int], kind: str, name: str) -> int:
+    code = codes.get(name)
+    if code is None:
+        raise ValueError(f"unknown {kind} {name!r}")
+    return code
 
 
-def read_daily_records(path: str | Path) -> list[MetricRecord]:
-    """The records of ``daily.csv``; a row that repeats an earlier row's
-    (strategy, bootstrap, day, category, metric) is rejected with its line."""
-    # each series' days so far, in ascending order; a set of five-field keys
-    # would hold a tuple per row, about 8 MB more peak memory on 82k rows
-    days_of: dict[SeriesKey, list[int]] = {}
+def read_daily_records(
+    path: str | Path,
+    config: ExperimentConfig,
+    dataset: Dataset,
+    failed: set[tuple[str, int]] = frozenset(),
+) -> DailyTable:
+    """The rows of ``daily.csv``, streamed into a :class:`~galstream.harness.DailyTable`.
 
-    def record(*row) -> MetricRecord:
-        r = _daily_record(*row)
-        key = (r.strategy, r.bootstrap, r.category, r.metric)
-        days = days_of.get(key)
-        if days is None:
-            days = days_of[key] = []
-        at = bisect_left(days, r.day)
-        if at < len(days) and days[at] == r.day:
-            raise ValueError(
-                f"repeats the {r.metric} of {r.strategy} bootstrap {r.bootstrap} "
-                f"on day {r.day} in {r.category}"
-            )
-        days.insert(at, r.day)
-        return r
+    A row is rejected with its line if it names a strategy, category or
+    metric outside the vocabularies; if its (strategy, bootstrap) is not a
+    unit of the run (a strategy the config does not run, a bootstrap out of
+    range, or a pair listed in ``failed``); if its day is not a query day;
+    if its value is neither ``NA`` nor in [0, 1]; or if it repeats an
+    earlier row's (strategy, bootstrap, day, category, metric).
+    """
+    runs = ((s, b) for s in config.strategies for b in range(config.bootstraps))
+    units = {(STRATEGY_CODES[s], b) for s, b in runs if (s, b) not in failed}
+    first_day, last_day = config.initial_days, dataset.day_count - 2
+    rows = array("d")
 
-    return list(_report_rows(path, _DAILY_HEADER, record))
+    def row(strategy, bootstrap, day, category, metric, value) -> None:
+        s, b, d = _code(STRATEGY_CODES, "strategy", strategy), int(bootstrap), int(day)
+        c = _code(CATEGORY_CODES, "category", category)
+        m = _code(METRIC_CODES, "metric", metric)
+        if (s, b) not in units:
+            raise ValueError(f"{strategy} bootstrap {b} is not a unit of this run")
+        if not first_day <= d <= last_day:
+            raise ValueError(f"day {d} is not a query day ({first_day} to {last_day})")
+        v = np.nan if value == NA else float(value)
+        if not (value == NA or 0.0 <= v <= 1.0):
+            raise ValueError("values must be finite and lie in [0, 1]")
+        rows.extend((s, b, d, c, m, v))
+
+    lines = array("q", (line for line, _ in _report_rows(path, _DAILY_HEADER, row)))
+    table = DailyTable(rows)
+    if table.first_repeat is not None:
+        r = next(islice(table, table.first_repeat, None))
+        message = f"repeats the {r.metric} of {r.strategy} bootstrap {r.bootstrap} on day {r.day}"
+        raise DataFormatError(path, lines[table.first_repeat], f"{message} in {r.category}")
+    return table
 
 
 def read_query_logs(
@@ -418,7 +430,7 @@ def read_query_logs(
             raise ValueError(f"repeats the query of node {node} on day {day}")
         return key, day, node
 
-    for key, day, node in _report_rows(path, _QUERY_HEADER, event):
+    for _, (key, day, node) in _report_rows(path, _QUERY_HEADER, event):
         events[key].add((day, node))
     return {key: QueryLog.from_events(pools[key[1]], pairs) for key, pairs in events.items()}
 
@@ -432,11 +444,10 @@ def recompute_reports(result_dir: str | Path) -> dict[str, Path]:
     manifest = read_manifest(manifest_path)
     config = config_from_dict(manifest["config"])
     dataset = load_configured_dataset(config)
-    records = read_daily_records(out / "daily.csv")
     failed = {(s, int(b)) for s, b, _ in manifest.get("failures", [])}
+    records = read_daily_records(out / "daily.csv", config, dataset, failed)
     query_logs = read_query_logs(out / "queries.csv", config, dataset, failed)
-    series = day_series(records)
-    cpis = compute_cpis(series)
+    cpis = compute_cpis(records)
     result = RunResult(
         config=config,
         records=records,
@@ -444,8 +455,8 @@ def recompute_reports(result_dir: str | Path) -> dict[str, Path]:
         splits={},
         trained_nodes={},
         cpis=cpis,
-        aggregate=aggregate_records(series, cpis),
+        aggregate=aggregate_records(records, cpis),
     )
     paths = {name: out / name for name in REPORT_FILES}
-    _write_derived(paths, result, config, dataset, series)
+    _write_derived(paths, result, config, dataset)
     return paths

@@ -44,7 +44,7 @@ from galstream import (
     select,
 )
 from galstream.gcn import GcnParams
-from galstream.harness import aggregate_records, compute_cpis, day_series
+from galstream.harness import aggregate_records, compute_cpis, load_configured_dataset
 from galstream.reports import REPORT_FILES, read_daily_records
 from galstream.strategies import allocate_budget
 
@@ -450,10 +450,9 @@ def test_criterion_9_report_self_consistency(trend_run, tmp_path):
     config, result, _ = trend_run
     paths = emit_reports(result, config)
 
-    records = read_daily_records(paths["daily.csv"])
-    series = day_series(records)
-    cpis = compute_cpis(series)
-    recomputed = aggregate_records(series, cpis)
+    records = read_daily_records(paths["daily.csv"], config, load_configured_dataset(config))
+    cpis = compute_cpis(records)
+    recomputed = aggregate_records(records, cpis)
     ok = set(recomputed) == set(result.aggregate)
     worst = 0.0
     for k_, (mean, std, n) in recomputed.items():

@@ -1,4 +1,6 @@
 import json
+import random
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,9 +23,13 @@ from galstream import (
 from galstream.cli import main as cli_main
 from galstream.config import INI_KEYS, config_to_dict
 from galstream.datasets import Dataset, DayFrame, Split, save_dataset
-from galstream.harness import aggregate_records, compute_cpis, day_series, load_configured_dataset
+from galstream.harness import aggregate_records, compute_cpis, load_configured_dataset
 from galstream.reports import REPORT_FILES, read_daily_records
 
+DERIVED = (
+    "aggregate.csv", "rolling.csv", "burden.csv", "tradeoff.csv",
+    "centrality_heatmap.csv", "centrality_correlation.csv", "significance.csv",
+)
 SMALL_SYNTH = SyntheticConfig(
     node_count=12, days=8, feature_dim=2, regime_period=3
 )
@@ -226,33 +232,34 @@ class TestReports:
             assert paths[name].exists(), name
 
     def test_daily_round_trips(self, emitted):
-        _, result, paths = emitted
-        records = read_daily_records(paths["daily.csv"])
+        config, result, paths = emitted
+        records = read_daily_records(paths["daily.csv"], config, load_configured_dataset(config))
         assert records == result.records
 
     def test_aggregate_recomputed_from_daily_matches(self, emitted):
-        _, result, paths = emitted
-        records = read_daily_records(paths["daily.csv"])
-        series = day_series(records)
-        cpis = compute_cpis(series)
-        agg = aggregate_records(series, cpis)
-        assert set(agg) == set(result.aggregate)
-        for key, (mean, std, n) in agg.items():
-            want = result.aggregate[key]
-            assert abs(mean - want[0]) < 1e-12
-            assert abs(std - want[1]) < 1e-12
-            assert n == want[2]
+        config, result, paths = emitted
+        records = read_daily_records(paths["daily.csv"], config, load_configured_dataset(config))
+        cpis = compute_cpis(records)
+        agg = aggregate_records(records, cpis)
+        assert cpis == result.cpis
+        assert agg == result.aggregate
 
     def test_recompute_reports_is_byte_identical(self, emitted):
         _, _, paths = emitted
-        derived = [
-            "aggregate.csv", "rolling.csv", "burden.csv", "tradeoff.csv",
-            "centrality_heatmap.csv", "centrality_correlation.csv", "significance.csv",
-        ]
-        before = {name: paths[name].read_bytes() for name in derived}
+        before = {name: paths[name].read_bytes() for name in DERIVED}
         recompute_reports(paths["daily.csv"].parent)
-        for name in derived:
+        for name in DERIVED:
             assert paths[name].read_bytes() == before[name], name
+
+    def test_recompute_ignores_daily_row_order(self, emitted, tmp_path):
+        _, _, paths = emitted
+        run = shutil.copytree(paths["daily.csv"].parent, tmp_path / "shuffled")
+        header, *rows = (run / "daily.csv").read_text().splitlines(keepends=True)
+        random.Random(0).shuffle(rows)
+        (run / "daily.csv").write_text(header + "".join(rows))
+        recompute_reports(run)
+        for name in DERIVED:
+            assert (run / name).read_bytes() == paths[name].read_bytes(), name
 
     def test_rerun_from_manifest_reproduces_everything(self, emitted, tmp_path):
         config, _, paths = emitted
@@ -597,6 +604,51 @@ class TestCli:
                 _inserting("random,7,1,3"),
                 "queries.csv:2: random bootstrap 7 is not a logged unit",
             ),
+            (
+                "daily.csv",
+                _inserting("bogus,0,2,test_set_same_day,accuracy,0.5"),
+                "daily.csv:2: unknown strategy 'bogus'",
+            ),
+            (
+                "daily.csv",
+                _inserting("random,0,2,elsewhere,accuracy,0.5"),
+                "daily.csv:2: unknown category 'elsewhere'",
+            ),
+            (
+                "daily.csv",
+                _inserting("random,0,2,test_set_same_day,loss,0.5"),
+                "daily.csv:2: unknown metric 'loss'",
+            ),
+            (
+                "daily.csv",
+                _inserting("age,0,2,test_set_same_day,accuracy,0.5"),
+                "daily.csv:2: age bootstrap 0 is not a unit of this run",
+            ),
+            (
+                "daily.csv",
+                _inserting("random,9,6,test_set_same_day,accuracy,0.5"),
+                "daily.csv:2: random bootstrap 9 is not a unit of this run",
+            ),
+            (
+                "run_manifest.json",
+                _replacing('"failures": []', '"failures": [["random", 0, "RuntimeError: x"]]'),
+                "daily.csv:2: random bootstrap 0 is not a unit of this run",
+            ),
+            (
+                "daily.csv",
+                _inserting("random,0,99,test_set_same_day,accuracy,0.5"),
+                "daily.csv:2: day 99 is not a query day (2 to 6)",
+            ),
+            (
+                "daily.csv",
+                _inserting("random,0,1,test_set_same_day,accuracy,0.5"),
+                "daily.csv:2: day 1 is not a query day (2 to 6)",
+            ),
+            (
+                "daily.csv",
+                _inserting("random,0,7,test_set_same_day,accuracy,0.5"),
+                "daily.csv:2: day 7 is not a query day (2 to 6)",
+            ),
         ],
         ids=[
             "daily-header",
@@ -612,6 +664,15 @@ class TestCli:
             "daily-repeated-row",
             "queries-unknown-strategy",
             "queries-bootstrap-out-of-range",
+            "daily-unknown-strategy",
+            "daily-unknown-category",
+            "daily-unknown-metric",
+            "daily-strategy-not-run",
+            "daily-bootstrap-out-of-range",
+            "daily-failed-unit",
+            "daily-day-out-of-range",
+            "daily-day-before-first-query-day",
+            "daily-day-after-last-query-day",
         ],
     )
     def test_malformed_run_is_machine_parsable_report_error(

@@ -69,8 +69,8 @@ class DailyTable:
     series a slice ``slices[key]`` of the defined ``series_days`` and
     ``series_values``, in day order; ``groups`` lists each (strategy, category,
     metric)'s series in bootstrap order, and ``series_means`` holds the mean
-    of each series with a defined value. ``first_repeat`` is the first row
-    that repeats an earlier row's five keys, or None.
+    of each series with a defined value. Iterating yields
+    :class:`MetricRecord` rows in their original order.
     """
 
     def __init__(self, rows: array) -> None:
@@ -91,21 +91,16 @@ class DailyTable:
         self.series_days, self.series_values = key[4][defined], value[defined]
         defined_series = ((k, self.series_values[r]) for k, r in self.slices.items())
         self.series_means = {k: float(np.mean(v)) for k, v in defined_series if v.size}
-        repeats = order[1:][~changed.any(axis=0)]
-        self.first_repeat = int(repeats.min()) if repeats.size else None
 
     def __len__(self) -> int:
         return self.columns[0].size
 
     def __iter__(self):
-        return map(MetricRecord._make, self.named_rows())
-
-    def named_rows(self):
-        """Each row as a plain tuple in :class:`MetricRecord` field order."""
         s, b, d, c, m, v = self.columns
         vocabularies = (STRATEGY_NAMES, EVAL_CATEGORIES, PERFORMANCE_METRICS)
         s, c, m = (np.array(names, dtype=object)[x] for names, x in zip(vocabularies, (s, c, m)))
-        return zip(*(x.tolist() for x in (s, b, d, c, m, np.where(np.isnan(v), None, v))))
+        columns = (x.tolist() for x in (s, b, d, c, m, np.where(np.isnan(v), None, v)))
+        return map(MetricRecord._make, zip(*columns))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DailyTable) and all(
@@ -119,8 +114,6 @@ class DailyTable:
 
 @dataclass
 class UnitResult:
-    strategy: str
-    bootstrap: int
     split: Split
     rows: array  # flat DailyTable rows
     query_log: QueryLog
@@ -294,8 +287,6 @@ def run_unit(
     if trained & holdout_set:
         raise AssertionError("holdout node entered the labeled buffer")
     return UnitResult(
-        strategy=strategy,
-        bootstrap=bootstrap,
         split=split,
         rows=rows,
         query_log=QueryLog(split.pool, history),
@@ -324,11 +315,11 @@ def compute_cpis(table: DailyTable) -> dict[SeriesKey, float | None]:
     """
     out: dict[SeriesKey, float | None] = {}
     for key, rows in table.slices.items():
-        series = PerformanceSeries(key[3], table.series_days[rows], table.series_values[rows])
-        try:
-            out[key] = cpi(series)
-        except ValueError:  # cpi needs two or more uniformly spaced days
-            out[key] = None
+        days = table.series_days[rows]
+        gaps = np.diff(days)
+        defined = days.size >= 2 and (gaps == gaps[0]).all()
+        series = PerformanceSeries(key[3], days, table.series_values[rows])
+        out[key] = cpi(series) if defined else None
     return out
 
 

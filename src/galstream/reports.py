@@ -269,7 +269,7 @@ def emit_reports(
         dataset = load_configured_dataset(config)
 
     paths = {name: out / name for name in REPORT_FILES}
-    _write_csv(paths["daily.csv"], _DAILY_HEADER, result.records.named_rows())
+    _write_csv(paths["daily.csv"], _DAILY_HEADER, result.records)
     _write_csv(
         paths["queries.csv"],
         _QUERY_HEADER,
@@ -356,6 +356,15 @@ def _code(codes: dict[str, int], kind: str, name: str) -> int:
     return code
 
 
+def _first_repeat(rows: array) -> int | None:
+    """The first of flat daily rows that repeats an earlier row's five keys, or None."""
+    keys = np.array(rows).reshape(-1, 6)[:, :5].T
+    order = np.lexsort(keys)  # stable: an earlier row sorts before its repeats
+    ordered = keys[:, order]
+    repeats = order[1:][(ordered[:, 1:] == ordered[:, :-1]).all(axis=0)]
+    return int(repeats.min()) if repeats.size else None
+
+
 def read_daily_records(
     path: str | Path,
     config: ExperimentConfig,
@@ -369,11 +378,12 @@ def read_daily_records(
     unit of the run (a strategy the config does not run, a bootstrap out of
     range, or a pair listed in ``failed``); if its day is not a query day;
     if its value is neither ``NA`` nor in [0, 1]; or if it repeats an
-    earlier row's (strategy, bootstrap, day, category, metric).
+    earlier row's (strategy, bootstrap, day, category, metric). The first
+    bad line of the file is the one reported.
     """
     runs = ((s, b) for s in config.strategies for b in range(config.bootstraps))
     units = {(STRATEGY_CODES[s], b) for s, b in runs if (s, b) not in failed}
-    first_day, last_day = config.initial_days, dataset.day_count - 2
+    query_days = {frame.day_index for frame in dataset.days[config.initial_days : -1]}
     rows = array("d")
 
     def row(strategy, bootstrap, day, category, metric, value) -> None:
@@ -382,19 +392,26 @@ def read_daily_records(
         m = _code(METRIC_CODES, "metric", metric)
         if (s, b) not in units:
             raise ValueError(f"{strategy} bootstrap {b} is not a unit of this run")
-        if not first_day <= d <= last_day:
-            raise ValueError(f"day {d} is not a query day ({first_day} to {last_day})")
+        if d not in query_days:
+            raise ValueError(f"day {d} is not a query day of the dataset")
         v = np.nan if value == NA else float(value)
         if not (value == NA or 0.0 <= v <= 1.0):
             raise ValueError("values must be finite and lie in [0, 1]")
         rows.extend((s, b, d, c, m, v))
 
-    lines = array("q", (line for line, _ in _report_rows(path, _DAILY_HEADER, row)))
-    table = DailyTable(rows)
-    if table.first_repeat is not None:
-        r = next(islice(table, table.first_repeat, None))
+    lines, error = array("q"), None
+    try:  # rows holds each row before a bad one, which may repeat an earlier row
+        for line, _ in _report_rows(path, _DAILY_HEADER, row):
+            lines.append(line)
+    except DataFormatError as exc:
+        error = exc
+    table, repeat = DailyTable(rows), _first_repeat(rows)
+    if repeat is not None:
+        r = next(islice(table, repeat, None))
         message = f"repeats the {r.metric} of {r.strategy} bootstrap {r.bootstrap} on day {r.day}"
-        raise DataFormatError(path, lines[table.first_repeat], f"{message} in {r.category}")
+        raise DataFormatError(path, lines[repeat], f"{message} in {r.category}")
+    if error is not None:
+        raise error
     return table
 
 

@@ -23,6 +23,7 @@ from galstream import (
 from galstream.cli import main as cli_main
 from galstream.config import INI_KEYS, config_to_dict
 from galstream.datasets import Dataset, DayFrame, Split, save_dataset
+from galstream.exceptions import DataFormatError
 from galstream.harness import aggregate_records, compute_cpis, load_configured_dataset
 from galstream.reports import REPORT_FILES, read_daily_records
 
@@ -293,11 +294,11 @@ class TestReports:
         assert payload["config"]["strategies"] == list(config.strategies)
 
 
-def _files_dataset(tmp_path, graph):
-    """A 6-day stream on ``graph``, saved as a files dataset; label = sign of f0."""
+def _files_dataset(tmp_path, graph, days=range(6)):
+    """A stream on ``graph`` over ``days``, saved as a files dataset; label = sign of f0."""
     rng = np.random.default_rng(8)
     frames = []
-    for day in range(6):
+    for day in days:
         features = rng.normal(size=(graph.node_count, 2))
         frames.append(DayFrame(day, features, (features[:, 0] > 0).astype(int)))
     dataset = Dataset(graph=graph, days=tuple(frames), feature_dim=2)
@@ -340,6 +341,24 @@ def test_unsupported_centrality_becomes_missing_marker(tmp_path, graph, unsuppor
     for name in REPORT_FILES:
         if name != "run_manifest.json":
             assert paths[name].read_bytes() == before[name], name
+
+
+def test_report_reads_the_query_days_of_a_files_dataset(tmp_path):
+    # days from 1 with a gap: the query days are 3, 5 and 6
+    graph = Graph.from_edges(12, [(i, i + 1) for i in range(11)])
+    dataset, files = _files_dataset(tmp_path, graph, days=(1, 2, 3, 5, 6, 7))
+    config = small_config(tmp_path, source="files", **files, strategies=("no_al", "random"))
+    result = run_experiment(config, dataset)
+    assert {r.day for r in result.records} == {3, 5, 6}
+    paths = emit_reports(result, config, dataset)
+    before = {name: paths[name].read_bytes() for name in DERIVED}
+    recompute_reports(paths["daily.csv"].parent)
+    for name in DERIVED:
+        assert paths[name].read_bytes() == before[name], name
+    daily = paths["daily.csv"]
+    daily.write_text(_inserting("random,0,4,test_set_same_day,accuracy,0.5")(daily.read_text()))
+    with pytest.raises(DataFormatError, match="daily.csv:2: day 4 is not a query day"):
+        recompute_reports(daily.parent)
 
 
 # [section] key -> (raw value, field path, parsed value); every value is valid
@@ -595,6 +614,11 @@ class TestCli:
             ),
             ("daily.csv", _repeating_first_row, "daily.csv:3: repeats the accuracy of random"),
             (
+                "daily.csv",
+                lambda text: _repeating_first_row(text) + "random,0,2,elsewhere,accuracy,0.5\n",
+                "daily.csv:3: repeats the accuracy of random",
+            ),
+            (
                 "queries.csv",
                 _inserting("bogus,0,1,3"),
                 "queries.csv:2: bogus bootstrap 0 is not a logged unit",
@@ -637,17 +661,17 @@ class TestCli:
             (
                 "daily.csv",
                 _inserting("random,0,99,test_set_same_day,accuracy,0.5"),
-                "daily.csv:2: day 99 is not a query day (2 to 6)",
+                "daily.csv:2: day 99 is not a query day",
             ),
             (
                 "daily.csv",
                 _inserting("random,0,1,test_set_same_day,accuracy,0.5"),
-                "daily.csv:2: day 1 is not a query day (2 to 6)",
+                "daily.csv:2: day 1 is not a query day",
             ),
             (
                 "daily.csv",
                 _inserting("random,0,7,test_set_same_day,accuracy,0.5"),
-                "daily.csv:2: day 7 is not a query day (2 to 6)",
+                "daily.csv:2: day 7 is not a query day",
             ),
         ],
         ids=[
@@ -662,6 +686,7 @@ class TestCli:
             "queries-repeated-row",
             "queries-non-pool-node",
             "daily-repeated-row",
+            "daily-repeated-row-before-a-bad-row",
             "queries-unknown-strategy",
             "queries-bootstrap-out-of-range",
             "daily-unknown-strategy",

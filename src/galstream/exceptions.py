@@ -17,10 +17,11 @@ class ConvergenceError(GalstreamError):
 
 
 class DataFormatError(GalstreamError, ValueError):
-    """A dataset file violates the documented CSV schema."""
+    """A dataset file violates the documented CSV schema; ``line_number`` may be None."""
 
     def __init__(self, path, line_number, message):
-        super().__init__(f"{path}:{line_number}: {message}")
+        where = path if line_number is None else f"{path}:{line_number}"
+        super().__init__(f"{where}: {message}")
         self.path = str(path)
         self.line_number = line_number
 

@@ -5,17 +5,15 @@ One work unit is a (strategy, bootstrap) pair. Units are pure functions of
 serial and parallel execution produce identical results and a failing unit
 aborts only itself.
 
-A run's daily metric values live in one :class:`DailyTable` of parallel
-columns; one sort of it makes each series a contiguous day-ordered slice,
-which the CPIs, the aggregates and every derived report read.
+A run's daily metric values live in one :class:`DailyTable`, a dense grid
+with a fixed cell per (strategy, bootstrap, query day, category, metric);
+each series is a day-ordered row of it, which every derived report reads.
 """
 
 from __future__ import annotations
 
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -55,67 +53,105 @@ class MetricRecord(NamedTuple):
 
 
 SeriesKey = tuple[str, int, str, str]  # (strategy, bootstrap, category, metric)
-STRATEGY_CODES, CATEGORY_CODES, METRIC_CODES = (
-    {name: code for code, name in enumerate(names)}
-    for names in (STRATEGY_NAMES, EVAL_CATEGORIES, PERFORMANCE_METRICS)
-)
+
+
+def scored_categories(strategy: str) -> tuple[str, ...]:
+    """The categories a unit of ``strategy`` scores each day; no_al queries nothing, so no train."""
+    return tuple(c for c in EVAL_CATEGORIES if c != "train_next_day" or strategy != "no_al")
+
+
+def query_days(config: ExperimentConfig, dataset: Dataset) -> tuple[int, ...]:
+    """The day index of every scored day: each day after the initial window but the last."""
+    return tuple(frame.day_index for frame in dataset.days[config.initial_days : -1])
 
 
 class DailyTable:
-    """Flat (strategy, bootstrap, day, category, metric, value) rows as parallel ``columns``.
+    """Every daily value of a run in one dense grid; NaN where undefined.
 
-    Names are codes into their vocabularies; an undefined value is NaN. One
-    stable lexsort by (strategy, category, metric, bootstrap, day) makes each
-    series a slice ``slices[key]`` of the defined ``series_days`` and
-    ``series_values``, in day order; ``groups`` lists each (strategy, category,
-    metric)'s series in bootstrap order, and ``series_means`` holds the mean
-    of each series with a defined value. Iterating yields
-    :class:`MetricRecord` rows in their original order.
+    ``values[s, b, d, c, m]`` belongs to ``strategies[s]``, bootstrap ``b``,
+    query day ``days[d]``, ``EVAL_CATEGORIES[c]`` and ``PERFORMANCE_METRICS[m]``.
+    ``exists`` marks the cells a run writes: those of every unit not listed in
+    ``failed``, in the categories :func:`scored_categories` gives its
+    strategy. Iterating walks them in (strategy, bootstrap, day, category,
+    metric) order and yields :class:`MetricRecord` rows.
     """
 
-    def __init__(self, rows: array) -> None:
-        flat = np.array(rows).reshape(-1, 6).T
-        self.columns = (*flat[:5].astype(np.int64), flat[5].copy())
-        strategy, bootstrap, day, category, metric, value = self.columns
-        order = np.lexsort((day, bootstrap, metric, category, strategy))
-        key, value = np.stack([strategy, category, metric, bootstrap, day])[:, order], value[order]
-        changed = key[:, 1:] != key[:, :-1]
-        starts = np.flatnonzero(np.r_[order.size > 0, changed[:4].any(axis=0)])
-        defined = ~np.isnan(value)
-        bounds = np.r_[0, np.cumsum(defined)][np.r_[starts, order.size]].tolist()
-        self.slices: dict[SeriesKey, slice] = {
-            (STRATEGY_NAMES[s], b, EVAL_CATEGORIES[c], PERFORMANCE_METRICS[m]): slice(lo, hi)
-            for (s, c, m, b, _), lo, hi in zip(key[:, starts].T.tolist(), bounds, bounds[1:])
-        }
-        self.groups = {g: list(ks) for g, ks in groupby(self.slices, lambda k: (k[0], k[2], k[3]))}
-        self.series_days, self.series_values = key[4][defined], value[defined]
-        defined_series = ((k, self.series_values[r]) for k, r in self.slices.items())
-        self.series_means = {k: float(np.mean(v)) for k, v in defined_series if v.size}
+    def __init__(self, config: ExperimentConfig, days: tuple[int, ...], failed=frozenset()) -> None:
+        self.strategies, self.days = config.strategies, np.array(days, dtype=np.int64)
+        units = [[(s, b) not in failed for b in range(config.bootstraps)] for s in self.strategies]
+        scored = [[c in scored_categories(s) for c in EVAL_CATEGORIES] for s in self.strategies]
+        shape = (*np.shape(units), self.days.size, len(EVAL_CATEGORIES), len(PERFORMANCE_METRICS))
+        self.values = np.full(shape, np.nan)
+        exists = np.array(units)[:, :, None, None] & np.array(scored)[:, None, None, :]
+        self.exists = np.broadcast_to(exists[..., None], shape)
+        self._units = {(self.strategies[s], b): s for s, b in np.argwhere(units).tolist()}
+        self._days, self._categories, self._metrics = (
+            {name: i for i, name in enumerate(names)}
+            for names in (self.days.tolist(), EVAL_CATEGORIES, PERFORMANCE_METRICS)
+        )
+
+    def cell(self, strategy: str, bootstrap: int, day: int, category: str, metric: str):
+        """The index of a row's cell; a ValueError says why a row outside the grid has none."""
+        s, d = self._units.get((strategy, bootstrap)), self._days.get(day)
+        cell = (s, bootstrap, d, self._categories.get(category), self._metrics.get(metric))
+        if None not in cell and self.exists[cell]:
+            return cell
+        for kind, names, name in (
+            ("strategy", STRATEGY_NAMES, strategy),
+            ("category", EVAL_CATEGORIES, category),
+            ("metric", PERFORMANCE_METRICS, metric),
+        ):
+            if name not in names:
+                raise ValueError(f"unknown {kind} {name!r}")
+        if s is None:
+            raise ValueError(f"{strategy} bootstrap {bootstrap} is not a unit of this run")
+        if d is None:
+            raise ValueError(f"day {day} is not a query day of the dataset")
+        raise ValueError(f"{strategy} scores no {category}")
+
+    def describe(self, cell) -> str:
+        """A cell by name: the metric of (strategy, bootstrap, day) in its category."""
+        s, b, d, c, m = cell
+        unit = f"{self.strategies[s]} bootstrap {b} on day {self.days[d]}"
+        return f"the {PERFORMANCE_METRICS[m]} of {unit} in {EVAL_CATEGORIES[c]}"
 
     def __len__(self) -> int:
-        return self.columns[0].size
+        return int(np.count_nonzero(self.exists))
 
     def __iter__(self):
-        s, b, d, c, m, v = self.columns
-        vocabularies = (STRATEGY_NAMES, EVAL_CATEGORIES, PERFORMANCE_METRICS)
-        s, c, m = (np.array(names, dtype=object)[x] for names, x in zip(vocabularies, (s, c, m)))
-        columns = (x.tolist() for x in (s, b, d, c, m, np.where(np.isnan(v), None, v)))
+        s, b, d, c, m = np.nonzero(self.exists)
+        v = self.values[self.exists]
+        names = (self.strategies, EVAL_CATEGORIES, PERFORMANCE_METRICS)
+        s, c, m = (np.array(n, dtype=object)[x] for n, x in zip(names, (s, c, m)))
+        columns = (x.tolist() for x in (s, b, self.days[d], c, m, np.where(np.isnan(v), None, v)))
         return map(MetricRecord._make, zip(*columns))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DailyTable) and all(
-            np.array_equal(a, b, equal_nan=True) for a, b in zip(self.columns, other.columns)
-        )
+        return isinstance(other, DailyTable) and list(self) == list(other)
 
-    def group_rows(self, keys: list[SeriesKey]) -> slice:
-        """The defined rows of a group's series, in bootstrap then day order."""
-        return slice(self.slices[keys[0]].start, self.slices[keys[-1]].stop)
+    def groups(self):
+        """Each (strategy, category, metric) with its series' keys and (series, day) values.
+
+        A group holds the series that exist, in bootstrap order.
+        """
+        for s, strategy in enumerate(self.strategies):
+            for c, category in enumerate(EVAL_CATEGORIES):
+                bootstraps = np.flatnonzero(self.exists[s, :, 0, c, 0]).tolist()
+                for m, metric in enumerate(PERFORMANCE_METRICS):
+                    keys = [(strategy, b, category, metric) for b in bootstraps]
+                    yield (strategy, category, metric), keys, self.values[s, bootstraps, :, c, m]
+
+
+def row_means(values: np.ndarray) -> list[float]:
+    """The mean of each row over its defined (non-NaN) values; rows with none drop out."""
+    defined = (row[~np.isnan(row)] for row in values)
+    return [float(np.mean(row)) for row in defined if row.size]
 
 
 @dataclass
 class UnitResult:
     split: Split
-    rows: array  # flat DailyTable rows
+    values: np.ndarray  # the unit's (day, category, metric) block of a DailyTable
     query_log: QueryLog
     trained_nodes: frozenset[int]
 
@@ -185,22 +221,19 @@ def build_eval_slices(
 
 
 def _slice_records(
-    rows: array, strategy: int, bootstrap: int, day: int, slices: dict[str, EvalSlice | None]
+    block: np.ndarray, strategy: str, slices: dict[str, EvalSlice | None]
 ) -> None:
-    for category in EVAL_CATEGORIES:
-        if category not in slices:
-            continue  # category absent (no_al has no train slice)
+    """Score one day into its NaN-filled (category, metric) block; undefined stays NaN."""
+    for category in scored_categories(strategy):
         s = slices[category]
-        for metric in PERFORMANCE_METRICS:
-            if s is None:
-                value = np.nan
-            else:
-                try:
-                    value = float(compute_metric(s, metric))
-                except UndefinedMetricError:
-                    value = np.nan
-            codes = (CATEGORY_CODES[category], METRIC_CODES[metric])
-            rows.extend((strategy, bootstrap, day, *codes, value))
+        if s is None:
+            continue  # an empty slice leaves every metric undefined
+        c = EVAL_CATEGORIES.index(category)
+        for m, metric in enumerate(PERFORMANCE_METRICS):
+            try:
+                block[c, m] = compute_metric(s, metric)
+            except UndefinedMetricError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +263,9 @@ def run_unit(
         raise RuntimeError("no labeled pool nodes in the initial training window")
     params = train(init_seed, adj, buffer, hyper)
 
-    rows = array("d")
+    values = np.full(
+        (dataset.day_count - 1 - initial, len(EVAL_CATEGORIES), len(PERFORMANCE_METRICS)), np.nan
+    )
     history: dict[int, list[int]] = {}
 
     current = forward(params, adj, frames[initial].features)
@@ -281,14 +316,14 @@ def run_unit(
             evaluated.probabilities,
             upcoming.probabilities,
         )
-        _slice_records(rows, STRATEGY_CODES[strategy], bootstrap, frame.day_index, slices)
+        _slice_records(values[t - initial], strategy, slices)
         current = upcoming  # the next day starts from these parameters and features
 
     if trained & holdout_set:
         raise AssertionError("holdout node entered the labeled buffer")
     return UnitResult(
         split=split,
-        rows=rows,
+        values=values,
         query_log=QueryLog(split.pool, history),
         trained_nodes=frozenset(trained),
     )
@@ -314,12 +349,13 @@ def compute_cpis(table: DailyTable) -> dict[SeriesKey, float | None]:
     days are not uniformly spaced.
     """
     out: dict[SeriesKey, float | None] = {}
-    for key, rows in table.slices.items():
-        days = table.series_days[rows]
-        gaps = np.diff(days)
-        defined = days.size >= 2 and (gaps == gaps[0]).all()
-        series = PerformanceSeries(key[3], days, table.series_values[rows])
-        out[key] = cpi(series) if defined else None
+    for _, keys, values in table.groups():
+        for key, series in zip(keys, values):
+            defined = ~np.isnan(series)
+            try:
+                out[key] = cpi(PerformanceSeries(key[3], table.days[defined], series[defined]))
+            except ValueError:
+                out[key] = None
     return out
 
 
@@ -342,11 +378,11 @@ def aggregate_records(
     ``cpi_<metric>``.
     """
     out: dict[tuple[str, str, str], tuple[float, float, int]] = {}
-    for (strategy, category, metric), keys in table.groups.items():
-        means = [table.series_means[k] for k in keys if k in table.series_means]
+    for (strategy, category, metric), keys, values in table.groups():
+        means = row_means(values)
         if means:
             out[(strategy, category, metric)] = mean_std(means)
-        defined = [cpis[k] for k in keys if cpis.get(k) is not None]
+        defined = [cpis[k] for k in keys if cpis[k] is not None]
         if defined:
             out[(strategy, category, f"cpi_{metric}")] = mean_std(defined)
     return out
@@ -374,21 +410,19 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     else:
         outcomes = [_execute_unit(u) for u in units]
 
-    rows = array("d")
+    failures = [(s, b, error) for s, b, unit, error in outcomes if unit is None]
+    records = DailyTable(config, query_days(config, dataset), {f[:2] for f in failures})
     query_logs: dict[tuple[str, int], QueryLog] = {}
     trained_nodes: dict[tuple[str, int], frozenset[int]] = {}
     splits: dict[int, Split] = {}
-    failures: list[tuple[str, int, str]] = []
-    for strategy, bootstrap, unit, error in outcomes:
+    for strategy, bootstrap, unit, _ in outcomes:
         if unit is None:
-            failures.append((strategy, bootstrap, error))
             continue
-        rows.extend(unit.rows)
+        records.values[config.strategies.index(strategy), bootstrap] = unit.values
         query_logs[(strategy, bootstrap)] = unit.query_log
         trained_nodes[(strategy, bootstrap)] = unit.trained_nodes
         splits[bootstrap] = unit.split
 
-    records = DailyTable(rows)
     cpis = compute_cpis(records)
     return RunResult(
         config=config,

@@ -3,9 +3,10 @@
 ``daily.csv`` and ``queries.csv`` are the primary outputs; everything else
 is derived from them (plus the deterministic dataset) and can be recomputed
 with :func:`recompute_reports`, which the CLI exposes as ``report``. Both
-paths share the writers and the day-ordered series of one
-:class:`~galstream.harness.DailyTable`, so recomputed files match the
-originals byte for byte whatever the row order of ``daily.csv``.
+paths share the writers and the dense grid of one
+:class:`~galstream.harness.DailyTable`, whose cells the manifest and the
+dataset's query days fix. Reading ``daily.csv`` puts each row in its cell,
+so recomputed files match the originals byte for byte whatever the row order.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from array import array
 from datetime import datetime, timezone
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +36,14 @@ from .datasets import Dataset, make_split
 from .exceptions import ConfigError, ConvergenceError, DataFormatError
 from .graphs import CENTRALITY_METRICS
 from .harness import (
-    CATEGORY_CODES,
-    METRIC_CODES,
-    STRATEGY_CODES,
     DailyTable,
     RunResult,
     aggregate_records,
     compute_cpis,
     load_configured_dataset,
     mean_std,
+    query_days,
+    row_means,
 )
 from .metrics import EVAL_CATEGORIES, PERFORMANCE_METRICS, PerformanceSeries, rolling_mean_std
 from .stats import anova_oneway, kruskal_wallis
@@ -117,23 +115,15 @@ def _aggregate_rows(config, aggregate):
 
 
 def _rolling_rows(config, table: DailyTable):
-    for strategy in config.strategies:
-        for category in EVAL_CATEGORIES:
-            for metric in PERFORMANCE_METRICS:
-                keys = table.groups.get((strategy, category, metric))
-                rows = table.group_rows(keys) if keys else slice(0)
-                days, values = table.series_days[rows], table.series_values[rows]
-                if not days.size:
-                    continue
-                by_day = np.argsort(days, kind="stable")  # keeps bootstrap order within a day
-                days, starts = np.unique(days[by_day], return_index=True)
-                values, edges = values[by_day], [*starts.tolist(), by_day.size]
-                per_day = np.array([np.mean(values[a:b]) for a, b in zip(edges, edges[1:])])
-                means, stds = rolling_mean_std(
-                    PerformanceSeries(metric, days, per_day), config.rolling_window
-                )
-                for day, mean, std in zip(means.days, means.values, stds.values):
-                    yield (strategy, category, metric, day, float(mean), float(std))
+    for (strategy, category, metric), _, values in table.groups():
+        per_day = row_means(values.T)  # each day's mean over its bootstraps
+        if not per_day:
+            continue
+        days = table.days[~np.isnan(values).all(axis=0)]
+        series = PerformanceSeries(metric, days, per_day)
+        means, stds = rolling_mean_std(series, config.rolling_window)
+        for day, mean, std in zip(means.days, means.values, stds.values):
+            yield (strategy, category, metric, day, float(mean), float(std))
 
 
 def _strategy_logs(config, query_logs) -> dict[str, list[QueryLog]]:
@@ -209,14 +199,14 @@ def _correlation_rows(config, per_strategy, dataset):
 def _significance_observations(config, table: DailyTable, cpis):
     """Per (category, metric): strategy -> observation list."""
     obs: dict[tuple[str, str], dict[str, list[float]]] = {}
-    for (strategy, category, metric), keys in table.groups.items():
+    for (strategy, category, metric), keys, values in table.groups():
         if config.significance_unit == "day":
-            values = table.series_values[table.group_rows(keys)].tolist()
+            values = values[~np.isnan(values)].tolist()  # bootstrap then day order
         else:  # bootstrap_mean
-            values = [table.series_means[k] for k in keys if k in table.series_means]
+            values = row_means(values)
         if values:
             obs.setdefault((category, metric), {})[strategy] = values
-        defined = [cpis[k] for k in keys if cpis.get(k) is not None]
+        defined = [cpis[k] for k in keys if cpis[k] is not None]
         if defined:
             obs.setdefault((category, f"cpi_{metric}"), {})[strategy] = defined
     return obs
@@ -329,7 +319,7 @@ def _write_derived(paths, result: RunResult, config, dataset) -> None:
 
 
 def _report_rows(path: str | Path, header: list[str], parse):
-    """``(line, parse(*row))`` for each row of a report CSV, after checking its header and width.
+    """``parse(*row)`` for each row of a report CSV, after checking its header and width.
 
     A row ``parse`` rejects with ``ValueError`` is reported with its file and line.
     """
@@ -343,26 +333,9 @@ def _report_rows(path: str | Path, header: list[str], parse):
                     path, reader.line_num, f"expected {len(header)} columns, got {len(row)}"
                 )
             try:
-                parsed = parse(*row)
+                yield parse(*row)
             except ValueError as exc:
                 raise DataFormatError(path, reader.line_num, str(exc)) from None
-            yield reader.line_num, parsed
-
-
-def _code(codes: dict[str, int], kind: str, name: str) -> int:
-    code = codes.get(name)
-    if code is None:
-        raise ValueError(f"unknown {kind} {name!r}")
-    return code
-
-
-def _first_repeat(rows: array) -> int | None:
-    """The first of flat daily rows that repeats an earlier row's five keys, or None."""
-    keys = np.array(rows).reshape(-1, 6)[:, :5].T
-    order = np.lexsort(keys)  # stable: an earlier row sorts before its repeats
-    ordered = keys[:, order]
-    repeats = order[1:][(ordered[:, 1:] == ordered[:, :-1]).all(axis=0)]
-    return int(repeats.min()) if repeats.size else None
 
 
 def read_daily_records(
@@ -371,47 +344,34 @@ def read_daily_records(
     dataset: Dataset,
     failed: set[tuple[str, int]] = frozenset(),
 ) -> DailyTable:
-    """The rows of ``daily.csv``, streamed into a :class:`~galstream.harness.DailyTable`.
+    """The rows of ``daily.csv``, each put in its cell of a :class:`~galstream.harness.DailyTable`.
 
     A row is rejected with its line if it names a strategy, category or
     metric outside the vocabularies; if its (strategy, bootstrap) is not a
     unit of the run (a strategy the config does not run, a bootstrap out of
     range, or a pair listed in ``failed``); if its day is not a query day;
-    if its value is neither ``NA`` nor in [0, 1]; or if it repeats an
-    earlier row's (strategy, bootstrap, day, category, metric). The first
-    bad line of the file is the one reported.
+    if its unit scores no such category (no_al's ``train_next_day``); if its
+    value is neither ``NA`` nor in [0, 1]; or if its cell was already
+    written. The first bad line of the file is the one reported. A file
+    that leaves a cell empty is rejected, naming the first such cell.
     """
-    runs = ((s, b) for s in config.strategies for b in range(config.bootstraps))
-    units = {(STRATEGY_CODES[s], b) for s, b in runs if (s, b) not in failed}
-    query_days = {frame.day_index for frame in dataset.days[config.initial_days : -1]}
-    rows = array("d")
+    table = DailyTable(config, query_days(config, dataset), failed)
+    written = np.zeros(table.values.shape, dtype=bool)
 
-    def row(strategy, bootstrap, day, category, metric, value) -> None:
-        s, b, d = _code(STRATEGY_CODES, "strategy", strategy), int(bootstrap), int(day)
-        c = _code(CATEGORY_CODES, "category", category)
-        m = _code(METRIC_CODES, "metric", metric)
-        if (s, b) not in units:
-            raise ValueError(f"{strategy} bootstrap {b} is not a unit of this run")
-        if d not in query_days:
-            raise ValueError(f"day {d} is not a query day of the dataset")
+    def row(strategy, bootstrap, day, category, metric, value):
+        cell = table.cell(strategy, int(bootstrap), int(day), category, metric)
         v = np.nan if value == NA else float(value)
         if not (value == NA or 0.0 <= v <= 1.0):
             raise ValueError("values must be finite and lie in [0, 1]")
-        rows.extend((s, b, d, c, m, v))
+        if written[cell]:
+            raise ValueError(f"repeats {table.describe(cell)}")
+        return cell, v
 
-    lines, error = array("q"), None
-    try:  # rows holds each row before a bad one, which may repeat an earlier row
-        for line, _ in _report_rows(path, _DAILY_HEADER, row):
-            lines.append(line)
-    except DataFormatError as exc:
-        error = exc
-    table, repeat = DailyTable(rows), _first_repeat(rows)
-    if repeat is not None:
-        r = next(islice(table, repeat, None))
-        message = f"repeats the {r.metric} of {r.strategy} bootstrap {r.bootstrap} on day {r.day}"
-        raise DataFormatError(path, lines[repeat], f"{message} in {r.category}")
-    if error is not None:
-        raise error
+    for cell, v in _report_rows(path, _DAILY_HEADER, row):
+        written[cell], table.values[cell] = True, v
+    empty = np.argwhere(table.exists & ~written)
+    if empty.size:
+        raise DataFormatError(path, None, f"no row for {table.describe(empty[0].tolist())}")
     return table
 
 
@@ -427,7 +387,8 @@ def read_query_logs(
     events (no_al) get an empty log, mirroring the run path. A row is
     rejected with its line if its pair has no log (a strategy the config
     does not run, a bootstrap out of range, or a failed pair), if it queries
-    a node outside its pool, or if it repeats an earlier row.
+    a node outside its pool, if its day is not a query day, or if it repeats
+    an earlier row.
     """
     pools = {
         b: frozenset(make_split(dataset, config.holdout_fraction, config.base_seed + b).pool)
@@ -436,6 +397,7 @@ def read_query_logs(
     events: dict[tuple[str, int], set[tuple[int, int]]] = {
         (s, b): set() for s in config.strategies for b in pools if (s, b) not in failed
     }
+    days = set(query_days(config, dataset))
 
     def event(strategy, bootstrap, day, node):
         key, day, node = (strategy, int(bootstrap)), int(day), int(node)
@@ -443,11 +405,13 @@ def read_query_logs(
             raise ValueError(f"{strategy} bootstrap {key[1]} is not a logged unit of this run")
         if node not in pools[key[1]]:
             raise ValueError(f"queried node {node} is not a pool node")
+        if day not in days:
+            raise ValueError(f"day {day} is not a query day of the dataset")
         if (day, node) in events[key]:
             raise ValueError(f"repeats the query of node {node} on day {day}")
         return key, day, node
 
-    for _, (key, day, node) in _report_rows(path, _QUERY_HEADER, event):
+    for key, day, node in _report_rows(path, _QUERY_HEADER, event):
         events[key].add((day, node))
     return {key: QueryLog.from_events(pools[key[1]], pairs) for key, pairs in events.items()}
 

@@ -176,13 +176,23 @@ class TestRunExperiment:
             return original(dataset, config, strategy, bootstrap)
 
         monkeypatch.setattr(harness_mod, "run_unit", flaky)
-        result = run_experiment(small_config(tmp_path))
+        config = small_config(tmp_path)
+        result = run_experiment(config)
         assert len(result.failures) == 1
         assert result.failures[0][:2] == ("degree", 1)
         assert ("degree", 0) in result.query_logs
         assert ("degree", 1) not in result.query_logs
         # other strategies unaffected
         assert {r.strategy for r in result.records} == {"no_al", "random", "degree", "age"}
+        # the failed unit writes none of its 4 categories x 7 metrics a day
+        days = SMALL_SYNTH.days - 1 - config.initial_days
+        assert len(result.records) == days * 7 * (config.bootstraps * (3 + 3 * 4) - 4)
+        # and `galstream report` recomputes the derived files without it
+        paths = emit_reports(result, config)
+        before = {name: paths[name].read_bytes() for name in DERIVED}
+        recompute_reports(paths["daily.csv"].parent)
+        for name in DERIVED:
+            assert paths[name].read_bytes() == before[name], name
 
     def test_forward_runs_once_per_model_state(self, monkeypatch):
         config = ExperimentConfig(
@@ -499,6 +509,22 @@ def _inserting(row):
     return lambda text: text.replace("\n", f"\n{row}\n", 1)
 
 
+def _appending(row):
+    """An edit that adds ``row`` as a CSV's last line."""
+    return lambda text: f"{text}{row}\n"
+
+
+def _deleting_line(number):
+    """An edit that deletes a file's line ``number``, counting from 1."""
+
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        del lines[number - 1]
+        return "".join(lines)
+
+    return edit
+
+
 def _repeating_first_row(text):
     header, first, rest = text.split("\n", 2)
     return "\n".join([header, first, first, rest])
@@ -510,7 +536,7 @@ class TestCli:
         body = (
             "[dataset]\nsource = synthetic\n\n"
             "[synthetic]\nnodes = 12\ndays = 8\nfeature_dim = 2\nregime_period = 3\n\n"
-            "[experiment]\nstrategies = random, degree\ninitial_days = 2\n"
+            "[experiment]\nstrategies = random, degree, no_al\ninitial_days = 2\n"
             f"queries_per_day = {kv.get('k', 2)}\nbootstraps = 2\n"
             f"output_dir = {tmp_path / 'results'}\n\n"
             "[model]\nepochs = 10\n"
@@ -673,6 +699,22 @@ class TestCli:
                 _inserting("random,0,7,test_set_same_day,accuracy,0.5"),
                 "daily.csv:2: day 7 is not a query day",
             ),
+            (
+                "daily.csv",
+                _deleting_line(5),
+                "daily.csv: no row for the f1_micro of random bootstrap 0 on day 2"
+                " in test_set_same_day",
+            ),
+            (
+                "daily.csv",
+                _appending("no_al,0,2,train_next_day,accuracy,0.5"),
+                "daily.csv:772: no_al scores no train_next_day",
+            ),
+            (
+                "queries.csv",
+                _appending("random,0,99,3"),
+                "queries.csv:42: day 99 is not a query day",
+            ),
         ],
         ids=[
             "daily-header",
@@ -698,6 +740,9 @@ class TestCli:
             "daily-day-out-of-range",
             "daily-day-before-first-query-day",
             "daily-day-after-last-query-day",
+            "daily-missing-row",
+            "daily-no-al-train-row",
+            "queries-day-out-of-range",
         ],
     )
     def test_malformed_run_is_machine_parsable_report_error(

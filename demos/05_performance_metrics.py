@@ -9,7 +9,6 @@ import numpy as np
 from galstream import (
     EvalSlice,
     PERFORMANCE_METRICS,
-    PerformanceSeries,
     compute_metric,
     cpi,
     rolling_mean_std,
@@ -25,12 +24,11 @@ for name in PERFORMANCE_METRICS:
     print(f"{name:10s} {compute_metric(s, name):.4f}")
 
 # a day series with a mid-stream dip: CPI is its trapezoid average
-days = tuple(range(10))
+days = np.arange(10)
 values = np.array([0.9, 0.85, 0.8, 0.4, 0.45, 0.6, 0.7, 0.75, 0.8, 0.85])
-series = PerformanceSeries("accuracy", days, values)
 print(f"\nday series:   {values.tolist()}")
-print(f"CPI: {cpi(series):.4f} (a constant series maps to itself; perfect scores give 1.0)")
+print(f"CPI: {cpi(days, values):.4f} (a constant series maps to itself; perfect scores give 1.0)")
 
-means, stds = rolling_mean_std(series, window=5)
-print(f"rolling mean: {[round(float(v), 3) for v in means.values]}")
-print(f"rolling std:  {[round(float(v), 3) for v in stds.values]}")
+means, stds = rolling_mean_std(values, window=5)
+print(f"rolling mean: {[round(float(v), 3) for v in means]}")
+print(f"rolling std:  {[round(float(v), 3) for v in stds]}")

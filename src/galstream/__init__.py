@@ -72,7 +72,6 @@ from .metrics import (
     EVAL_CATEGORIES,
     PERFORMANCE_METRICS,
     EvalSlice,
-    PerformanceSeries,
     accuracy,
     auc_pr,
     auc_roc,

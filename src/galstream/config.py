@@ -86,6 +86,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("holdout_fraction must lie strictly between 0 and 1")
     if not config.gap_thresholds or any(t < 1 for t in config.gap_thresholds):
         raise ConfigError("gap_thresholds must be a nonempty list of integers >= 1")
+    if len(set(config.gap_thresholds)) != len(config.gap_thresholds):
+        raise ConfigError("gap_thresholds must not repeat")
     if config.reference_gap < 1:
         raise ConfigError("reference_gap must be at least 1")
     if config.rolling_window < 1:

@@ -8,6 +8,8 @@ aborts only itself.
 A run's daily metric values live in one :class:`DailyTable`, a dense grid
 with a fixed cell per (strategy, bootstrap, query day, category, metric);
 each series is a day-ordered row of it, which every derived report reads.
+:func:`compute_cpis` hands each row's defined days and values to
+:func:`~galstream.metrics.cpi` and keeps a group's defined CPIs as a list.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .metrics import (
     EVAL_CATEGORIES,
     PERFORMANCE_METRICS,
     EvalSlice,
-    PerformanceSeries,
     compute_metric,
     cpi,
 )
@@ -50,9 +51,6 @@ class MetricRecord(NamedTuple):
     category: str
     metric: str
     value: float | None
-
-
-SeriesKey = tuple[str, int, str, str]  # (strategy, bootstrap, category, metric)
 
 
 def scored_categories(strategy: str) -> tuple[str, ...]:
@@ -130,16 +128,15 @@ class DailyTable:
         return isinstance(other, DailyTable) and list(self) == list(other)
 
     def groups(self):
-        """Each (strategy, category, metric) with its series' keys and (series, day) values.
+        """Each (strategy, category, metric) with its (series, day) values.
 
-        A group holds the series that exist, in bootstrap order.
+        A group holds the series that exist, one per bootstrap, in bootstrap order.
         """
         for s, strategy in enumerate(self.strategies):
             for c, category in enumerate(EVAL_CATEGORIES):
-                bootstraps = np.flatnonzero(self.exists[s, :, 0, c, 0]).tolist()
+                bootstraps = np.flatnonzero(self.exists[s, :, 0, c, 0])
                 for m, metric in enumerate(PERFORMANCE_METRICS):
-                    keys = [(strategy, b, category, metric) for b in bootstraps]
-                    yield (strategy, category, metric), keys, self.values[s, bootstraps, :, c, m]
+                    yield (strategy, category, metric), self.values[s, bootstraps, :, c, m]
 
 
 def row_means(values: np.ndarray) -> list[float]:
@@ -163,7 +160,7 @@ class RunResult:
     query_logs: dict[tuple[str, int], QueryLog]
     splits: dict[int, Split]
     trained_nodes: dict[tuple[str, int], frozenset[int]]
-    cpis: dict[SeriesKey, float | None]
+    cpis: dict[tuple[str, str, str], list[float]]
     aggregate: dict[tuple[str, str, str], tuple[float, float, int]]
     failures: list[tuple[str, int, str]] = field(default_factory=list)
 
@@ -342,20 +339,22 @@ def _execute_unit(args) -> tuple[str, int, UnitResult | None, str | None]:
 # ---------------------------------------------------------------------------
 
 
-def compute_cpis(table: DailyTable) -> dict[SeriesKey, float | None]:
-    """Each series' CPI over its defined days.
+def compute_cpis(table: DailyTable) -> dict[tuple[str, str, str], list[float]]:
+    """Each (strategy, category, metric) group's defined CPIs, in bootstrap order.
 
-    Undefined (None) when fewer than two days are defined or the defined
-    days are not uniformly spaced.
+    A series' CPI is taken over its defined days. It is undefined, and left
+    out, when fewer than two days are defined or an undefined day sits
+    between defined ones, so the defined days are not uniformly spaced.
     """
-    out: dict[SeriesKey, float | None] = {}
-    for _, keys, values in table.groups():
-        for key, series in zip(keys, values):
+    out: dict[tuple[str, str, str], list[float]] = {}
+    for key, values in table.groups():
+        out[key] = []
+        for series in values:
             defined = ~np.isnan(series)
             try:
-                out[key] = cpi(PerformanceSeries(key[3], table.days[defined], series[defined]))
+                out[key].append(cpi(table.days[defined], series[defined]))
             except ValueError:
-                out[key] = None
+                pass
     return out
 
 
@@ -369,7 +368,7 @@ def mean_std(values: list[float]) -> tuple[float | None, float | None, int]:
 
 def aggregate_records(
     table: DailyTable,
-    cpis: dict[SeriesKey, float | None],
+    cpis: dict[tuple[str, str, str], list[float]],
 ) -> dict[tuple[str, str, str], tuple[float, float, int]]:
     """Mean and population std across bootstraps of each (strategy, category, metric).
 
@@ -378,11 +377,11 @@ def aggregate_records(
     ``cpi_<metric>``.
     """
     out: dict[tuple[str, str, str], tuple[float, float, int]] = {}
-    for (strategy, category, metric), keys, values in table.groups():
+    for (strategy, category, metric), values in table.groups():
         means = row_means(values)
         if means:
             out[(strategy, category, metric)] = mean_std(means)
-        defined = [cpis[k] for k in keys if cpis[k] is not None]
+        defined = cpis[(strategy, category, metric)]
         if defined:
             out[(strategy, category, f"cpi_{metric}")] = mean_std(defined)
     return out

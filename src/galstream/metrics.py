@@ -1,4 +1,8 @@
-"""Classification metrics, the cumulative performance index, and rolling summaries."""
+"""Classification metrics, the cumulative performance index, and rolling summaries.
+
+A day series is two plain arrays, its day indices and its values:
+:func:`cpi` takes both and :func:`rolling_mean_std` takes the values.
+"""
 
 from __future__ import annotations
 
@@ -154,49 +158,23 @@ def compute_metric(s: EvalSlice, name: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerformanceSeries:
-    """A per-day series of values in [0, 1] for one metric."""
-
-    metric: str
-    days: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        days = tuple(int(d) for d in self.days)
-        values = np.asarray(self.values, dtype=float)
-        if len(days) != values.size:
-            raise ValueError("days and values must have equal length")
-        if any(b <= a for a, b in zip(days, days[1:])):
-            raise ValueError("days must be strictly increasing")
-        if values.size and (
-            not np.isfinite(values).all() or values.min() < 0 or values.max() > 1
-        ):
-            raise ValueError("values must be finite and lie in [0, 1]")
-        values.setflags(write=False)
-        object.__setattr__(self, "days", days)
-        object.__setattr__(self, "values", values)
-
-
-def cpi(series: PerformanceSeries) -> float:
-    """Length-normalized trapezoid integral of a uniformly spaced day series.
+def cpi(days: np.ndarray, values: np.ndarray) -> float:
+    """Length-normalized trapezoid integral of ``values`` on uniformly spaced ``days``.
 
     Averages the T-1 trapezoids so a constant series maps to itself and a
     perfect series maps to exactly 1.
     """
-    if len(series.days) < 2:
+    if len(days) < 2:
         raise ValueError("CPI needs at least two timepoints")
-    gaps = np.diff(series.days)
+    gaps = np.diff(days)
     if not (gaps == gaps[0]).all():
         raise ValueError("CPI needs uniformly spaced timepoints")
-    v = series.values
+    v = np.asarray(values, dtype=float)
     area = float(((v[:-1] + v[1:]) / 2.0).sum()) * gaps[0]
     return area / ((len(v) - 1) * gaps[0])
 
 
-def rolling_mean_std(
-    series: PerformanceSeries, window: int
-) -> tuple[PerformanceSeries, PerformanceSeries]:
+def rolling_mean_std(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Trailing-window mean and population std; the window grows from 1 at the start.
 
     Full windows are gathered as the rows of one matrix and reduced along
@@ -206,7 +184,7 @@ def rolling_mean_std(
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    v = series.values
+    v = np.asarray(values, dtype=float)
     means = np.empty(v.size)
     stds = np.empty(v.size)
     for i in range(min(window - 1, v.size)):
@@ -216,7 +194,4 @@ def rolling_mean_std(
         full = v[np.arange(v.size - window + 1)[:, None] + np.arange(window)]
         means[window - 1 :] = full.mean(axis=1)
         stds[window - 1 :] = full.std(axis=1)
-    return (
-        PerformanceSeries(f"{series.metric}_rolling_mean", series.days, means),
-        PerformanceSeries(f"{series.metric}_rolling_std", series.days, stds),
-    )
+    return means, stds

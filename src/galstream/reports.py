@@ -45,7 +45,7 @@ from .harness import (
     query_days,
     row_means,
 )
-from .metrics import EVAL_CATEGORIES, PERFORMANCE_METRICS, PerformanceSeries, rolling_mean_std
+from .metrics import EVAL_CATEGORIES, PERFORMANCE_METRICS, rolling_mean_std
 from .stats import anova_oneway, kruskal_wallis
 
 NA = "NA"
@@ -115,15 +115,14 @@ def _aggregate_rows(config, aggregate):
 
 
 def _rolling_rows(config, table: DailyTable):
-    for (strategy, category, metric), _, values in table.groups():
+    for (strategy, category, metric), values in table.groups():
         per_day = row_means(values.T)  # each day's mean over its bootstraps
         if not per_day:
             continue
-        days = table.days[~np.isnan(values).all(axis=0)]
-        series = PerformanceSeries(metric, days, per_day)
-        means, stds = rolling_mean_std(series, config.rolling_window)
-        for day, mean, std in zip(means.days, means.values, stds.values):
-            yield (strategy, category, metric, day, float(mean), float(std))
+        days = table.days[~np.isnan(values).all(axis=0)].tolist()
+        means, stds = rolling_mean_std(per_day, config.rolling_window)
+        for day, mean, std in zip(days, means.tolist(), stds.tolist()):
+            yield (strategy, category, metric, day, mean, std)
 
 
 def _strategy_logs(config, query_logs) -> dict[str, list[QueryLog]]:
@@ -199,14 +198,14 @@ def _correlation_rows(config, per_strategy, dataset):
 def _significance_observations(config, table: DailyTable, cpis):
     """Per (category, metric): strategy -> observation list."""
     obs: dict[tuple[str, str], dict[str, list[float]]] = {}
-    for (strategy, category, metric), keys, values in table.groups():
+    for (strategy, category, metric), values in table.groups():
         if config.significance_unit == "day":
             values = values[~np.isnan(values)].tolist()  # bootstrap then day order
         else:  # bootstrap_mean
             values = row_means(values)
         if values:
             obs.setdefault((category, metric), {})[strategy] = values
-        defined = [cpis[k] for k in keys if cpis[k] is not None]
+        defined = cpis[(strategy, category, metric)]
         if defined:
             obs.setdefault((category, f"cpi_{metric}"), {})[strategy] = defined
     return obs

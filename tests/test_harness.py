@@ -25,6 +25,7 @@ from galstream.config import INI_KEYS, config_to_dict
 from galstream.datasets import Dataset, DayFrame, Split, save_dataset
 from galstream.exceptions import DataFormatError
 from galstream.harness import aggregate_records, compute_cpis, load_configured_dataset
+from galstream.metrics import PERFORMANCE_METRICS
 from galstream.reports import REPORT_FILES, read_daily_records
 
 DERIVED = (
@@ -217,9 +218,29 @@ class TestRunExperiment:
 
     def test_cpi_of_constant_series_is_defined(self, small_run):
         _, result = small_run
-        defined = [v for v in result.cpis.values() if v is not None]
+        defined = [v for group in result.cpis.values() for v in group]
         assert defined
         assert all(0.0 <= v <= 1.0 for v in defined)
+
+    def test_cpi_is_taken_over_evenly_spaced_defined_days(self):
+        nan = np.nan
+        config = ExperimentConfig(strategies=("random",), bootstraps=4)
+        table = harness.DailyTable(config, (2, 3, 4, 5, 6))
+        accuracy, precision = (PERFORMANCE_METRICS.index(m) for m in ("accuracy", "precision"))
+        table.values[0, :, :, 0, accuracy] = [
+            [0.5, 0.6, 0.7, 0.8, 0.9],  # every day defined: CPI 0.7
+            [nan, nan, 0.4, 0.6, 0.8],  # leading days undefined: CPI 0.6 over days 4-6
+            [0.5, nan, 0.5, 0.5, 0.5],  # an interior day undefined: no CPI
+            [nan, nan, nan, 0.9, nan],  # one defined day: no CPI
+        ]
+        table.values[0, :, :, 0, precision] = [[nan] * 5] * 4
+        table.values[0, 2, :, 0, precision] = [0.5, nan, 0.5, 0.5, 0.5]  # its only series
+        aggregate = aggregate_records(table, compute_cpis(table))
+        mean, std, n = aggregate[("random", "test_set_same_day", "cpi_accuracy")]
+        assert (mean, std, n) == (pytest.approx(0.65), pytest.approx(0.05), 2)
+        assert aggregate[("random", "test_set_same_day", "accuracy")][2] == 4
+        assert aggregate[("random", "test_set_same_day", "precision")][2] == 1
+        assert ("random", "test_set_same_day", "cpi_precision") not in aggregate
 
     def test_run_validates_against_dataset(self, tmp_path):
         config = small_config(tmp_path, queries_per_day=50)
@@ -492,6 +513,8 @@ class TestConfigFile:
             validate_config(ExperimentConfig(strategies=("quantum",)))
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(gap_thresholds=(0,)))
+        with pytest.raises(ConfigError, match="gap_thresholds must not repeat"):
+            validate_config(ExperimentConfig(gap_thresholds=(1, 1)))
 
 
 def _replacing(old, new):
@@ -538,6 +561,7 @@ class TestCli:
             "[synthetic]\nnodes = 12\ndays = 8\nfeature_dim = 2\nregime_period = 3\n\n"
             "[experiment]\nstrategies = random, degree, no_al\ninitial_days = 2\n"
             f"queries_per_day = {kv.get('k', 2)}\nbootstraps = 2\n"
+            f"gap_thresholds = {kv.get('gaps', '1,2,3,4,5')}\n"
             f"output_dir = {tmp_path / 'results'}\n\n"
             "[model]\nepochs = 10\n"
         )
@@ -560,6 +584,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "queries_per_day" in err
+
+    def test_repeated_gap_threshold_rejected(self, tmp_path, capsys):
+        ini = self.write_config(tmp_path, gaps="1,3,1")
+        for command in ("validate", "run"):
+            assert cli_main([command, "--config", str(ini)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "gap_thresholds must not repeat" in err
+        assert not (tmp_path / "results").exists()
 
     def test_synth_then_run_on_files(self, tmp_path, capsys):
         ini = self.write_config(tmp_path)

@@ -20,7 +20,6 @@ from metric_oracles import (
 from galstream import (
     PERFORMANCE_METRICS,
     EvalSlice,
-    PerformanceSeries,
     compute_metric,
     rolling_mean_std,
 )
@@ -133,11 +132,10 @@ def test_rolling_mean_std_matches_loop_reference():
         values = rng.random(size)
         if rng.random() < 1 / 3:  # few distinct values, so windows hold ties
             values = values.round(2)
-        series = PerformanceSeries("accuracy", tuple(range(size)), values)
-        means, stds = rolling_mean_std(series, window)
+        means, stds = rolling_mean_std(values, window)
         want_means, want_stds = oracle_rolling_mean_std(values, window)
-        assert means.values.tobytes() == want_means.tobytes(), (size, window)
-        assert stds.values.tobytes() == want_stds.tobytes(), (size, window)
+        assert means.tobytes() == want_means.tobytes(), (size, window)
+        assert stds.tobytes() == want_stds.tobytes(), (size, window)
 
 
 def test_unknown_metric_rejected():

@@ -117,14 +117,23 @@ def over_exertion(log: QueryLog, threshold: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = math.sqrt(float((xc * xc).sum()))
-    sy = math.sqrt(float((yc * yc).sum()))
+def _centred(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``v`` minus its mean, and the root of its sum of squares."""
+    vc = v - v.mean()
+    return vc, math.sqrt(float((vc * vc).sum()))
+
+
+def _correlate(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
+    """Pearson correlation of two :func:`_centred` sides."""
+    (xc, sx), (yc, sy) = x, y
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation is undefined when either side has zero variance")
     return float((xc * yc).sum() / (sx * sy))
+
+
+def _side(v: np.ndarray, method: str) -> tuple[np.ndarray, float]:
+    """One side of a correlation: ranked for Spearman, then centred."""
+    return _centred(average_ranks(v) if method == "spearman" else v)
 
 
 def burden_quantity(log: QueryLog, quantity: str) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +150,13 @@ def burden_quantity(log: QueryLog, quantity: str) -> tuple[np.ndarray, np.ndarra
     raise ValueError(f"unknown burden quantity {quantity!r}")
 
 
+def _correlated_nodes(log: QueryLog, quantity: str) -> tuple[np.ndarray, np.ndarray]:
+    nodes, y = burden_quantity(log, quantity)
+    if nodes.size < 3:
+        raise ValueError("need at least three nodes with a defined burden quantity")
+    return nodes, y
+
+
 def centrality_burden_correlation(
     log: QueryLog,
     g: Graph,
@@ -152,14 +168,41 @@ def centrality_burden_correlation(
     if method not in CORRELATION_METHODS:
         raise ValueError(f"unknown correlation method {method!r}")
     values = centrality(g, centrality_metric).values
-    nodes, y = burden_quantity(log, quantity)
-    if nodes.size < 3:
-        raise ValueError("need at least three nodes with a defined burden quantity")
-    x = values[nodes]
-    if method == "spearman":
-        x = average_ranks(x)
-        y = average_ranks(y)
-    return _pearson(x, y)
+    nodes, y = _correlated_nodes(log, quantity)
+    return _correlate(_side(values[nodes], method), _side(y, method))
+
+
+def centrality_burden_correlations(
+    log: QueryLog, g: Graph
+) -> dict[tuple[str, str, str], float]:
+    """Each defined correlation of ``log``, keyed (centrality, quantity, method).
+
+    Every value has the bits of its :func:`centrality_burden_correlation`
+    call. Each quantity's burden side, ranked for Spearman and centred, is
+    prepared once and shared by every centrality.
+    """
+    centralities = {}
+    for metric in CENTRALITY_METRICS:
+        try:
+            centralities[metric] = centrality(g, metric).values
+        except (ValueError, ConvergenceError):
+            pass
+    out = {}
+    for quantity in BURDEN_QUANTITIES:
+        try:
+            nodes, y = _correlated_nodes(log, quantity)
+        except ValueError:
+            continue
+        sides = {method: _side(y, method) for method in CORRELATION_METHODS}
+        for metric, values in centralities.items():
+            for method in CORRELATION_METHODS:
+                try:
+                    out[metric, quantity, method] = _correlate(
+                        _side(values[nodes], method), sides[method]
+                    )
+                except ValueError:
+                    pass
+    return out
 
 
 def normalized_centrality(g: Graph, metric: str) -> np.ndarray:

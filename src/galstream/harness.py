@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +83,8 @@ class DailyTable:
         self.values = np.full(shape, np.nan)
         exists = np.array(units)[:, :, None, None] & np.array(scored)[:, None, None, :]
         self.exists = np.broadcast_to(exists[..., None], shape)
+        # each (strategy, category, metric) group, in the order of series()
+        self.keys = list(product(self.strategies, EVAL_CATEGORIES, PERFORMANCE_METRICS))
         self._units = {(self.strategies[s], b): s for s, b in np.argwhere(units).tolist()}
         self._days, self._categories, self._metrics = (
             {name: i for i, name in enumerate(names)}
@@ -127,22 +130,31 @@ class DailyTable:
     def __eq__(self, other) -> bool:
         return isinstance(other, DailyTable) and list(self) == list(other)
 
-    def groups(self):
-        """Each (strategy, category, metric) with its (series, day) values.
+    def series(self) -> np.ndarray:
+        """Every series as a (group, bootstrap, day) array, its groups in ``keys`` order.
 
-        A group holds the series that exist, one per bootstrap, in bootstrap order.
+        A bootstrap the group's strategy did not run or does not score
+        leaves its row undefined.
         """
-        for s, strategy in enumerate(self.strategies):
-            for c, category in enumerate(EVAL_CATEGORIES):
-                bootstraps = np.flatnonzero(self.exists[s, :, 0, c, 0])
-                for m, metric in enumerate(PERFORMANCE_METRICS):
-                    yield (strategy, category, metric), self.values[s, bootstraps, :, c, m]
+        grid = np.moveaxis(self.values, (1, 2), (3, 4))
+        return grid.reshape(len(self.keys), *self.values.shape[1:3])
 
 
-def row_means(values: np.ndarray) -> list[float]:
-    """The mean of each row over its defined (non-NaN) values; rows with none drop out."""
-    defined = (row[~np.isnan(row)] for row in values)
-    return [float(np.mean(row)) for row in defined if row.size]
+def row_means(values: np.ndarray) -> np.ndarray:
+    """Each row's mean over its defined (non-NaN) values, along the last axis; NaN where none is.
+
+    Rows with the same count of defined values are packed into one
+    C-contiguous matrix and reduced along its rows, which sums each row as
+    ``np.mean`` sums it on its own, so every mean keeps its bits.
+    """
+    rows = np.reshape(values, (-1, np.shape(values)[-1]))
+    defined = ~np.isnan(rows)
+    counts = np.count_nonzero(defined, axis=1)
+    out = np.full(counts.size, np.nan)
+    for k in np.unique(counts[counts > 0]).tolist():
+        group = np.flatnonzero(counts == k)
+        out[group] = rows[group][defined[group]].reshape(group.size, k).mean(axis=1)
+    return out.reshape(np.shape(values)[:-1])
 
 
 @dataclass
@@ -347,10 +359,12 @@ def compute_cpis(table: DailyTable) -> dict[tuple[str, str, str], list[float]]:
     between defined ones, so the defined days are not uniformly spaced.
     """
     out: dict[tuple[str, str, str], list[float]] = {}
-    for key, values in table.groups():
+    for key, values in zip(table.keys, table.series()):
         out[key] = []
         for series in values:
             defined = ~np.isnan(series)
+            if np.count_nonzero(defined) < 2:  # no CPI; rows of failed or unscored units too
+                continue
             try:
                 out[key].append(cpi(table.days[defined], series[defined]))
             except ValueError:
@@ -377,8 +391,8 @@ def aggregate_records(
     ``cpi_<metric>``.
     """
     out: dict[tuple[str, str, str], tuple[float, float, int]] = {}
-    for (strategy, category, metric), values in table.groups():
-        means = row_means(values)
+    for (strategy, category, metric), means in zip(table.keys, row_means(table.series())):
+        means = means[~np.isnan(means)].tolist()
         if means:
             out[(strategy, category, metric)] = mean_std(means)
         defined = cpis[(strategy, category, metric)]

@@ -15,6 +15,7 @@ import csv
 import json
 import os
 from datetime import datetime, timezone
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from .burden import (
     CORRELATION_METHODS,
     QueryLog,
     average_time_gap,
-    centrality_burden_correlation,
+    centrality_burden_correlation,  # noqa: F401 - perfbench/spans.py traces this name here
+    centrality_burden_correlations,
     coverage_ratio,
     mean_normalized_centrality,
     over_exertion,
@@ -115,13 +117,14 @@ def _aggregate_rows(config, aggregate):
 
 
 def _rolling_rows(config, table: DailyTable):
-    for (strategy, category, metric), values in table.groups():
-        per_day = row_means(values.T)  # each day's mean over its bootstraps
-        if not per_day:
+    # each day's mean over its group's bootstraps
+    per_day = row_means(np.swapaxes(table.series(), 1, 2))
+    for (strategy, category, metric), day_means in zip(table.keys, per_day):
+        defined = ~np.isnan(day_means)
+        if not defined.any():
             continue
-        days = table.days[~np.isnan(values).all(axis=0)].tolist()
-        means, stds = rolling_mean_std(per_day, config.rolling_window)
-        for day, mean, std in zip(days, means.tolist(), stds.tolist()):
+        means, stds = rolling_mean_std(day_means[defined], config.rolling_window)
+        for day, mean, std in zip(table.days[defined].tolist(), means.tolist(), stds.tolist()):
             yield (strategy, category, metric, day, mean, std)
 
 
@@ -183,26 +186,22 @@ def _heatmap_rows(config, per_strategy, dataset):
 
 def _correlation_rows(config, per_strategy, dataset):
     for strategy in config.strategies:
-        for metric in CENTRALITY_METRICS:
-            for quantity in BURDEN_QUANTITIES:
-                for method in CORRELATION_METHODS:
-                    stats = _over_logs(
-                        lambda log: centrality_burden_correlation(
-                            log, dataset.graph, metric, quantity, method
-                        ),
-                        per_strategy[strategy],
-                    )
-                    yield (strategy, metric, quantity, method, *stats)
+        defined: dict[tuple[str, str, str], list[float]] = {}
+        for log in per_strategy[strategy]:
+            for key, value in centrality_burden_correlations(log, dataset.graph).items():
+                defined.setdefault(key, []).append(value)
+        for key in product(CENTRALITY_METRICS, BURDEN_QUANTITIES, CORRELATION_METHODS):
+            yield (strategy, *key, *mean_std(defined.get(key, [])))
 
 
 def _significance_observations(config, table: DailyTable, cpis):
     """Per (category, metric): strategy -> observation list."""
     obs: dict[tuple[str, str], dict[str, list[float]]] = {}
-    for (strategy, category, metric), values in table.groups():
-        if config.significance_unit == "day":
-            values = values[~np.isnan(values)].tolist()  # bootstrap then day order
-        else:  # bootstrap_mean
-            values = row_means(values)
+    series = table.series()
+    if config.significance_unit == "bootstrap_mean":
+        series = row_means(series)
+    for (strategy, category, metric), values in zip(table.keys, series):
+        values = values[~np.isnan(values)].tolist()  # in bootstrap (then day) order
         if values:
             obs.setdefault((category, metric), {})[strategy] = values
         defined = cpis[(strategy, category, metric)]
@@ -337,6 +336,91 @@ def _report_rows(path: str | Path, header: list[str], parse):
                 raise DataFormatError(path, reader.line_num, str(exc)) from None
 
 
+# Report CSVs are read in blocks of lines of about this many bytes, so that
+# a block's strings stay small next to the arrays they fill.
+_BLOCK_BYTES = 1 << 16
+
+
+class _Recheck(Exception):
+    """A block of rows failed a check; reading the file row by row names the first bad line."""
+
+
+def _report_columns(path: str | Path, header: list[str]):
+    """Each block of a report CSV's rows, as one sequence of strings per column.
+
+    The rows are those :func:`_report_rows` reads. A block of plain lines is
+    split on commas and newlines in one call. A wrong header or row width,
+    or a block with a quote, a carriage return or a blank line, raises
+    :class:`_Recheck`, so such a file is read row by row.
+    """
+    width = len(header)
+    with open(path, newline="") as fh:
+        if next(csv.reader([fh.readline()]), None) != header:
+            raise _Recheck
+        while lines := fh.readlines(_BLOCK_BYTES):
+            text = "".join(lines)
+            if '"' in text or "\r" in text or "\n\n" in text or text.startswith("\n"):
+                raise _Recheck
+            # every line is its fields followed by one "\n" token
+            if not text.endswith("\n"):
+                text += "\n"
+            tokens = text.replace("\n", ",\n,").split(",")[:-1]
+            span = width + 1
+            if len(tokens) % span or tokens[width::span].count("\n") != len(tokens) // span:
+                raise _Recheck
+            yield [tokens[i::span] for i in range(width)]
+
+
+def _positions(*vocabularies) -> list[dict[str, int]]:
+    """Each vocabulary as a map from an entry's text to its position.
+
+    A number is known by its plain decimal text only, which is stricter
+    than the ``int`` of the row-by-row check.
+    """
+    return [{str(name): i for i, name in enumerate(names)} for names in vocabularies]
+
+
+def _codes(columns, positions) -> list[np.ndarray]:
+    """Each column's entries as positions in its vocabulary; :class:`_Recheck` if one has none."""
+    try:
+        return [
+            np.fromiter(map(position.__getitem__, column), np.intp, len(column))
+            for column, position in zip(columns, positions)
+        ]
+    except KeyError:
+        raise _Recheck from None
+
+
+def _fill_daily(path: str | Path, table: DailyTable, written: np.ndarray) -> None:
+    """Put each row of ``daily.csv`` in its cell; :class:`_Recheck` if any row fails a check."""
+    positions = _positions(
+        table.strategies,
+        range(table.values.shape[1]),
+        table.days.tolist(),
+        EVAL_CATEGORIES,
+        PERFORMANCE_METRICS,
+    )
+    rows = 0
+    for *names, values in _report_columns(path, _DAILY_HEADER):
+        cell = tuple(_codes(names, positions))
+        try:
+            parsed = {text: np.nan if text == NA else float(text) for text in dict.fromkeys(values)}
+        except ValueError:
+            raise _Recheck from None
+        v = np.fromiter(parsed.values(), float, len(parsed))
+        if np.count_nonzero(~((v >= 0.0) & (v <= 1.0))) != (NA in parsed):  # NA's NaN only
+            raise _Recheck
+        if not table.exists[cell].all():
+            raise _Recheck
+        flat = np.ravel_multi_index(cell, written.shape)
+        written.reshape(-1)[flat] = True
+        v = np.fromiter(map(parsed.__getitem__, values), float, len(values))
+        table.values.reshape(-1)[flat] = v
+        rows += len(values)
+    if rows != np.count_nonzero(written):  # a cell was written twice, in one block or two
+        raise _Recheck
+
+
 def read_daily_records(
     path: str | Path,
     config: ExperimentConfig,
@@ -353,6 +437,11 @@ def read_daily_records(
     value is neither ``NA`` nor in [0, 1]; or if its cell was already
     written. The first bad line of the file is the one reported. A file
     that leaves a cell empty is rejected, naming the first such cell.
+
+    The rows are checked as whole columns, a bounded block at a time. Only
+    when a block fails a check is the file read again row by row, which
+    finds the first bad line, or accepts a row the block check was stricter
+    about.
     """
     table = DailyTable(config, query_days(config, dataset), failed)
     written = np.zeros(table.values.shape, dtype=bool)
@@ -366,12 +455,42 @@ def read_daily_records(
             raise ValueError(f"repeats {table.describe(cell)}")
         return cell, v
 
-    for cell, v in _report_rows(path, _DAILY_HEADER, row):
-        written[cell], table.values[cell] = True, v
+    try:
+        _fill_daily(path, table, written)
+    except _Recheck:
+        table.values.fill(np.nan)
+        written.fill(False)
+        for cell, v in _report_rows(path, _DAILY_HEADER, row):
+            written[cell], table.values[cell] = True, v
     empty = np.argwhere(table.exists & ~written)
     if empty.size:
         raise DataFormatError(path, None, f"no row for {table.describe(empty[0].tolist())}")
     return table
+
+
+def _add_queries(path: str | Path, config, dataset, days, pools, events) -> None:
+    """Add each row of ``queries.csv`` to its unit's events; :class:`_Recheck` on any bad row."""
+    bootstraps, nodes = range(config.bootstraps), range(dataset.node_count)
+    positions = _positions(config.strategies, bootstraps, days, nodes)
+    blocks = [_codes(columns, positions) for columns in _report_columns(path, _QUERY_HEADER)]
+    if not blocks:
+        return
+    s, b, d, n = map(np.concatenate, zip(*blocks))
+    units = list(product(config.strategies, bootstraps))
+    logged = np.array([key in events for key in units])
+    in_pool = np.zeros((config.bootstraps, dataset.node_count), dtype=bool)
+    for i, pool in pools.items():
+        in_pool[i, list(pool)] = True
+    unit = s * config.bootstraps + b
+    query = np.ravel_multi_index((unit, d, n), (len(units), len(days), dataset.node_count))
+    if not (logged[unit].all() and in_pool[b, n].all() and np.unique(query).size == query.size):
+        raise _Recheck
+    order = np.argsort(unit, kind="stable")
+    bounds = np.searchsorted(unit[order], np.arange(len(units) + 1)).tolist()
+    pairs = list(zip(np.array(days)[d[order]].tolist(), n[order].tolist()))
+    for u, key in enumerate(units):
+        if key in events:
+            events[key].update(pairs[bounds[u] : bounds[u + 1]])
 
 
 def read_query_logs(
@@ -387,7 +506,8 @@ def read_query_logs(
     rejected with its line if its pair has no log (a strategy the config
     does not run, a bootstrap out of range, or a failed pair), if it queries
     a node outside its pool, if its day is not a query day, or if it repeats
-    an earlier row.
+    an earlier row. As in :func:`read_daily_records`, the rows are checked
+    as whole columns, and only a file that fails a check is read row by row.
     """
     pools = {
         b: frozenset(make_split(dataset, config.holdout_fraction, config.base_seed + b).pool)
@@ -396,7 +516,7 @@ def read_query_logs(
     events: dict[tuple[str, int], set[tuple[int, int]]] = {
         (s, b): set() for s in config.strategies for b in pools if (s, b) not in failed
     }
-    days = set(query_days(config, dataset))
+    days = query_days(config, dataset)
 
     def event(strategy, bootstrap, day, node):
         key, day, node = (strategy, int(bootstrap)), int(day), int(node)
@@ -410,8 +530,13 @@ def read_query_logs(
             raise ValueError(f"repeats the query of node {node} on day {day}")
         return key, day, node
 
-    for key, day, node in _report_rows(path, _QUERY_HEADER, event):
-        events[key].add((day, node))
+    try:
+        _add_queries(path, config, dataset, days, pools, events)
+    except _Recheck:
+        for unit_events in events.values():
+            unit_events.clear()
+        for key, day, node in _report_rows(path, _QUERY_HEADER, event):
+            events[key].add((day, node))
     return {key: QueryLog.from_events(pools[key[1]], pairs) for key, pairs in events.items()}
 
 
@@ -424,7 +549,13 @@ def recompute_reports(result_dir: str | Path) -> dict[str, Path]:
     manifest = read_manifest(manifest_path)
     config = config_from_dict(manifest["config"])
     dataset = load_configured_dataset(config)
-    failed = {(s, int(b)) for s, b, _ in manifest.get("failures", [])}
+    failed = set()
+    for strategy, bootstrap, _ in manifest.get("failures", []):
+        if strategy not in config.strategies or not 0 <= bootstrap < config.bootstraps:
+            raise ConfigError(
+                f"{manifest_path}: failures entry {[strategy, bootstrap]} names no unit of this run"
+            )
+        failed.add((strategy, bootstrap))
     records = read_daily_records(out / "daily.csv", config, dataset, failed)
     query_logs = read_query_logs(out / "queries.csv", config, dataset, failed)
     cpis = compute_cpis(records)

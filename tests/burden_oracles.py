@@ -4,7 +4,9 @@ These are the node-at-a-time versions of the burden routines: each walks
 ``QueryLog.days_by_node`` and rebuilds a node's gaps between consecutive
 query days wherever it needs them. The library reads the summary arrays
 ``QueryLog`` computes once; the tests require equal results, not close
-ones, because the arrays keep every value's arithmetic and order. Slow on
+ones, because the arrays keep every value's arithmetic and order. The
+correlation oracle ranks and centres both sides on every call, where the
+library prepares each burden side once for every centrality. Slow on
 purpose.
 """
 
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from galstream.burden import BURDEN_QUANTITIES, CORRELATION_METHODS, _pearson, normalized_centrality
+from galstream.burden import BURDEN_QUANTITIES, CORRELATION_METHODS, normalized_centrality
 from galstream.exceptions import ConvergenceError
 from galstream.graphs import CENTRALITY_METRICS, centrality
 from galstream.stats import average_ranks
@@ -90,6 +92,16 @@ def oracle_burden_quantity(log, quantity):
     return out
 
 
+def oracle_pearson(x, y):
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sx = math.sqrt(float((xc * xc).sum()))
+    sy = math.sqrt(float((yc * yc).sum()))
+    if sx == 0.0 or sy == 0.0:
+        raise ValueError("correlation is undefined when either side has zero variance")
+    return float((xc * yc).sum() / (sx * sy))
+
+
 def oracle_centrality_burden_correlation(log, g, centrality_metric, quantity, method):
     if method not in CORRELATION_METHODS:
         raise ValueError(f"unknown correlation method {method!r}")
@@ -103,7 +115,7 @@ def oracle_centrality_burden_correlation(log, g, centrality_metric, quantity, me
     if method == "spearman":
         x = average_ranks(x)
         y = average_ranks(y)
-    return _pearson(x, y)
+    return oracle_pearson(x, y)
 
 
 def oracle_mean_normalized_centrality(logs, g):

@@ -2,11 +2,13 @@
 
 These are the recount-per-metric versions of the threshold metrics, the
 element-at-a-time tie walks of average ranks, the Kruskal-Wallis tie
-correction, AUC-ROC and AUC-PR, and the window-at-a-time rolling mean and
-std. The library counts each slice's confusion matrix once, groups tied
-values in one place and reduces every full rolling window in one call;
-the tests require the same bits, not close values, because both keep
-every value's arithmetic and summation order. Slow on purpose.
+correction, AUC-ROC and AUC-PR, the window-at-a-time rolling mean and
+std, and the row-at-a-time mean over defined values. The library counts
+each slice's confusion matrix once, groups tied values in one place, and
+reduces every full rolling window, and every row with the same count of
+defined values, in one call; the tests require the same bits, not close
+values, because both keep every value's arithmetic and summation order.
+Slow on purpose.
 """
 
 import numpy as np
@@ -144,3 +146,9 @@ def oracle_rolling_mean_std(values, window):
         means[i] = chunk.mean()
         stds[i] = chunk.std()
     return means, stds
+
+
+def oracle_row_means(values):
+    """The mean of each row over its defined (non-NaN) values; rows with none drop out."""
+    defined = (row[~np.isnan(row)] for row in values)
+    return [float(np.mean(row)) for row in defined if row.size]

@@ -3,7 +3,11 @@
 ``QueryLog`` summarises a log once and every burden measure reads that
 summary; ``burden_oracles`` rebuilds each node's gaps wherever it needs
 them. The tests require the same bits, or the same error, on every log.
+The report's correlations, which prepare each burden side once for every
+centrality, are held to the oracle's bits cell by cell.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from burden_oracles import (
@@ -29,6 +33,7 @@ from galstream import (
     sampling_entropy,
     within_gap_percentage,
 )
+from galstream import reports
 from galstream.burden import BURDEN_QUANTITIES, CORRELATION_METHODS, burden_quantity
 from galstream.exceptions import ConvergenceError
 
@@ -133,3 +138,30 @@ def test_graph_measures_match_loop_reference():
                         got = _outcome(centrality_burden_correlation, *args)
                         want = _outcome(oracle_centrality_burden_correlation, *args)
                         assert got == want, (metric, quantity, method)
+
+
+def test_report_correlations_match_loop_reference():
+    rng = np.random.default_rng(1111)
+    logs = list(_logs(rng))[:70]
+    logs.append(QueryLog(tuple(range(10)), {1: (1, 3), 2: (2, 5), 3: (4,)}))  # 2 re-queried
+    assert any(log.total_queries == 0 for log in logs)  # as a no_al log is
+    strategies = tuple(f"s{i}" for i in range(8))
+    per_strategy = {s: logs[i::8] for i, s in enumerate(strategies)}
+    config = SimpleNamespace(strategies=strategies)
+    for connected in (False, True):
+        g = random_graph(rng, 50, 0.08, connected=connected)
+        got = list(reports._correlation_rows(config, per_strategy, SimpleNamespace(graph=g)))
+        want = [
+            (strategy, metric, quantity, method, *reports._over_logs(
+                lambda log: oracle_centrality_burden_correlation(log, g, metric, quantity, method),
+                per_strategy[strategy],
+            ))
+            for strategy in strategies
+            for metric in CENTRALITY_METRICS
+            for quantity in BURDEN_QUANTITIES
+            for method in CORRELATION_METHODS
+        ]
+        assert [list(map(reports._fmt, row)) for row in got] == [
+            list(map(reports._fmt, row)) for row in want
+        ]
+        assert any(row[-1] == 0 for row in want) and any(row[-1] > 0 for row in want)

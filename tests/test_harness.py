@@ -650,6 +650,16 @@ class TestCli:
                 "failures",
             ),
             (
+                "run_manifest.json",
+                _replacing('"failures": []', '"failures": [["bogus", 0, "x"]]'),
+                "failures entry ['bogus', 0] names no unit of this run",
+            ),
+            (
+                "run_manifest.json",
+                _replacing('"failures": []', '"failures": [["random", 99, "x"]]'),
+                "failures entry ['random', 99] names no unit of this run",
+            ),
+            (
                 "daily.csv",
                 _inserting("random,x,2,test_set_same_day,accuracy,0.5"),
                 "daily.csv:2: invalid literal for int()",
@@ -754,6 +764,8 @@ class TestCli:
             "daily-short-row",
             "queries-header",
             "manifest-failure-entry",
+            "manifest-failure-unknown-strategy",
+            "manifest-failure-bootstrap-out-of-range",
             "daily-non-numeric",
             "queries-non-numeric",
             "daily-nan",

@@ -4,8 +4,9 @@
 the one grouping of tied values; ``metric_oracles`` recounts each metric
 and walks each run of ties element by element. The tests require the
 same bits, or the same error type, on every slice and vector.
-``rolling_mean_std`` reduces every full window in one call and is held
-to the same bits as reducing one window at a time.
+``rolling_mean_std`` reduces every full window in one call, and
+``harness.row_means`` every row with the same count of defined values;
+both are held to the same bits as reducing one window or row at a time.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from metric_oracles import (
     ORACLE_METRICS,
     oracle_average_ranks,
     oracle_rolling_mean_std,
+    oracle_row_means,
     oracle_tie_correction,
 )
 
@@ -24,6 +26,7 @@ from galstream import (
     rolling_mean_std,
 )
 from galstream.exceptions import UndefinedMetricError
+from galstream.harness import row_means
 from galstream.metrics import THRESHOLD
 from galstream.stats import _tie_correction, average_ranks, tie_runs
 
@@ -136,6 +139,49 @@ def test_rolling_mean_std_matches_loop_reference():
         want_means, want_stds = oracle_rolling_mean_std(values, window)
         assert means.tobytes() == want_means.tobytes(), (size, window)
         assert stds.tobytes() == want_stds.tobytes(), (size, window)
+
+
+def _with_gaps(rng, values):
+    """``values`` with NaN runs: leading, interior, whole rows, or none, row by row."""
+    for row in values:
+        kind = rng.integers(4)
+        if kind == 0:
+            row[: rng.integers(1, row.size + 1)] = np.nan
+        elif kind == 1:
+            row[rng.random(row.size) < rng.random()] = np.nan
+        elif kind == 2:
+            row[:] = np.nan
+    return values
+
+
+def test_row_means_match_loop_reference():
+    rng = np.random.default_rng(1414)
+    for _ in range(600):
+        length = int(rng.integers(1, 61))  # pairwise summation blocks by 8
+        values = _with_gaps(rng, rng.random((int(rng.integers(1, 25)), length)))
+        if rng.random() < 1 / 3:  # few distinct values
+            values = values.round(2)
+        values *= 10.0 ** rng.integers(-3, 4)
+        grid = values.reshape(1, *values.shape, 1)  # a grid whose rows are strided
+        for rows in (values, np.asfortranarray(values), values[::-1, ::-1], grid[0, :, :, 0]):
+            got = row_means(rows)
+            want = np.array(oracle_row_means(rows))
+            assert np.isnan(got).tolist() == np.isnan(rows).all(axis=1).tolist()
+            assert got[~np.isnan(got)].tobytes() == want.tobytes(), length
+        # a transposed slice: each column's mean over its defined rows
+        got = row_means(grid[0, :, :, 0].T)
+        want = np.array(oracle_row_means(values.T))
+        assert got[~np.isnan(got)].tobytes() == want.tobytes(), length
+
+
+def test_row_means_reduce_the_last_axis_of_any_grid():
+    rng = np.random.default_rng(1415)
+    grid = _with_gaps(rng, rng.random((60, 9))).reshape(3, 4, 5, 9)
+    got = row_means(grid)
+    assert got.shape == (3, 4, 5)
+    flat = got.reshape(-1)
+    want = np.array(oracle_row_means(grid.reshape(-1, 9)))
+    assert flat[~np.isnan(flat)].tobytes() == want.tobytes()
 
 
 def test_unknown_metric_rejected():

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -15,10 +16,17 @@ from .stats import average_ranks
 BURDEN_QUANTITIES = ("query_count", "min_gap", "mean_gap")
 CORRELATION_METHODS = ("pearson", "spearman")
 
+_NO_GAP = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class QueryLog:
-    """Which pool nodes were queried on which days, summarised once in ascending node order."""
+    """Which pool nodes were queried on which days, summarised once in ascending node order.
+
+    Every log is built from its events as arrays by one path, whether it
+    comes from a mapping of each node's days, from (day, node) events or
+    from an array of them.
+    """
 
     pool: tuple[int, ...]
     days_by_node: Mapping[int, tuple[int, ...]]
@@ -33,39 +41,60 @@ class QueryLog:
     mean_gaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pool = tuple(sorted(set(int(v) for v in self.pool)))
-        pool_set = set(pool)
-        by_node, min_gaps, mean_gaps = {}, [], []
-        for node, days in sorted(self.days_by_node.items()):
-            node = int(node)
-            if node not in pool_set:
-                raise ValueError(f"queried node {node} is not a pool node")
-            days = tuple(int(d) for d in days)
-            if len(days) > 1:
-                min_gaps.append(min(b - a for a, b in zip(days, days[1:])))
-                if min_gaps[-1] <= 0:
-                    raise ValueError(f"query days for node {node} must strictly increase")
-                mean_gaps.append((days[-1] - days[0]) / (len(days) - 1))
-            if days:
-                by_node[node] = days
-        sampled = np.array(list(by_node), dtype=np.intp)
-        counts = np.array([len(days) for days in by_node.values()], dtype=np.int64)
-        object.__setattr__(self, "pool", pool)
-        object.__setattr__(self, "days_by_node", by_node)
-        object.__setattr__(self, "total_queries", int(counts.sum()))
-        object.__setattr__(self, "sampled", sampled)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "requeried", sampled[counts > 1])
-        object.__setattr__(self, "min_gaps", np.array(min_gaps, dtype=np.int64))
-        object.__setattr__(self, "mean_gaps", np.array(mean_gaps, dtype=float))
+        keys = np.fromiter(self.days_by_node, np.intp, len(self.days_by_node))
+        lengths = np.fromiter(map(len, self.days_by_node.values()), np.intp, keys.size)
+        days = np.fromiter(chain.from_iterable(self.days_by_node.values()), np.int64)
+        nodes = np.repeat(keys, lengths)
+        order = np.argsort(nodes, kind="stable")  # each node's days keep their order
+        self._summarise(self.pool, nodes[order], days[order], keys)
 
     @classmethod
-    def from_events(cls, pool: Iterable[int], events: Iterable[tuple[int, int]]) -> "QueryLog":
-        """Build from (day, node) events; days need not arrive sorted."""
-        by_node: dict[int, list[int]] = {}
-        for day, node in events:
-            by_node.setdefault(int(node), []).append(int(day))
-        return cls(tuple(pool), {n: tuple(sorted(d)) for n, d in by_node.items()})
+    def from_events(cls, pool: Iterable[int], events) -> "QueryLog":
+        """Build from (day, node) events, or an (events, 2) array of them, in any order."""
+        if not isinstance(events, np.ndarray):
+            events = np.array(list(events), dtype=np.int64)
+        days, nodes = events.reshape(-1, 2).T
+        order = np.lexsort((days, nodes))
+        log = object.__new__(cls)
+        log._summarise(pool, nodes[order].astype(np.intp), days[order].astype(np.int64))
+        return log
+
+    def _summarise(self, pool, nodes: np.ndarray, days: np.ndarray, keys=None) -> None:
+        """Set every field from the events ``(nodes, days)``: sorted by node, each node's
+        days in their given order. ``keys``, the nodes a mapping named, queried or
+        not, must lie in the pool too."""
+        pool = sorted({int(v) for v in pool})
+        first_event = np.ones(nodes.size, dtype=bool)
+        first_event[1:] = nodes[1:] != nodes[:-1]
+        starts = np.flatnonzero(first_event)
+        sampled = nodes[starts]
+        counts = np.append(starts[1:], nodes.size) - starts
+        gaps = days[1:] - days[:-1]
+        between = first_event[1:]  # the gaps from one node's last day to the next node's first
+        outside = sorted(set((sampled if keys is None else keys).tolist()).difference(pool))
+        unordered = nodes[1:][~between & (gaps <= 0)]
+        # the smallest offending node is reported, its pool check before its days
+        if outside and not (unordered.size and unordered[0] < outside[0]):
+            raise ValueError(f"queried node {outside[0]} is not a pool node")
+        if unordered.size:
+            raise ValueError(f"query days for node {unordered[0]} must strictly increase")
+        again = counts > 1
+        first = starts[again]
+        last = first + counts[again] - 1
+        bounds = starts.tolist() + [nodes.size]
+        listed = days.tolist()
+        by_node = {
+            node: tuple(listed[a:b]) for node, a, b in zip(sampled.tolist(), bounds, bounds[1:])
+        }
+        gaps[between] = _NO_GAP  # so that they never win a node's smallest gap
+        object.__setattr__(self, "pool", tuple(pool))
+        object.__setattr__(self, "days_by_node", by_node)
+        object.__setattr__(self, "total_queries", int(nodes.size))
+        object.__setattr__(self, "sampled", sampled)
+        object.__setattr__(self, "counts", counts.astype(np.int64))
+        object.__setattr__(self, "requeried", sampled[again])
+        object.__setattr__(self, "min_gaps", np.minimum.reduceat(gaps, first))
+        object.__setattr__(self, "mean_gaps", (days[last] - days[first]) / (counts[again] - 1))
 
     @property
     def pool_size(self) -> int:
@@ -117,23 +146,30 @@ def over_exertion(log: QueryLog, threshold: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _centred(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """``v`` minus its mean, and the root of its sum of squares."""
-    vc = v - v.mean()
-    return vc, math.sqrt(float((vc * vc).sum()))
+def _centred(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` minus its mean along the last axis, and the root of its sum of squares."""
+    vc = v - v.mean(axis=-1, keepdims=True)
+    return vc, np.sqrt((vc * vc).sum(axis=-1))
 
 
-def _correlate(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
-    """Pearson correlation of two :func:`_centred` sides."""
+def _correlations(x: tuple[np.ndarray, ...], y: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Pearson correlations of :func:`_centred` sides, along the last axis; NaN where
+    either side has zero variance.
+
+    Each product is summed along a row of one C-contiguous array, which sums
+    it as one pair of vectors is summed on its own.
+    """
     (xc, sx), (yc, sy) = x, y
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("correlation is undefined when either side has zero variance")
-    return float((xc * yc).sum() / (sx * sy))
+    defined = (sx != 0.0) & (sy != 0.0)
+    out = np.full(defined.shape, np.nan)
+    return np.divide((xc * yc).sum(axis=-1), sx * sy, out=out, where=defined)
 
 
-def _side(v: np.ndarray, method: str) -> tuple[np.ndarray, float]:
-    """One side of a correlation: ranked for Spearman, then centred."""
-    return _centred(average_ranks(v) if method == "spearman" else v)
+def _sides(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The correlation sides of each row of ``v`` by every method in
+    ``CORRELATION_METHODS``: the row, then its average ranks, stacked on a new
+    leading axis and centred."""
+    return _centred(np.stack([v, average_ranks(v)]))
 
 
 def burden_quantity(log: QueryLog, quantity: str) -> tuple[np.ndarray, np.ndarray]:
@@ -169,39 +205,52 @@ def centrality_burden_correlation(
         raise ValueError(f"unknown correlation method {method!r}")
     values = centrality(g, centrality_metric).values
     nodes, y = _correlated_nodes(log, quantity)
-    return _correlate(_side(values[nodes], method), _side(y, method))
+    m = CORRELATION_METHODS.index(method)
+    (xc, sx), (yc, sy) = _sides(values[nodes]), _sides(y)
+    r = _correlations((xc[m], sx[m]), (yc[m], sy[m]))
+    if np.isnan(r):
+        raise ValueError("correlation is undefined when either side has zero variance")
+    return float(r)
 
 
-def centrality_burden_correlations(
-    log: QueryLog, g: Graph
-) -> dict[tuple[str, str, str], float]:
-    """Each defined correlation of ``log``, keyed (centrality, quantity, method).
+def centrality_burden_correlations(logs: Sequence[QueryLog], g: Graph) -> np.ndarray:
+    """Every correlation of each log, as a (log, centrality, quantity, method) array;
+    NaN where undefined.
 
     Every value has the bits of its :func:`centrality_burden_correlation`
-    call. Each quantity's burden side, ranked for Spearman and centred, is
-    prepared once and shared by every centrality.
+    call. The burden sides are grouped by their node set: a bootstrap's pool,
+    which the ``query_count`` of all its logs share, or a log's re-queried
+    nodes, which its ``min_gap`` and ``mean_gap`` share. Each set's
+    centrality sides and burden sides are ranked for Spearman and centred
+    as the C-contiguous rows of one array each, and every burden side meets
+    every centrality in one product summed along its rows.
     """
-    centralities = {}
-    for metric in CENTRALITY_METRICS:
+    defined, columns = [], []
+    for i, metric in enumerate(CENTRALITY_METRICS):
         try:
-            centralities[metric] = centrality(g, metric).values
+            columns.append(centrality(g, metric).values)
+            defined.append(i)
         except (ValueError, ConvergenceError):
             pass
-    out = {}
-    for quantity in BURDEN_QUANTITIES:
-        try:
-            nodes, y = _correlated_nodes(log, quantity)
-        except ValueError:
-            continue
-        sides = {method: _side(y, method) for method in CORRELATION_METHODS}
-        for metric, values in centralities.items():
-            for method in CORRELATION_METHODS:
-                try:
-                    out[metric, quantity, method] = _correlate(
-                        _side(values[nodes], method), sides[method]
-                    )
-                except ValueError:
-                    pass
+    table = np.array(columns).reshape(len(columns), g.node_count)  # (centrality, node)
+    node_sets: dict[bytes, tuple[np.ndarray, list]] = {}  # the (log, quantity, y) of each
+    for i, log in enumerate(logs):
+        for q, quantity in enumerate(BURDEN_QUANTITIES):
+            try:
+                nodes, y = _correlated_nodes(log, quantity)
+            except ValueError:
+                continue
+            node_sets.setdefault(nodes.tobytes(), (nodes, []))[1].append((i, q, y))
+    shape = (len(logs), len(BURDEN_QUANTITIES), len(CORRELATION_METHODS))
+    found = np.full((*shape, len(columns)), np.nan)
+    for nodes, members in node_sets.values():
+        i, q, y = zip(*members)
+        xc, sx = _sides(table[:, nodes])  # (method, centrality, node)
+        yc, sy = _sides(np.array(y))  # (method, member, node)
+        correlations = _correlations((xc[:, None], sx[:, None]), (yc[:, :, None], sy[:, :, None]))
+        found[list(i), list(q)] = correlations.transpose(1, 0, 2)
+    out = np.full((len(logs), len(CENTRALITY_METRICS), *shape[1:]), np.nan)
+    out[:, defined] = found.transpose(0, 3, 1, 2)
     return out
 
 

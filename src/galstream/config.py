@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -272,7 +272,33 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return payload
 
 
+# The JSON value a manifest may hold for each field type of the config
+# dataclasses: a bool is not an int, a float may be written as an int, and
+# a tuple is a list of its items.
+_JSON_TYPES: dict[str, Callable[[object], bool]] = {
+    "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "tuple[str, ...]": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "tuple[int, ...]": lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+    "SyntheticConfig": lambda v: isinstance(v, dict),
+}
+
+
+def _check_json_types(cls, payload: dict, prefix: str = "") -> None:
+    """Reject a manifest value whose JSON type does not fit its field, naming the key."""
+    for f in fields(cls):
+        if f.name in payload and not _JSON_TYPES[f.type](payload[f.name]):
+            raise ConfigError(
+                f"invalid manifest config: {prefix}{f.name} = {payload[f.name]!r} "
+                f"is not a valid {f.type}"
+            )
+
+
 def config_from_dict(payload: dict) -> ExperimentConfig:
+    _check_json_types(ExperimentConfig, payload)
+    _check_json_types(SyntheticConfig, payload.get("synthetic", {}), "synthetic.")
     try:
         payload = dict(payload)
         synthetic = SyntheticConfig(**payload.pop("synthetic"))

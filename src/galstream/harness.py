@@ -8,8 +8,8 @@ aborts only itself.
 A run's daily metric values live in one :class:`DailyTable`, a dense grid
 with a fixed cell per (strategy, bootstrap, query day, category, metric);
 each series is a day-ordered row of it, which every derived report reads.
-:func:`compute_cpis` hands each row's defined days and values to
-:func:`~galstream.metrics.cpi` and keeps a group's defined CPIs as a list.
+:func:`compute_cpis` takes every row's CPI in one pass over rows packed by
+their count of defined days and keeps a group's defined CPIs as a list.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .metrics import (
     PERFORMANCE_METRICS,
     EvalSlice,
     compute_metric,
-    cpi,
+    cpi,  # noqa: F401 - bound only for perfbench/spans.py, which traces this name here
+    cpi_rows,
 )
 from .strategies import STRATEGY_NAMES, SelectionContext, select
 
@@ -120,12 +121,18 @@ class DailyTable:
         return int(np.count_nonzero(self.exists))
 
     def __iter__(self):
+        *keys, v = self.columns()
+        columns = [x.tolist() for x in keys] + [np.where(np.isnan(v), None, v).tolist()]
+        return map(MetricRecord._make, zip(*columns))
+
+    def columns(self) -> list[np.ndarray]:
+        """The cells a run writes, in iteration order, as one array per :class:`MetricRecord`
+        field: the names as object arrays, bootstrap and day as ints, and the values,
+        NaN where undefined."""
         s, b, d, c, m = np.nonzero(self.exists)
-        v = self.values[self.exists]
         names = (self.strategies, EVAL_CATEGORIES, PERFORMANCE_METRICS)
         s, c, m = (np.array(n, dtype=object)[x] for n, x in zip(names, (s, c, m)))
-        columns = (x.tolist() for x in (s, b, self.days[d], c, m, np.where(np.isnan(v), None, v)))
-        return map(MetricRecord._make, zip(*columns))
+        return [s, b, self.days[d], c, m, self.values[self.exists]]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DailyTable) and list(self) == list(other)
@@ -140,6 +147,18 @@ class DailyTable:
         return grid.reshape(len(self.keys), *self.values.shape[1:3])
 
 
+def _packed_rows(values: np.ndarray):
+    """Each count ``k`` of defined (non-NaN) values in the rows of a matrix, with its rows:
+    their indices, a mask of their defined cells in the matrix, and their defined
+    values packed into one C-contiguous (rows, k) matrix."""
+    defined = ~np.isnan(values)
+    counts = np.count_nonzero(defined, axis=1)
+    for k in np.unique(counts[counts > 0]).tolist():
+        rows = counts == k
+        cells = defined & rows[:, None]
+        yield np.flatnonzero(rows), cells, values[cells].reshape(-1, k)
+
+
 def row_means(values: np.ndarray) -> np.ndarray:
     """Each row's mean over its defined (non-NaN) values, along the last axis; NaN where none is.
 
@@ -148,12 +167,9 @@ def row_means(values: np.ndarray) -> np.ndarray:
     ``np.mean`` sums it on its own, so every mean keeps its bits.
     """
     rows = np.reshape(values, (-1, np.shape(values)[-1]))
-    defined = ~np.isnan(rows)
-    counts = np.count_nonzero(defined, axis=1)
-    out = np.full(counts.size, np.nan)
-    for k in np.unique(counts[counts > 0]).tolist():
-        group = np.flatnonzero(counts == k)
-        out[group] = rows[group][defined[group]].reshape(group.size, k).mean(axis=1)
+    out = np.full(rows.shape[0], np.nan)
+    for group, _, packed in _packed_rows(rows):
+        out[group] = packed.mean(axis=1)
     return out.reshape(np.shape(values)[:-1])
 
 
@@ -357,19 +373,18 @@ def compute_cpis(table: DailyTable) -> dict[tuple[str, str, str], list[float]]:
     A series' CPI is taken over its defined days. It is undefined, and left
     out, when fewer than two days are defined or an undefined day sits
     between defined ones, so the defined days are not uniformly spaced.
+    Series with the same count of defined days are packed, as in
+    :func:`row_means`, and take their CPIs in one :func:`cpi_rows` call.
     """
-    out: dict[tuple[str, str, str], list[float]] = {}
-    for key, values in zip(table.keys, table.series()):
-        out[key] = []
-        for series in values:
-            defined = ~np.isnan(series)
-            if np.count_nonzero(defined) < 2:  # no CPI; rows of failed or unscored units too
-                continue
-            try:
-                out[key].append(cpi(table.days[defined], series[defined]))
-            except ValueError:
-                pass
-    return out
+    series = table.series()
+    rows = series.reshape(-1, table.days.size)
+    cpis = np.full(rows.shape[0], np.nan)
+    for group, cells, packed in _packed_rows(rows):
+        if packed.shape[1] > 1:  # no CPI of one day; rows of failed or unscored units have none
+            days = np.broadcast_to(table.days, rows.shape)[cells].reshape(packed.shape)
+            cpis[group] = cpi_rows(days, packed)
+    cpis = cpis.reshape(series.shape[:2])
+    return {key: row[~np.isnan(row)].tolist() for key, row in zip(table.keys, cpis)}
 
 
 def mean_std(values: list[float]) -> tuple[float | None, float | None, int]:

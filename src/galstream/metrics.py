@@ -2,6 +2,8 @@
 
 A day series is two plain arrays, its day indices and its values:
 :func:`cpi` takes both and :func:`rolling_mean_std` takes the values.
+:func:`cpi_rows` and :func:`rolling_mean_std_rows` do the same arithmetic
+for many series at once, and the one-series functions call them.
 """
 
 from __future__ import annotations
@@ -169,29 +171,49 @@ def cpi(days: np.ndarray, values: np.ndarray) -> float:
     gaps = np.diff(days)
     if not (gaps == gaps[0]).all():
         raise ValueError("CPI needs uniformly spaced timepoints")
-    v = np.asarray(values, dtype=float)
-    area = float(((v[:-1] + v[1:]) / 2.0).sum()) * gaps[0]
-    return area / ((len(v) - 1) * gaps[0])
+    return float(cpi_rows(np.asarray(days)[None], np.asarray(values, dtype=float)[None])[0])
+
+
+def cpi_rows(days: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The :func:`cpi` of each row of two (series, timepoint) matrices, at least two
+    timepoints wide; NaN where a row's days are not uniformly spaced.
+
+    Every row's trapezoids are summed along the rows of one C-contiguous
+    matrix, which sums them as one series' are summed on their own, so each
+    CPI keeps its bits.
+    """
+    step = days[:, 1] - days[:, 0]
+    uniform = (np.diff(days, axis=1) == step[:, None]).all(axis=1)
+    trapezoids = values[:, :-1] + values[:, 1:]
+    trapezoids /= 2.0
+    area = trapezoids.sum(axis=1) * step
+    out = np.full(len(values), np.nan)
+    return np.divide(area, (values.shape[1] - 1) * step, out=out, where=uniform)
 
 
 def rolling_mean_std(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trailing-window mean and population std; the window grows from 1 at the start.
+    """Trailing-window mean and population std; the window grows from 1 at the start."""
+    v = np.asarray(values, dtype=float)
+    means, stds = rolling_mean_std_rows(v[None], np.array([v.size]), window)
+    return means[0], stds[0]
 
-    Full windows are gathered as the rows of one matrix and reduced along
-    its rows, which gives the bits of reducing each window on its own; only
-    the growing prefix, at most ``window - 1`` values, is reduced one window
-    at a time.
+
+def rolling_mean_std_rows(
+    values: np.ndarray, lengths: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rolling_mean_std` of each row's first ``lengths[r]`` values; NaN after them.
+
+    Every window of one length, across all rows, is gathered as a row of one
+    matrix and reduced along its rows, which gives the bits of reducing each
+    window on its own.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    v = np.asarray(values, dtype=float)
-    means = np.empty(v.size)
-    stds = np.empty(v.size)
-    for i in range(min(window - 1, v.size)):
-        means[i] = v[: i + 1].mean()
-        stds[i] = v[: i + 1].std()
-    if v.size >= window:
-        full = v[np.arange(v.size - window + 1)[:, None] + np.arange(window)]
-        means[window - 1 :] = full.mean(axis=1)
-        stds[window - 1 :] = full.std(axis=1)
+    means, stds = np.full(values.shape, np.nan), np.full(values.shape, np.nan)
+    row, end = np.nonzero(np.arange(values.shape[1]) < np.asarray(lengths)[:, None])
+    width = np.minimum(end + 1, window)
+    for w in np.unique(width).tolist():
+        r, e = row[width == w], end[width == w]
+        windows = values[r[:, None], e[:, None] + np.arange(1 - w, 1)]
+        means[r, e], stds[r, e] = windows.mean(axis=1), windows.std(axis=1)
     return means, stds

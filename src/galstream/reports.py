@@ -15,7 +15,7 @@ import csv
 import json
 import os
 from datetime import datetime, timezone
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,12 @@ from .harness import (
     query_days,
     row_means,
 )
-from .metrics import EVAL_CATEGORIES, PERFORMANCE_METRICS, rolling_mean_std
+from .metrics import (
+    EVAL_CATEGORIES,
+    PERFORMANCE_METRICS,
+    rolling_mean_std,  # noqa: F401 - bound only for perfbench/spans.py, which traces this name here
+    rolling_mean_std_rows,
+)
 from .stats import anova_oneway, kruskal_wallis
 
 NA = "NA"
@@ -77,20 +82,46 @@ _BURDEN_SIMPLE = (
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return NA
-    if isinstance(value, float):  # includes numpy float scalars
-        return repr(float(value))
-    return str(value)
+# Report CSVs are written a block of this many rows at a time, so that a
+# block's strings stay small next to the columns they format.
+_BLOCK_ROWS = 1 << 10
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _cells(column) -> list[str]:
+    """One column's cells: ``repr`` of a float, ``str`` of anything else, and NA for an
+    undefined value, which is None or, in a float array, NaN.
+
+    A float array is formatted with one ``repr`` pass over its values.
+    """
+    if not isinstance(column, np.ndarray):
+        return [
+            NA if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
+            for v in column
+        ]
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    cells = list(map(float.__repr__, column.tolist()))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = NA
+    return cells
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a report CSV from its columns, arrays or sequences of equal length.
+
+    No cell holds a comma, quote or line break, so each line is its cells
+    joined by commas, as ``csv.writer`` writes it.
+    """
+    rows = len(columns[0]) if len(columns) else 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, _BLOCK_ROWS):
+            cells = [_cells(column[start : start + _BLOCK_ROWS]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    _write_csv(path, header, list(zip(*rows)))
 
 
 def prepare_output_dir(path: str | Path) -> Path:
@@ -116,16 +147,19 @@ def _aggregate_rows(config, aggregate):
                     yield (strategy, category, metric, *entry)
 
 
-def _rolling_rows(config, table: DailyTable):
-    # each day's mean over its group's bootstraps
+def _rolling_columns(config, table: DailyTable) -> list:
+    """The rows of ``rolling.csv`` as columns: each group's rolling mean and std over
+    its defined days."""
+    # each day's mean over its group's bootstraps; each group's defined days first, in order
     per_day = row_means(np.swapaxes(table.series(), 1, 2))
-    for (strategy, category, metric), day_means in zip(table.keys, per_day):
-        defined = ~np.isnan(day_means)
-        if not defined.any():
-            continue
-        means, stds = rolling_mean_std(day_means[defined], config.rolling_window)
-        for day, mean, std in zip(table.days[defined].tolist(), means.tolist(), stds.tolist()):
-            yield (strategy, category, metric, day, mean, std)
+    order = np.argsort(np.isnan(per_day), axis=1, kind="stable")
+    lengths = np.count_nonzero(~np.isnan(per_day), axis=1)
+    means, stds = rolling_mean_std_rows(
+        np.take_along_axis(per_day, order, axis=1), lengths, config.rolling_window
+    )
+    group, i = np.nonzero(np.arange(per_day.shape[1]) < lengths[:, None])
+    keys = np.array(table.keys, dtype=object)[group]
+    return [*keys.T, table.days[order[group, i]], means[group, i], stds[group, i]]
 
 
 def _strategy_logs(config, query_logs) -> dict[str, list[QueryLog]]:
@@ -185,13 +219,15 @@ def _heatmap_rows(config, per_strategy, dataset):
 
 
 def _correlation_rows(config, per_strategy, dataset):
+    logs = [log for strategy in config.strategies for log in per_strategy[strategy]]
+    values = centrality_burden_correlations(logs, dataset.graph).reshape(len(logs), -1)
+    start = 0
     for strategy in config.strategies:
-        defined: dict[tuple[str, str, str], list[float]] = {}
-        for log in per_strategy[strategy]:
-            for key, value in centrality_burden_correlations(log, dataset.graph).items():
-                defined.setdefault(key, []).append(value)
-        for key in product(CENTRALITY_METRICS, BURDEN_QUANTITIES, CORRELATION_METHODS):
-            yield (strategy, *key, *mean_std(defined.get(key, [])))
+        stop = start + len(per_strategy[strategy])
+        keys = product(CENTRALITY_METRICS, BURDEN_QUANTITIES, CORRELATION_METHODS)
+        for key, column in zip(keys, values[start:stop].T):
+            yield (strategy, *key, *mean_std(column[~np.isnan(column)].tolist()))
+        start = stop
 
 
 def _significance_observations(config, table: DailyTable, cpis):
@@ -229,18 +265,24 @@ def _significance_rows(config, table, cpis):
             yield (category, metric, anova_f, anova_p, kw_h, kw_p)
 
 
-def _query_rows(config, query_logs):
-    for (strategy, bootstrap) in sorted(
-        query_logs, key=lambda k: (config.strategies.index(k[0]), k[1])
-    ):
-        log = query_logs[(strategy, bootstrap)]
-        rows = [
-            (day, node)
-            for node, days in log.days_by_node.items()
-            for day in days
-        ]
-        for day, node in sorted(rows):
-            yield (strategy, bootstrap, day, node)
+def _query_columns(config, query_logs) -> list:
+    """The rows of ``queries.csv`` as columns: each unit's queries, by (day, node)."""
+    units = sorted(query_logs, key=lambda k: (config.strategies.index(k[0]), k[1]))
+    counts = [query_logs[key].total_queries for key in units]
+    days, nodes = [np.zeros(0, np.int64)], [np.zeros(0, np.intp)]
+    for key, count in zip(units, counts):
+        log = query_logs[key]
+        unit_nodes = np.repeat(log.sampled, log.counts)
+        unit_days = np.fromiter(chain.from_iterable(log.days_by_node.values()), np.int64, count)
+        order = np.lexsort((unit_nodes, unit_days))
+        days.append(unit_days[order])
+        nodes.append(unit_nodes[order])
+    return [
+        np.repeat(np.array([s for s, _ in units], dtype=object), counts),
+        np.repeat(np.array([b for _, b in units], dtype=np.int64), counts),
+        np.concatenate(days),
+        np.concatenate(nodes),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +299,8 @@ def emit_reports(
         dataset = load_configured_dataset(config)
 
     paths = {name: out / name for name in REPORT_FILES}
-    _write_csv(paths["daily.csv"], _DAILY_HEADER, result.records)
-    _write_csv(
-        paths["queries.csv"],
-        _QUERY_HEADER,
-        _query_rows(config, result.query_logs),
-    )
+    _write_csv(paths["daily.csv"], _DAILY_HEADER, result.records.columns())
+    _write_csv(paths["queries.csv"], _QUERY_HEADER, _query_columns(config, result.query_logs))
     _write_derived(paths, result, config, dataset)
 
     manifest = {
@@ -279,7 +317,7 @@ def emit_reports(
 def _write_derived(paths, result: RunResult, config, dataset) -> None:
     """Every derived report of ``result``."""
     per_strategy = _strategy_logs(config, result.query_logs)
-    _write_csv(
+    _write_rows(
         paths["aggregate.csv"],
         ["strategy", "category", "metric", "mean", "std", "n"],
         _aggregate_rows(config, result.aggregate),
@@ -287,29 +325,29 @@ def _write_derived(paths, result: RunResult, config, dataset) -> None:
     _write_csv(
         paths["rolling.csv"],
         ["strategy", "category", "metric", "day", "rolling_mean", "rolling_std"],
-        _rolling_rows(config, result.records),
+        _rolling_columns(config, result.records),
     )
-    _write_csv(
+    _write_rows(
         paths["burden.csv"],
         ["strategy", "metric", "threshold", "mean", "std", "n"],
         _burden_rows(config, per_strategy),
     )
-    _write_csv(
+    _write_rows(
         paths["tradeoff.csv"],
         ["strategy", "mean_cpi", "mean_over_exertion"],
         _tradeoff_rows(config, result.aggregate, per_strategy),
     )
-    _write_csv(
+    _write_rows(
         paths["centrality_heatmap.csv"],
         ["strategy"] + list(CENTRALITY_METRICS),
         _heatmap_rows(config, per_strategy, dataset),
     )
-    _write_csv(
+    _write_rows(
         paths["centrality_correlation.csv"],
         ["strategy", "centrality", "burden_quantity", "method", "mean", "std", "n"],
         _correlation_rows(config, per_strategy, dataset),
     )
-    _write_csv(
+    _write_rows(
         paths["significance.csv"],
         ["category", "metric", "anova_f", "anova_p", "kw_h", "kw_p"],
         _significance_rows(config, result.records, result.cpis),
@@ -468,29 +506,28 @@ def read_daily_records(
     return table
 
 
-def _add_queries(path: str | Path, config, dataset, days, pools, events) -> None:
-    """Add each row of ``queries.csv`` to its unit's events; :class:`_Recheck` on any bad row."""
+def _query_events(path: str | Path, config, dataset, days, pools, logged) -> dict:
+    """Each logged unit's rows of ``queries.csv`` as an (events, 2) array of (day, node);
+    :class:`_Recheck` on any bad row."""
     bootstraps, nodes = range(config.bootstraps), range(dataset.node_count)
     positions = _positions(config.strategies, bootstraps, days, nodes)
     blocks = [_codes(columns, positions) for columns in _report_columns(path, _QUERY_HEADER)]
     if not blocks:
-        return
+        return {key: np.zeros((0, 2), np.int64) for key in logged}
     s, b, d, n = map(np.concatenate, zip(*blocks))
     units = list(product(config.strategies, bootstraps))
-    logged = np.array([key in events for key in units])
+    is_logged = np.array([key in logged for key in units])
     in_pool = np.zeros((config.bootstraps, dataset.node_count), dtype=bool)
     for i, pool in pools.items():
         in_pool[i, list(pool)] = True
     unit = s * config.bootstraps + b
     query = np.ravel_multi_index((unit, d, n), (len(units), len(days), dataset.node_count))
-    if not (logged[unit].all() and in_pool[b, n].all() and np.unique(query).size == query.size):
+    if not (is_logged[unit].all() and in_pool[b, n].all() and np.unique(query).size == query.size):
         raise _Recheck
     order = np.argsort(unit, kind="stable")
     bounds = np.searchsorted(unit[order], np.arange(len(units) + 1)).tolist()
-    pairs = list(zip(np.array(days)[d[order]].tolist(), n[order].tolist()))
-    for u, key in enumerate(units):
-        if key in events:
-            events[key].update(pairs[bounds[u] : bounds[u + 1]])
+    events = np.column_stack((np.array(days)[d[order]], n[order]))
+    return {key: events[bounds[u] : bounds[u + 1]] for u, key in enumerate(units) if key in logged}
 
 
 def read_query_logs(
@@ -513,31 +550,29 @@ def read_query_logs(
         b: frozenset(make_split(dataset, config.holdout_fraction, config.base_seed + b).pool)
         for b in range(config.bootstraps)
     }
-    events: dict[tuple[str, int], set[tuple[int, int]]] = {
-        (s, b): set() for s in config.strategies for b in pools if (s, b) not in failed
-    }
+    logged = [(s, b) for s in config.strategies for b in pools if (s, b) not in failed]
+    seen: dict[tuple[str, int], set[tuple[int, int]]] = {key: set() for key in logged}
     days = query_days(config, dataset)
 
     def event(strategy, bootstrap, day, node):
         key, day, node = (strategy, int(bootstrap)), int(day), int(node)
-        if key not in events:
+        if key not in seen:
             raise ValueError(f"{strategy} bootstrap {key[1]} is not a logged unit of this run")
         if node not in pools[key[1]]:
             raise ValueError(f"queried node {node} is not a pool node")
         if day not in days:
             raise ValueError(f"day {day} is not a query day of the dataset")
-        if (day, node) in events[key]:
+        if (day, node) in seen[key]:
             raise ValueError(f"repeats the query of node {node} on day {day}")
         return key, day, node
 
     try:
-        _add_queries(path, config, dataset, days, pools, events)
+        events = _query_events(path, config, dataset, days, pools, set(logged))
     except _Recheck:
-        for unit_events in events.values():
-            unit_events.clear()
         for key, day, node in _report_rows(path, _QUERY_HEADER, event):
-            events[key].add((day, node))
-    return {key: QueryLog.from_events(pools[key[1]], pairs) for key, pairs in events.items()}
+            seen[key].add((day, node))
+        events = seen
+    return {key: QueryLog.from_events(pools[key[1]], events[key]) for key in logged}
 
 
 def recompute_reports(result_dir: str | Path) -> dict[str, Path]:

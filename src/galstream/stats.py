@@ -38,11 +38,23 @@ def tie_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """Ranks 1..n with tied values sharing their average rank."""
+    """Ranks 1..n along the last axis, tied values sharing their average rank.
+
+    Every row of a matrix is ranked on its own, in one pass over all rows.
+    """
     x = np.asarray(values, dtype=float)
-    order, first, last = tie_runs(x)
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
+    order = np.argsort(x, axis=-1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=-1)
+    # each sorted position's run of equal values: its first and last position
+    start, end = np.ones(x.shape, dtype=bool), np.ones(x.shape, dtype=bool)
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=start[..., 1:])
+    end[..., :-1] = start[..., 1:]
+    position = np.arange(x.shape[-1])
+    first = np.maximum.accumulate(np.where(start, position, 0), axis=-1)
+    last = np.where(end, position, x.shape[-1])[..., ::-1]
+    last = np.minimum.accumulate(last, axis=-1)[..., ::-1]
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
     return ranks
 
 

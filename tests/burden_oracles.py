@@ -6,8 +6,10 @@ query days wherever it needs them. The library reads the summary arrays
 ``QueryLog`` computes once; the tests require equal results, not close
 ones, because the arrays keep every value's arithmetic and order. The
 correlation oracle ranks and centres both sides on every call, where the
-library prepares each burden side once for every centrality. Slow on
-purpose.
+library prepares each centrality's side once per node set and each burden
+side once for every centrality. The log check and the ``queries.csv`` rows
+walk a log's nodes one at a time, where the library reads its events as
+arrays. Slow on purpose.
 """
 
 import math
@@ -138,3 +140,24 @@ def oracle_mean_normalized_centrality(logs, g):
             for m in CENTRALITY_METRICS
         }
     return table
+
+
+def oracle_log_error(pool, days_by_node):
+    """The error a log of ``days_by_node`` raises, its nodes walked in ascending order;
+    None if it is valid."""
+    pool = set(int(v) for v in pool)
+    for node, days in sorted(days_by_node.items()):
+        if int(node) not in pool:
+            return f"queried node {node} is not a pool node"
+        if any(b <= a for a, b in zip(days, days[1:])):
+            return f"query days for node {node} must strictly increase"
+    return None
+
+
+def oracle_query_rows(strategies, query_logs):
+    """The rows of ``queries.csv``: each unit's (day, node) events in order, a unit at a time."""
+    for strategy, bootstrap in sorted(query_logs, key=lambda k: (strategies.index(k[0]), k[1])):
+        log = query_logs[(strategy, bootstrap)]
+        events = sorted((day, node) for node, days in log.days_by_node.items() for day in days)
+        for day, node in events:
+            yield (strategy, bootstrap, day, node)

@@ -3,13 +3,17 @@
 These are the recount-per-metric versions of the threshold metrics, the
 element-at-a-time tie walks of average ranks, the Kruskal-Wallis tie
 correction, AUC-ROC and AUC-PR, the window-at-a-time rolling mean and
-std, and the row-at-a-time mean over defined values. The library counts
-each slice's confusion matrix once, groups tied values in one place, and
-reduces every full rolling window, and every row with the same count of
-defined values, in one call; the tests require the same bits, not close
-values, because both keep every value's arithmetic and summation order.
-Slow on purpose.
+std, the row-at-a-time mean over defined values, the series-at-a-time
+CPI and rolling report, and the cell-at-a-time CSV writer. The library
+counts each slice's confusion matrix once, groups tied values in one
+place, reduces every rolling window of one length, every row with the
+same count of defined values and every CPI of series with the same count
+of defined days in one call, and formats a report's cells a column at a
+time; the tests require the same bits, not close values, because both
+keep every value's arithmetic and summation order. Slow on purpose.
 """
+
+import csv
 
 import numpy as np
 
@@ -152,3 +156,62 @@ def oracle_row_means(values):
     """The mean of each row over its defined (non-NaN) values; rows with none drop out."""
     defined = (row[~np.isnan(row)] for row in values)
     return [float(np.mean(row)) for row in defined if row.size]
+
+
+def oracle_cpi(days, values):
+    """The trapezoid CPI of one series, raising where it is undefined."""
+    if len(days) < 2:
+        raise ValueError("CPI needs at least two timepoints")
+    gaps = np.diff(days)
+    if not (gaps == gaps[0]).all():
+        raise ValueError("CPI needs uniformly spaced timepoints")
+    v = np.asarray(values, dtype=float)
+    area = float(((v[:-1] + v[1:]) / 2.0).sum()) * gaps[0]
+    return area / ((len(v) - 1) * gaps[0])
+
+
+def oracle_compute_cpis(table):
+    """Each group's defined CPIs in bootstrap order, one series at a time."""
+    out = {}
+    for key, values in zip(table.keys, table.series()):
+        out[key] = []
+        for series in values:
+            defined = ~np.isnan(series)
+            if np.count_nonzero(defined) < 2:
+                continue
+            try:
+                out[key].append(oracle_cpi(table.days[defined], series[defined]))
+            except ValueError:
+                pass
+    return out
+
+
+def oracle_rolling_rows(table, window):
+    """The rows of ``rolling.csv``, one group and one window at a time."""
+    for key, per_bootstrap in zip(table.keys, table.series()):
+        day_means = np.array([
+            np.mean(day[~np.isnan(day)]) if (~np.isnan(day)).any() else np.nan
+            for day in per_bootstrap.T
+        ])
+        defined = ~np.isnan(day_means)
+        means, stds = oracle_rolling_mean_std(day_means[defined], window)
+        for day, mean, std in zip(table.days[defined].tolist(), means.tolist(), stds.tolist()):
+            yield (*key, day, mean, std)
+
+
+def oracle_fmt(value):
+    """One CSV cell: NA for None, the ``repr`` of a float, ``str`` of anything else."""
+    if value is None:
+        return "NA"
+    if isinstance(value, float):  # includes numpy float scalars
+        return repr(float(value))
+    return str(value)
+
+
+def oracle_write_csv(path, header, rows):
+    """A report CSV written a row and a cell at a time by ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([oracle_fmt(v) for v in row])

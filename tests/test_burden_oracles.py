@@ -3,8 +3,9 @@
 ``QueryLog`` summarises a log once and every burden measure reads that
 summary; ``burden_oracles`` rebuilds each node's gaps wherever it needs
 them. The tests require the same bits, or the same error, on every log.
-The report's correlations, which prepare each burden side once for every
-centrality, are held to the oracle's bits cell by cell.
+The report's correlations, which prepare each centrality's side once per
+node set and each burden side once for every centrality, are held to the
+oracle's bits cell by cell.
 """
 
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from burden_oracles import (
     oracle_burden_quantity,
     oracle_centrality_burden_correlation,
     oracle_gaps,
+    oracle_log_error,
     oracle_mean_normalized_centrality,
     oracle_over_exertion,
     oracle_query_counts,
@@ -22,6 +24,7 @@ from burden_oracles import (
     oracle_within_gap_percentage,
 )
 from graph_oracles import random_graph
+from metric_oracles import oracle_fmt
 
 from galstream import (
     CENTRALITY_METRICS,
@@ -100,6 +103,56 @@ def test_summary_arrays_match_loop_reference():
     assert all(count >= 10 for count in kinds.values()), kinds
 
 
+def _summary(log):
+    arrays = (log.sampled, log.counts, log.requeried, log.min_gaps, log.mean_gaps)
+    return log.pool, log.days_by_node, log.total_queries, [(a.dtype, a.tobytes()) for a in arrays]
+
+
+def _error(build, *args):
+    try:
+        build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_every_construction_path_gives_the_same_log():
+    rng = np.random.default_rng(707)
+    for log in _logs(rng):
+        events = [(day, node) for node, days in log.days_by_node.items() for day in days]
+        rng.shuffle(events)
+        array = np.array(events, dtype=np.int64).reshape(-1, 2)
+        for built in (
+            QueryLog.from_events(log.pool, events),
+            QueryLog.from_events(frozenset(log.pool), array),
+            QueryLog(list(reversed(log.pool)), dict(reversed(log.days_by_node.items()))),
+        ):
+            assert _summary(built) == _summary(log)
+
+
+def test_construction_errors_match_node_walk():
+    rng = np.random.default_rng(708)
+    raised = set()
+    for _ in range(600):
+        pool = sorted(rng.choice(30, size=int(rng.integers(1, 12)), replace=False).tolist())
+        days_by_node = {}
+        for node in rng.choice(32, size=int(rng.integers(0, 6)), replace=False).tolist():
+            if rng.random() < 0.8:
+                node = int(rng.choice(pool))
+            days = rng.integers(0, 9, size=int(rng.integers(0, 5))).tolist()
+            if rng.random() < 0.7:
+                days = sorted(set(days))
+            days_by_node[node] = tuple(days)
+        want = oracle_log_error(pool, days_by_node)
+        assert _error(QueryLog, pool, days_by_node) == want, days_by_node
+        events = [(day, node) for node, days in days_by_node.items() for day in days]
+        sorted_days = {node: tuple(sorted(days)) for node, days in days_by_node.items() if days}
+        want = oracle_log_error(pool, sorted_days)
+        assert _error(QueryLog.from_events, pool, events) == want, events
+        raised.add(want and want.split()[0])
+    assert raised == {None, "queried", "query"}
+
+
 def test_per_log_measures_match_loop_reference():
     rng = np.random.default_rng(909)
     checked = 0
@@ -161,7 +214,7 @@ def test_report_correlations_match_loop_reference():
             for quantity in BURDEN_QUANTITIES
             for method in CORRELATION_METHODS
         ]
-        assert [list(map(reports._fmt, row)) for row in got] == [
-            list(map(reports._fmt, row)) for row in want
+        assert [list(map(oracle_fmt, row)) for row in got] == [
+            list(map(oracle_fmt, row)) for row in want
         ]
         assert any(row[-1] == 0 for row in want) and any(row[-1] > 0 for row in want)

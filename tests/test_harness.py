@@ -611,6 +611,47 @@ class TestCli:
         assert cli_main(["run", "--config", str(files_ini)]) == 0
         assert (tmp_path / "file_results" / "aggregate.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("epochs", "200"),
+            ("workers", True),
+            ("learning_rate", "0.05"),
+            ("gap_thresholds", [1, "2"]),
+            ("strategies", ["random", 1]),
+            ("synthetic", "synthetic"),
+            ("synthetic.node_count", 12.0),
+        ],
+    )
+    def test_manifest_value_of_the_wrong_json_type_is_named(self, tmp_path, capsys, key, value):
+        ini = self.write_config(tmp_path)
+        assert cli_main(["run", "--config", str(ini)]) == 0
+        manifest = tmp_path / "results" / "run_manifest.json"
+        payload = json.loads(manifest.read_text())
+        owner, _, name = key.rpartition(".")
+        (payload["config"][owner] if owner else payload["config"])[name] = value
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for argv in (
+            ["validate", "--config", str(manifest)],
+            ["run", "--config", str(manifest), "--out", str(tmp_path / "rerun")],
+            ["report", "--result", str(manifest.parent)],
+        ):
+            assert cli_main(argv) == 2, argv
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"error: invalid manifest config: {key} = {value!r}")
+        assert not (tmp_path / "rerun").exists()
+
+    def test_manifest_float_may_be_written_as_an_int(self, tmp_path, capsys):
+        ini = self.write_config(tmp_path)
+        assert cli_main(["run", "--config", str(ini)]) == 0
+        manifest = tmp_path / "results" / "run_manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["config"]["learning_rate"] = 1
+        manifest.write_text(json.dumps(payload))
+        assert cli_main(["validate", "--config", str(manifest)]) == 0
+
     def test_run_and_report(self, tmp_path, capsys):
         ini = self.write_config(tmp_path)
         assert cli_main(["run", "--config", str(ini)]) == 0

@@ -1,12 +1,15 @@
 """The slice metrics and rank statistics against their loop references.
 
-``EvalSlice`` counts its confusion matrix once and ``stats.tie_runs`` is
-the one grouping of tied values; ``metric_oracles`` recounts each metric
-and walks each run of ties element by element. The tests require the
+``EvalSlice`` counts its confusion matrix once, ``stats.tie_runs`` groups
+tied values and ``stats.average_ranks`` ranks every row of a matrix at
+once; ``metric_oracles`` recounts each metric and walks each run of ties
+element by element. The tests require the
 same bits, or the same error type, on every slice and vector.
-``rolling_mean_std`` reduces every full window in one call, and
-``harness.row_means`` every row with the same count of defined values;
-both are held to the same bits as reducing one window or row at a time.
+``rolling_mean_std_rows`` reduces every window of one length in one
+call, ``harness.row_means`` every row with the same count of defined
+values, and ``harness.compute_cpis`` takes the CPIs of every series with
+the same count of defined days in one call; each is held to the same bits
+as reducing one window, row or series at a time.
 """
 
 import numpy as np
@@ -14,7 +17,11 @@ import pytest
 from metric_oracles import (
     ORACLE_METRICS,
     oracle_average_ranks,
+    oracle_compute_cpis,
+    oracle_cpi,
+    oracle_fmt,
     oracle_rolling_mean_std,
+    oracle_rolling_rows,
     oracle_row_means,
     oracle_tie_correction,
 )
@@ -22,12 +29,15 @@ from metric_oracles import (
 from galstream import (
     PERFORMANCE_METRICS,
     EvalSlice,
+    ExperimentConfig,
     compute_metric,
+    cpi,
+    reports,
     rolling_mean_std,
 )
 from galstream.exceptions import UndefinedMetricError
-from galstream.harness import row_means
-from galstream.metrics import THRESHOLD
+from galstream.harness import DailyTable, compute_cpis, row_means
+from galstream.metrics import THRESHOLD, rolling_mean_std_rows
 from galstream.stats import _tie_correction, average_ranks, tie_runs
 
 SCORE_KINDS = ("continuous", "coarse", "all_tied", "at_threshold")
@@ -127,6 +137,16 @@ def test_ranks_and_tie_correction_match_loop_reference():
             )
 
 
+def test_ranks_of_each_row_match_loop_reference():
+    vectors = list(_tied_vectors())
+    for size in {x.size for x in vectors}:
+        rows = np.array([x for x in vectors if x.size == size])
+        want = np.array([oracle_average_ranks(x) for x in rows]).reshape(rows.shape)
+        assert average_ranks(rows).tobytes() == want.tobytes()
+        stacked = np.stack([rows, rows[::-1]])  # a leading axis, as the correlation sides have
+        assert average_ranks(stacked).tobytes() == np.stack([want, want[::-1]]).tobytes()
+
+
 def test_rolling_mean_std_matches_loop_reference():
     rng = np.random.default_rng(1213)
     for _ in range(1000):
@@ -182,6 +202,102 @@ def test_row_means_reduce_the_last_axis_of_any_grid():
     flat = got.reshape(-1)
     want = np.array(oracle_row_means(grid.reshape(-1, 9)))
     assert flat[~np.isnan(flat)].tobytes() == want.tobytes()
+
+
+def _gapped_table(rng, days, bootstraps=5):
+    """A two-strategy table whose series hold leading, interior and trailing NaN runs,
+    one defined day, no defined day, or none undefined; every tenth unit failed."""
+    config = ExperimentConfig(strategies=("no_al", "random"), bootstraps=bootstraps)
+    failed = {("random", b) for b in range(0, bootstraps, 10)}
+    table = DailyTable(config, days, failed)
+    series = rng.random(table.series().shape)  # (group, bootstrap, day)
+    if rng.random() < 1 / 3:  # few distinct values
+        series = series.round(2)
+    for row in series.reshape(-1, len(days)):
+        kind = rng.integers(7)
+        start, stop = sorted(rng.integers(0, len(days) + 1, size=2))
+        if kind == 0:
+            row[:stop] = np.nan
+        elif kind == 1:
+            row[start:] = np.nan
+        elif kind == 2:
+            row[start:stop] = np.nan
+        elif kind == 3:
+            row[np.arange(len(days)) != rng.integers(len(days))] = np.nan
+        elif kind == 4:
+            row[:] = np.nan
+        elif kind == 5:
+            row[rng.random(len(days)) < 0.3] = np.nan
+    grid = series.reshape(2, *table.values.shape[3:], bootstraps, len(days))
+    grid = np.moveaxis(grid, (3, 4), (1, 2))  # back to (strategy, bootstrap, day, category, metric)
+    table.values[...] = np.where(table.exists, grid, np.nan)
+    return table
+
+
+# evenly spaced query days, and the query days of a files dataset that skips a day
+DAY_SETS = (tuple(range(6, 29)), (2, 3, 4, 6, 7, 8, 9), (5, 6), (3,))
+
+
+def _bits(groups):
+    return {key: np.array(values, dtype=float).tobytes() for key, values in groups.items()}
+
+
+def test_cpis_match_series_loop():
+    rng = np.random.default_rng(1516)
+    defined = dict.fromkeys(DAY_SETS, 0)
+    for _ in range(12):
+        for days in DAY_SETS:
+            table = _gapped_table(rng, days)
+            got, want = compute_cpis(table), oracle_compute_cpis(table)
+            assert list(got) == list(want)
+            assert _bits(got) == _bits(want), days
+            defined[days] += sum(map(len, got.values()))
+    assert all(defined[days] > 0 for days in DAY_SETS[:3]) and defined[DAY_SETS[3]] == 0
+
+
+def test_cpi_matches_its_loop_reference():
+    rng = np.random.default_rng(1517)
+    for _ in range(400):
+        size = int(rng.integers(1, 40))
+        days = np.arange(size) * 2
+        if rng.random() < 0.3:  # uneven gaps of one or two days
+            days = np.cumsum(rng.integers(1, 3, size=size))
+        values = rng.random(size)
+        try:
+            want = np.float64(oracle_cpi(days, values)).tobytes()
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                cpi(days, values)
+            continue
+        assert np.float64(cpi(days, values)).tobytes() == want
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 23, 40])
+def test_rolling_report_matches_window_loop(window):
+    rng = np.random.default_rng(1618 + window)
+    config = ExperimentConfig(rolling_window=window)
+    for _ in range(4):
+        for days in DAY_SETS:
+            table = _gapped_table(rng, days)
+            got = list(zip(*reports._rolling_columns(config, table)))
+            want = list(oracle_rolling_rows(table, window))
+            assert [list(map(oracle_fmt, row)) for row in got] == [
+                list(map(oracle_fmt, row)) for row in want
+            ]
+
+
+def test_rolling_rows_match_window_loop():
+    rng = np.random.default_rng(1619)
+    for _ in range(200):
+        values = rng.random((int(rng.integers(1, 12)), int(rng.integers(1, 30))))
+        lengths = rng.integers(0, values.shape[1] + 1, size=len(values))
+        window = int(rng.integers(1, 35))
+        means, stds = rolling_mean_std_rows(values, lengths, window)
+        for row, length, mean, std in zip(values, lengths, means, stds):
+            want_means, want_stds = oracle_rolling_mean_std(row[:length], window)
+            assert mean[:length].tobytes() == want_means.tobytes()
+            assert std[:length].tobytes() == want_stds.tobytes()
+            assert np.isnan(mean[length:]).all() and np.isnan(std[length:]).all()
 
 
 def test_unknown_metric_rejected():

@@ -68,7 +68,7 @@ def _outcome(read, path, config, dataset, *, row_by_row):
         mp.setattr(reports, "_BLOCK_BYTES", SMALL_BLOCK)
         if row_by_row:
             mp.setattr(reports, "_fill_daily", _recheck)
-            mp.setattr(reports, "_add_queries", _recheck)
+            mp.setattr(reports, "_query_events", _recheck)
         try:
             got = read(path, config, dataset)
         except (DataFormatError, csv.Error) as exc:

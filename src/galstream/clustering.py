@@ -11,9 +11,23 @@ from typing import Iterable
 import numpy as np
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``points``, computed one row at a time.
+
+    Each distance is ``sqrt(((a - b) * (a - b)).sum())`` over the pair's
+    coordinates, the sum a one-pair computation takes, so it keeps its bits
+    and no (n, n, d) temporary is made. Row i holds its distances to the
+    later rows; the lower triangle mirrors the upper, since (a - b) * (a - b)
+    equals (b - a) * (b - a) exactly.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    upper = np.zeros((n, n))
+    buffer = np.empty_like(points)
+    for i in range(n - 1):
+        diff = np.subtract(points[i + 1 :], points[i], out=buffer[: n - i - 1])
+        np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=1), out=upper[i, i + 1 :])
+    return upper + upper.T
 
 
 def kmeans(
@@ -65,20 +79,26 @@ def kmeans(
 
 
 def kmedoids(points: np.ndarray, k: int, max_iter: int = 100) -> np.ndarray:
-    """PAM: greedy build then best-improvement swaps; returns sorted medoid indices.
-
-    Fully deterministic, so it takes no seed. Each candidate's cost is one
-    row sum of an array, the same sum a one-candidate loop takes. A swap
-    beats the best so far only when it costs at least 1e-12 less, trying
-    medoids, then candidates, in id order.
-    """
+    """PAM on the points' :func:`pairwise_distances`; returns sorted medoid indices."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
-    dist = _pairwise_distances(points)
+    return pam(pairwise_distances(points), k, max_iter)
+
+
+def pam(dist: np.ndarray, k: int, max_iter: int = 100) -> np.ndarray:
+    """PAM on a distance matrix: greedy build then best-improvement swaps.
+
+    Returns the sorted medoid indices, 1 <= k <= n. Fully deterministic, so
+    it takes no seed. Each candidate's cost is one row sum of an array, the
+    same sum a one-candidate loop takes. A swap beats the best so far only
+    when it costs at least 1e-12 less, trying medoids, then candidates, in
+    id order.
+    """
+    n = dist.shape[0]
 
     # BUILD: start from the 1-medoid optimum, then greedily add
     medoids = [int(dist.sum(axis=1).argmin())]
@@ -95,7 +115,9 @@ def kmedoids(points: np.ndarray, k: int, max_iter: int = 100) -> np.ndarray:
     for _ in range(max_iter):
         best_swap = None
         best_cost = current
-        candidates = np.setdiff1d(np.arange(n), medoids)
+        is_medoid = np.zeros(n, dtype=bool)
+        is_medoid[medoids] = True
+        candidates = np.flatnonzero(~is_medoid)
         for m in sorted(medoids):
             others = [c for c in medoids if c != m]
             base = dist[others].min(axis=0, initial=np.inf)
@@ -121,29 +143,39 @@ def kcenter_greedy(
     runs reproducible without randomness. Every later pick maximizes the
     distance to the nearest already chosen or preselected point; if only
     preselected points remain eligible they become pickable again (a re-query).
+    A preselected index outside [0, n) is rejected.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    preselected = set(int(i) for i in preselected)
+    preselected = sorted(set(int(i) for i in preselected))
     if not 0 < k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
+    outside = [i for i in preselected if not 0 <= i < n]
+    if outside:
+        raise ValueError(f"preselected index {outside[0]} outside [0, {n})")
+
+    def distances_to(idx: int) -> np.ndarray:
+        return np.sqrt(((points - points[idx]) ** 2).sum(axis=1))
 
     chosen: list[int] = []
+    taken = np.zeros(n, dtype=bool)  # chosen in this call
+    blocked = np.zeros(n, dtype=bool)  # chosen or preselected
+    blocked[preselected] = True
     min_dist = np.full(n, np.inf)
-    for idx in sorted(preselected):
-        min_dist = np.minimum(min_dist, np.sqrt(((points - points[idx]) ** 2).sum(axis=1)))
+    for idx in preselected:
+        min_dist = np.minimum(min_dist, distances_to(idx))
 
     if not preselected:
         chosen.append(0)
-        min_dist = np.sqrt(((points - points[0]) ** 2).sum(axis=1))
+        taken[0] = blocked[0] = True
+        min_dist = distances_to(0)
 
     while len(chosen) < k:
-        blocked = set(chosen) | preselected
-        candidates = [i for i in range(n) if i not in blocked]
-        if not candidates:
-            candidates = [i for i in range(n) if i not in set(chosen)]
-        cand = np.array(candidates)
-        pick = int(cand[min_dist[cand].argmax()])
+        candidates = np.flatnonzero(~blocked)
+        if not candidates.size:
+            candidates = np.flatnonzero(~taken)
+        pick = int(candidates[min_dist[candidates].argmax()])
         chosen.append(pick)
-        min_dist = np.minimum(min_dist, np.sqrt(((points - points[pick]) ** 2).sum(axis=1)))
+        taken[pick] = blocked[pick] = True
+        min_dist = np.minimum(min_dist, distances_to(pick))
     return np.array(chosen, dtype=int)

@@ -11,6 +11,7 @@ and one back. ``train`` and ``loss_and_gradients`` run the same routine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -116,36 +117,64 @@ class _Batch:
     weight: np.ndarray  # per labelled row: 1 / (mask size * examples)
 
 
+_EXAMPLE_CHECKS = (
+    "features must be ({n}, {d})",
+    "empty mask",
+    "mask repeats a node",
+    "mask node outside [0, {n})",
+    "masked nodes must have labels",
+    "labels must be 0 or 1",
+)
+
+
 def _stack_examples(
     adj: NormalizedAdjacency,
     labeled_examples: Iterable[tuple[np.ndarray, np.ndarray, Sequence[int]]],
 ) -> _Batch:
+    """Check and stack every example in one pass over their concatenated masks.
+
+    A ValueError names the first failing example and the first of
+    :data:`_EXAMPLE_CHECKS` it fails.
+    """
     examples = list(labeled_examples)
     if not examples:
         raise ValueError("need at least one labeled example")
     n = adj.node_count
     e = len(examples)
     feature_dim = np.asarray(examples[0][0]).shape[1]
-    x = np.empty((n, e, feature_dim))
+    masks = [list(mask) for _, _, mask in examples]
+    sizes = np.array([len(mask) for mask in masks])
+    example = np.repeat(np.arange(e), sizes)
+    node = np.fromiter(chain.from_iterable(masks), dtype=int, count=example.size)
+    node = node[np.lexsort((node, example))]  # each example's mask ascending
+
+    outside = (node < 0) | (node >= n)
+    safe = np.where(outside, 0, node)
+    bounds = np.cumsum(sizes)[:-1]
+    picked = np.concatenate(
+        [
+            np.asarray(labels, dtype=int)[part]
+            for (_, labels, _), part in zip(examples, np.split(safe, bounds))
+        ]
+    )
+    repeats = np.flatnonzero((np.diff(node) == 0) & (np.diff(example) == 0)) + 1
+    failed = np.zeros((len(_EXAMPLE_CHECKS), e), dtype=bool)
+    failed[0] = [np.shape(features) != (n, feature_dim) for features, _, _ in examples]
+    failed[1] = sizes == 0
+    failed[2, example[repeats]] = True
+    failed[3, example[outside]] = True
+    failed[4, example[picked == MISSING_LABEL]] = True
+    failed[5, example[(picked != 0) & (picked != 1)]] = True
+    if failed.any():
+        i = int(failed.any(axis=0).argmax())
+        check = _EXAMPLE_CHECKS[int(failed[:, i].argmax())]
+        raise ValueError(f"example {i}: " + check.format(n=n, d=feature_dim))
+
+    x = np.stack([np.asarray(features, dtype=float) for features, _, _ in examples], axis=1)
     weight = np.zeros((n, e))
     sign = np.zeros((n, e))
-    for i, (features, labels, mask) in enumerate(examples):
-        features = np.asarray(features, dtype=float)
-        if features.shape != (n, feature_dim):
-            raise ValueError(f"example {i}: features must be ({n}, {feature_dim})")
-        mask = np.asarray(sorted(mask), dtype=int)
-        if mask.size == 0:
-            raise ValueError(f"example {i}: empty mask")
-        if (np.diff(mask) == 0).any():
-            raise ValueError(f"example {i}: mask repeats a node")
-        picked = np.asarray(labels, dtype=int)[mask]
-        if (picked == MISSING_LABEL).any():
-            raise ValueError(f"example {i}: masked nodes must have labels")
-        if ((picked != 0) & (picked != 1)).any():
-            raise ValueError(f"example {i}: labels must be 0 or 1")
-        x[:, i] = features
-        weight[mask, i] = 1.0 / (mask.size * e)
-        sign[mask, i] = 2.0 * picked - 1.0
+    weight[node, example] = 1.0 / (sizes[example] * e)
+    sign[node, example] = 2.0 * picked - 1.0
     ax = (adj.matrix @ x.reshape(n, -1)).reshape(n * e, feature_dim)
     rows = np.flatnonzero(weight)
     return _Batch(ax, rows, sign.ravel()[rows], weight.ravel()[rows])

@@ -226,22 +226,21 @@ def build_eval_slices(
     (the undefined marker). ``train_next_day`` is absent entirely when
     nothing was queried.
     """
-    chosen_set = set(chosen)
-    unqueried = tuple(v for v in split.pool if v not in chosen_set)
+    queried = np.zeros(len(labels_now), dtype=bool)
+    queried[list(chosen)] = True
+    pool = np.array(split.pool, dtype=int)
+    unqueried = pool[~queried[pool]]
     plan = [
-        ("test_set_same_day", split.holdout, labels_now, probs_now),
+        ("test_set_same_day", np.array(split.holdout, dtype=int), labels_now, probs_now),
         ("unqueried_same_day", unqueried, labels_now, probs_now),
         ("unqueried_next_day", unqueried, labels_next, probs_next),
     ]
     if chosen:
-        plan.append(("train_next_day", chosen, labels_next, probs_next))
+        plan.append(("train_next_day", np.array(chosen, dtype=int), labels_next, probs_next))
     slices: dict[str, EvalSlice | None] = {}
     for category, nodes, labels, probs in plan:
-        keep = [v for v in nodes if labels[v] != MISSING_LABEL]
-        if not keep:
-            slices[category] = None
-            continue
-        slices[category] = EvalSlice(labels[keep], probs[keep])
+        keep = nodes[labels[nodes] != MISSING_LABEL]
+        slices[category] = EvalSlice(labels[keep], probs[keep]) if keep.size else None
     return slices
 
 
@@ -387,12 +386,24 @@ def compute_cpis(table: DailyTable) -> dict[tuple[str, str, str], list[float]]:
     return {key: row[~np.isnan(row)].tolist() for key, row in zip(table.keys, cpis)}
 
 
-def mean_std(values: list[float]) -> tuple[float | None, float | None, int]:
-    """Mean, population std and count; undefined for no values."""
-    if not values:
-        return None, None, 0
-    arr = np.array(values)
-    return float(arr.mean()), float(arr.std()), arr.size
+def mean_std_rows(values: np.ndarray) -> list[tuple[float | None, float | None, int]]:
+    """Mean, population std and count of each row's defined (non-NaN) values in a
+    matrix; the mean and std are None for a row with none.
+
+    Rows are packed by their count of defined values, as in :func:`row_means`,
+    and each packed matrix is reduced along its rows, so every mean and std
+    has the bits ``np.mean`` and ``np.std`` give that row's values alone.
+    """
+    rows = np.asarray(values, dtype=float)
+    means, stds = np.full((2, rows.shape[0]), np.nan)
+    for group, _, packed in _packed_rows(rows):
+        means[group] = packed.mean(axis=1)
+        stds[group] = packed.std(axis=1)
+    counts = np.count_nonzero(~np.isnan(rows), axis=1).tolist()
+    return [
+        (mean, std, count) if count else (None, None, 0)
+        for mean, std, count in zip(means.tolist(), stds.tolist(), counts)
+    ]
 
 
 def aggregate_records(
@@ -405,14 +416,19 @@ def aggregate_records(
     CPI metrics use the per-bootstrap CPI values directly and appear under
     ``cpi_<metric>``.
     """
+    plain = mean_std_rows(row_means(table.series()))
+    defined = [cpis[key] for key in table.keys]
+    padded = np.full((len(defined), max(map(len, defined), default=0)), np.nan)
+    for row, values in zip(padded, defined):
+        row[: len(values)] = values
     out: dict[tuple[str, str, str], tuple[float, float, int]] = {}
-    for (strategy, category, metric), means in zip(table.keys, row_means(table.series())):
-        means = means[~np.isnan(means)].tolist()
-        if means:
-            out[(strategy, category, metric)] = mean_std(means)
-        defined = cpis[(strategy, category, metric)]
-        if defined:
-            out[(strategy, category, f"cpi_{metric}")] = mean_std(defined)
+    for (strategy, category, metric), entry, cpi_entry in zip(
+        table.keys, plain, mean_std_rows(padded)
+    ):
+        if entry[2]:
+            out[(strategy, category, metric)] = entry
+        if cpi_entry[2]:
+            out[(strategy, category, f"cpi_{metric}")] = cpi_entry
     return out
 
 

@@ -55,7 +55,7 @@ class EvalSlice:
         probs = np.asarray(self.probabilities, dtype=float)
         if labels.size == 0:
             raise UndefinedMetricError("empty evaluation slice")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("slice labels must be 0 or 1 (missing excluded upstream)")
         if probs.shape != (labels.size, 2):
             raise ValueError("probabilities must be an (n, 2) matrix")

@@ -43,7 +43,7 @@ from .harness import (
     aggregate_records,
     compute_cpis,
     load_configured_dataset,
-    mean_std,
+    mean_std_rows,
     query_days,
     row_means,
 )
@@ -168,8 +168,8 @@ def _strategy_logs(config, query_logs) -> dict[str, list[QueryLog]]:
     return {s: [query_logs[k] for k in keys if k[0] == s] for s in config.strategies}
 
 
-def _over_logs(fn, logs: list[QueryLog]):
-    """Mean, std and count of ``fn`` over the logs where it is defined.
+def _over_logs(fn, logs: list[QueryLog]) -> list[float]:
+    """``fn`` of each log; NaN where it is undefined.
 
     A centrality the graph cannot support leaves ``fn`` undefined on every log.
     """
@@ -178,22 +178,26 @@ def _over_logs(fn, logs: list[QueryLog]):
         try:
             values.append(fn(log))
         except (ValueError, ConvergenceError):
-            pass
-    return mean_std(values)
+            values.append(np.nan)
+    return values
 
 
 def _burden_rows(config, per_strategy):
     for strategy in config.strategies:
         logs = per_strategy[strategy]
+        keys, values = [], []
         for name, fn in _BURDEN_SIMPLE:
-            yield (strategy, name, None, *_over_logs(fn, logs))
+            keys.append((name, None))
+            values.append(_over_logs(fn, logs))
         for threshold in config.gap_thresholds:
             for name, fn in (
                 ("within_gap_pct", within_gap_percentage),
                 ("over_exertion", over_exertion),
             ):
-                stats = _over_logs(lambda log: fn(log, threshold), logs)
-                yield (strategy, name, threshold, *stats)
+                keys.append((name, threshold))
+                values.append(_over_logs(lambda log: fn(log, threshold), logs))
+        for key, stats in zip(keys, mean_std_rows(np.array(values, dtype=float))):
+            yield (strategy, *key, *stats)
 
 
 def _tradeoff_rows(config, aggregate, per_strategy):
@@ -201,9 +205,10 @@ def _tradeoff_rows(config, aggregate, per_strategy):
     for strategy in config.strategies:
         entry = aggregate.get((strategy, "test_set_same_day", cpi_key))
         mean_cpi = entry[0] if entry else None
-        mean_exertion, _, _ = _over_logs(
+        exertion = _over_logs(
             lambda log: over_exertion(log, config.reference_gap), per_strategy[strategy]
         )
+        [(mean_exertion, _, _)] = mean_std_rows(np.array([exertion], dtype=float))
         yield (strategy, mean_cpi, mean_exertion)
 
 
@@ -211,11 +216,9 @@ def _heatmap_rows(config, per_strategy, dataset):
     for strategy in config.strategies:
         logs = {str(i): log for i, log in enumerate(per_strategy[strategy])}
         tables = mean_normalized_centrality(logs, dataset.graph).values()
-        row = [strategy]
-        for metric in CENTRALITY_METRICS:
-            mean, _, _ = mean_std([t[metric] for t in tables if t[metric] is not None])
-            row.append(mean)
-        yield tuple(row)
+        # None, a centrality undefined on the graph, becomes NaN
+        values = np.array([[t[m] for t in tables] for m in CENTRALITY_METRICS], dtype=float)
+        yield (strategy, *(mean for mean, _, _ in mean_std_rows(values)))
 
 
 def _correlation_rows(config, per_strategy, dataset):
@@ -225,8 +228,8 @@ def _correlation_rows(config, per_strategy, dataset):
     for strategy in config.strategies:
         stop = start + len(per_strategy[strategy])
         keys = product(CENTRALITY_METRICS, BURDEN_QUANTITIES, CORRELATION_METHODS)
-        for key, column in zip(keys, values[start:stop].T):
-            yield (strategy, *key, *mean_std(column[~np.isnan(column)].tolist()))
+        for key, stats in zip(keys, mean_std_rows(values[start:stop].T)):
+            yield (strategy, *key, *stats)
         start = stop
 
 

@@ -9,7 +9,6 @@ against quadrature.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -247,13 +246,9 @@ def _tie_correction(pooled: np.ndarray) -> float:
     return 1.0 - float((counts**3 - counts).sum()) / (n**3 - n)
 
 
-def kruskal_wallis(groups, p_method: str = "chi2") -> TestResult:
-    """Kruskal-Wallis H test with average ranks and tie correction.
-
-    ``p_method="chi2"`` uses the usual chi-square approximation;
-    ``"exact"`` enumerates the full conditional permutation distribution
-    (feasible only for small pooled samples).
-    """
+def kruskal_wallis(groups) -> TestResult:
+    """Kruskal-Wallis H test with average ranks, tie correction and the usual
+    chi-square approximation of its p-value."""
     arrays = _as_groups(groups)
     pooled = np.concatenate(arrays)
     correction = _tie_correction(pooled)
@@ -265,44 +260,4 @@ def kruskal_wallis(groups, p_method: str = "chi2") -> TestResult:
     bounds = np.cumsum([0] + sizes)
     rank_sums = [float(ranks[bounds[i] : bounds[i + 1]].sum()) for i in range(len(arrays))]
     h = _kw_statistic_from_rank_sums(rank_sums, sizes, n, correction)
-    if p_method == "chi2":
-        return TestResult(h, chi2_survival(h, len(arrays) - 1))
-    if p_method == "exact":
-        return TestResult(h, _kw_exact_pvalue(ranks, sizes, n, correction, h))
-    raise ValueError(f"unknown p_method {p_method!r}")
-
-
-def _kw_exact_pvalue(
-    ranks: np.ndarray, sizes: list[int], n: int, correction: float, h_obs: float
-) -> float:
-    total_assignments = math.factorial(n)
-    for sz in sizes:
-        total_assignments //= math.factorial(sz)
-    if total_assignments > 500_000:
-        raise ValueError(
-            f"{total_assignments} assignments is too many for the exact method"
-        )
-
-    at_least = 0
-    total = 0
-    threshold = h_obs - 1e-12
-
-    def recurse(remaining: tuple[int, ...], group_idx: int, rank_sums: list[float]):
-        nonlocal at_least, total
-        if group_idx == len(sizes) - 1:
-            sums = rank_sums + [sum(ranks[list(remaining)])]
-            h = _kw_statistic_from_rank_sums(sums, sizes, n, correction)
-            total += 1
-            if h >= threshold:
-                at_least += 1
-            return
-        for chosen in combinations(range(len(remaining)), sizes[group_idx]):
-            chosen_set = set(chosen)
-            picked = [remaining[i] for i in chosen]
-            rest = tuple(
-                remaining[i] for i in range(len(remaining)) if i not in chosen_set
-            )
-            recurse(rest, group_idx + 1, rank_sums + [sum(ranks[picked])])
-
-    recurse(tuple(range(n)), 0, [])
-    return at_least / total
+    return TestResult(h, chi2_survival(h, len(arrays) - 1))

@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .clustering import kcenter_greedy, kmeans, kmedoids
+from .clustering import kcenter_greedy, kmeans, kmedoids, pairwise_distances, pam
 from .gcn import NormalizedAdjacency
 from .graphs import Graph, degree_centrality, modularity_partition, pagerank
 from .stats import average_ranks
@@ -233,45 +233,41 @@ def allocate_budget(k: int, pool_sizes: Mapping[int, int]) -> dict[int, int]:
     return alloc
 
 
-def _community_pools(ctx: SelectionContext) -> dict[int, np.ndarray]:
+def _community_medoids(
+    ctx: SelectionContext, medoids_of: Callable[[np.ndarray, int], np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per community (id order) with a nonzero budget: the pool positions of its
+    members and of its allocated medoids, which ``medoids_of(positions, k)`` picks."""
     partition = modularity_partition(ctx.graph)
-    pool = ctx.pool_array()
-    return {
-        c: pool[partition.community_of[pool] == c]
-        for c in range(partition.community_count)
-    }
-
-
-def _community_medoids(ctx: SelectionContext) -> list[tuple[int, np.ndarray, list[int]]]:
-    """Per community (id order): its pool nodes and the allocated medoid nodes."""
-    pools = _community_pools(ctx)
-    alloc = allocate_budget(ctx.k, {c: len(p) for c, p in pools.items()})
-    emb = np.asarray(ctx.embeddings, dtype=float)
-    result = []
-    for c in sorted(alloc):
-        if alloc[c] == 0:
-            continue
-        members = pools[c]
-        idx = kmedoids(emb[members], alloc[c])
-        result.append((c, members, [int(members[i]) for i in idx]))
-    return result
+    community = partition.community_of[ctx.pool_array()]
+    positions = [np.flatnonzero(community == c) for c in range(partition.community_count)]
+    alloc = allocate_budget(ctx.k, {c: p.size for c, p in enumerate(positions)})
+    return [
+        (positions[c], positions[c][medoids_of(positions[c], alloc[c])])
+        for c in sorted(alloc)
+        if alloc[c] > 0
+    ]
 
 
 def select_graphpart(ctx: SelectionContext) -> Selection:
-    chosen = [m for _, _, medoids in _community_medoids(ctx) for m in medoids]
-    return _finish(ctx, chosen)
+    pool = ctx.pool_array()
+    points = np.asarray(ctx.embeddings, dtype=float)[pool]
+    plan = _community_medoids(ctx, lambda members, k: kmedoids(points[members], k))
+    return _finish(ctx, [int(pool[m]) for _, medoids in plan for m in medoids])
+
+
+def _half_median(dist: np.ndarray) -> float:
+    """Half the median of a distance matrix's upper triangle; 0 for fewer than two points."""
+    n = dist.shape[0]
+    if n < 2:
+        return 0.0
+    return 0.5 * float(np.median(dist[np.triu_indices(n, k=1)]))
 
 
 def diversity_radius(ctx: SelectionContext) -> float:
     """Half the median pairwise distance between pool embeddings."""
-    pool = ctx.pool_array()
-    points = np.asarray(ctx.embeddings, dtype=float)[pool]
-    n = len(points)
-    if n < 2:
-        return 0.0
-    first, second = np.triu_indices(n, k=1)
-    diff = points[first] - points[second]
-    return 0.5 * float(np.median(np.sqrt((diff * diff).sum(axis=1))))
+    points = np.asarray(ctx.embeddings, dtype=float)[ctx.pool_array()]
+    return _half_median(pairwise_distances(points))
 
 
 def select_graphpartfar(ctx: SelectionContext) -> Selection:
@@ -282,23 +278,40 @@ def select_graphpartfar(ctx: SelectionContext) -> Selection:
     farthest-from-selected pool node; if even that node is too close,
     the original medoid stands. A medoid stolen earlier in the call by a
     farthest-replacement always yields to the farthest candidate.
-    """
-    delta = diversity_radius(ctx)
-    emb = np.asarray(ctx.embeddings, dtype=float)
-    anchor_nodes = [n for n in sorted(ctx.history) if ctx.history[n]]
-    chosen: list[int] = []
 
-    for _, members, medoids in _community_medoids(ctx):
-        for medoid in medoids:
-            candidates = members[~np.isin(members, chosen)]
-            diff = emb[anchor_nodes + chosen][None, :, :] - emb[candidates][:, None, :]
-            dist = np.sqrt((diff * diff).sum(axis=2)).min(axis=1, initial=np.inf)
-            farthest = int(dist.argmax())  # candidates ascend, so ties go to the smaller id
-            stolen = medoid in chosen
+    One distance matrix over the pool, then the history nodes outside it,
+    serves the radius, every community's medoids and the anchor scan.
+    """
+    pool = ctx.pool_array()
+    m = pool.size
+    anchors = np.array([n for n in sorted(ctx.history) if ctx.history[n]], dtype=int)
+    nodes = np.concatenate([pool, np.setdiff1d(anchors, pool)])
+    emb = np.asarray(ctx.embeddings, dtype=float)
+    dist = pairwise_distances(emb[nodes])
+    delta = _half_median(dist[:m, :m])
+
+    def medoids_of(members: np.ndarray, k: int) -> np.ndarray:
+        if not np.isfinite(emb[pool[members]]).all():
+            raise ValueError("points must be finite")
+        return pam(dist[np.ix_(members, members)], k)
+
+    plan = _community_medoids(ctx, medoids_of)
+    # each pool node's distance to its nearest anchor, then to its nearest pick too
+    position = np.zeros(emb.shape[0], dtype=int)
+    position[nodes] = np.arange(nodes.size)
+    near = dist[:m, position[anchors]].min(axis=1, initial=np.inf)
+    taken = np.zeros(m, dtype=bool)
+    chosen: list[int] = []
+    for members, medoids in plan:
+        for medoid in medoids.tolist():
+            candidates = members[~taken[members]]
+            farthest = candidates[near[candidates].argmax()]  # ties go to the smaller id
             pick = medoid
-            if stolen or dist[np.searchsorted(candidates, medoid)] < delta <= dist[farthest]:
-                pick = candidates[farthest]
-            chosen.append(int(pick))
+            if taken[medoid] or near[medoid] < delta <= near[farthest]:
+                pick = int(farthest)
+            taken[pick] = True
+            near = np.minimum(near, dist[pick, :m])
+            chosen.append(int(pool[pick]))
     return _finish(ctx, chosen)
 
 

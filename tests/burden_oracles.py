@@ -15,6 +15,7 @@ arrays. Slow on purpose.
 import math
 
 import numpy as np
+from metric_oracles import oracle_mean_std
 
 from galstream.burden import BURDEN_QUANTITIES, CORRELATION_METHODS, normalized_centrality
 from galstream.exceptions import ConvergenceError
@@ -161,3 +162,14 @@ def oracle_query_rows(strategies, query_logs):
         events = sorted((day, node) for node, days in log.days_by_node.items() for day in days)
         for day, node in events:
             yield (strategy, bootstrap, day, node)
+
+
+def oracle_over_logs(fn, logs):
+    """Mean, std and count of ``fn`` over the logs where it is defined, one log at a time."""
+    values = []
+    for log in logs:
+        try:
+            values.append(fn(log))
+        except (ValueError, ConvergenceError):
+            pass
+    return oracle_mean_std(values)

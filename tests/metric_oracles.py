@@ -3,14 +3,15 @@
 These are the recount-per-metric versions of the threshold metrics, the
 element-at-a-time tie walks of average ranks, the Kruskal-Wallis tie
 correction, AUC-ROC and AUC-PR, the window-at-a-time rolling mean and
-std, the row-at-a-time mean over defined values, the series-at-a-time
-CPI and rolling report, and the cell-at-a-time CSV writer. The library
-counts each slice's confusion matrix once, groups tied values in one
-place, reduces every rolling window of one length, every row with the
-same count of defined values and every CPI of series with the same count
-of defined days in one call, and formats a report's cells a column at a
-time; the tests require the same bits, not close values, because both
-keep every value's arithmetic and summation order. Slow on purpose.
+std, the row-at-a-time mean over defined values, the group-at-a-time
+mean and std, the series-at-a-time CPI and rolling report, and the
+cell-at-a-time CSV writer. The library counts each slice's confusion
+matrix once, groups tied values in one place, reduces every rolling
+window of one length, every row with the same count of defined values
+(for its mean, or its mean and std) and every CPI of series with the same
+count of defined days in one call, and formats a report's cells a column
+at a time; the tests require the same bits, not close values, because
+both keep every value's arithmetic and summation order. Slow on purpose.
 """
 
 import csv
@@ -156,6 +157,14 @@ def oracle_row_means(values):
     """The mean of each row over its defined (non-NaN) values; rows with none drop out."""
     defined = (row[~np.isnan(row)] for row in values)
     return [float(np.mean(row)) for row in defined if row.size]
+
+
+def oracle_mean_std(values):
+    """Mean, population std and count of one group's values; undefined for no values."""
+    if not values:
+        return None, None, 0
+    arr = np.array(values)
+    return float(arr.mean()), float(arr.std()), arr.size
 
 
 def oracle_cpi(days, values):

@@ -1,8 +1,9 @@
 """Loop references for the partition strategies' array code.
 
 These are the one-candidate-at-a-time versions of PAM k-medoids, the greedy
-modularity merge and the GraphPartFar candidate scan. The library computes
-the same values with array operations; the tests require equal results,
+modularity merge, the GraphPartFar candidate scan and the greedy k-center
+traversal behind coreset. The library computes the same values with array
+operations, and GraphPartFar reads every distance from one matrix; the tests require equal results,
 not close ones, because every comparison the loops make is reproduced
 exactly. Slow on purpose.
 """
@@ -173,3 +174,29 @@ def oracle_graphpartfar(ctx, allocate):
     delta = oracle_diversity_radius(emb[sorted(ctx.pool)])
     anchors = [v for v in sorted(ctx.history) if ctx.history[v]]
     return oracle_graphpartfar_scan(emb, oracle_partition_plan(ctx, allocate), anchors, delta)
+
+
+def oracle_kcenter_greedy(points, k, preselected=()):
+    """Farthest-first traversal, each candidate's nearest chosen point found on its own."""
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    pre = sorted(set(preselected))
+    chosen = [] if pre else [0]
+
+    def nearest(v):
+        d = points[pre + chosen] - points[v]
+        return float(np.sqrt((d * d).sum(axis=1)).min())
+
+    while len(chosen) < k:
+        candidates = [v for v in range(n) if v not in chosen and v not in pre]
+        if not candidates:
+            candidates = [v for v in range(n) if v not in chosen]
+        chosen.append(max(candidates, key=lambda v: (nearest(v), -v)))
+    return chosen
+
+
+def oracle_coreset(ctx):
+    pool = sorted(ctx.pool)
+    emb = np.asarray(ctx.embeddings, dtype=float)
+    pre = [i for i, v in enumerate(pool) if ctx.history.get(v)]
+    return tuple(pool[i] for i in oracle_kcenter_greedy(emb[pool], ctx.k, pre))

@@ -19,6 +19,7 @@ from burden_oracles import (
     oracle_log_error,
     oracle_mean_normalized_centrality,
     oracle_over_exertion,
+    oracle_over_logs,
     oracle_query_counts,
     oracle_sampling_entropy,
     oracle_within_gap_percentage,
@@ -205,7 +206,7 @@ def test_report_correlations_match_loop_reference():
         g = random_graph(rng, 50, 0.08, connected=connected)
         got = list(reports._correlation_rows(config, per_strategy, SimpleNamespace(graph=g)))
         want = [
-            (strategy, metric, quantity, method, *reports._over_logs(
+            (strategy, metric, quantity, method, *oracle_over_logs(
                 lambda log: oracle_centrality_burden_correlation(log, g, metric, quantity, method),
                 per_strategy[strategy],
             ))

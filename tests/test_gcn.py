@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -169,6 +170,65 @@ class TestLossAndGradients:
                     fd = (up - down) / (2 * h)
                     if abs(gflat[idx]) > 1e-8:
                         assert abs(fd - gflat[idx]) / abs(gflat[idx]) < 1e-4
+
+
+# one bad example of each kind, as (features, labels, mask) on random_setup's
+# 6-node, 3-feature day, and the message it raised when examples were checked
+# one at a time
+BAD_EXAMPLES = {
+    "shape": (lambda x, y: (x[:, :2], y, [0, 1]), "features must be (6, 3)"),
+    "empty": (lambda x, y: (x, y, []), "empty mask"),
+    "repeat": (lambda x, y: (x, y, [3, 1, 3]), "mask repeats a node"),
+    "missing": (lambda x, y: (x, np.where(np.arange(6) == 4, -1, y), [1, 4]),
+                "masked nodes must have labels"),
+    "not_binary": (lambda x, y: (x, np.where(np.arange(6) == 2, 2, y), [2, 5]),
+                   "labels must be 0 or 1"),
+}
+
+
+class TestStackedExampleChecks:
+    @pytest.mark.parametrize("first, second", itertools.permutations(sorted(BAD_EXAMPLES), 2))
+    def test_first_bad_example_is_named(self, first, second):
+        rng = np.random.default_rng(12)
+        adj, x, labels, mask, params = random_setup(rng)
+        examples = [(rng.normal(size=x.shape), labels, mask) for _ in range(6)]
+        examples[2] = BAD_EXAMPLES[first][0](x, labels)
+        examples[4] = BAD_EXAMPLES[second][0](x, labels)
+        for call in (
+            lambda: train(0, adj, examples),
+            lambda: loss_and_gradients(params, adj, examples),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"example 2: {BAD_EXAMPLES[first][1]}"
+
+    def test_an_example_failing_several_checks_names_the_first(self):
+        rng = np.random.default_rng(13)
+        adj, x, labels, mask, params = random_setup(rng)
+        labels[1] = -1
+        labels[2] = 5
+        for bad, message in (
+            ((x[:4], labels, [1, 1]), "features must be (6, 3)"),
+            ((x, labels, [2, 1, 1]), "mask repeats a node"),
+            ((x, labels, [2, 7]), "mask node outside [0, 6)"),
+            ((x, labels, [2, 1]), "masked nodes must have labels"),
+        ):
+            with pytest.raises(ValueError) as err:
+                train(0, adj, [(x, labels, [0]), bad])
+            assert str(err.value) == f"example 1: {message}"
+
+    @pytest.mark.parametrize("node", [-1, -4, 4, 9])
+    def test_mask_node_outside_the_graph_is_rejected(self, node):
+        # a negative index once wrapped to node n - 1 and trained on it
+        adj = build_normalized_adjacency(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        x = np.arange(8.0).reshape(4, 2)
+        labels = np.array([0, 1, 0, 1])
+        examples = [(x, labels, [0, 2]), (x, labels, [1, node])]
+        with pytest.raises(ValueError, match=r"^example 1: mask node outside \[0, 4\)$"):
+            train(0, adj, examples)
+        params = init_params(0, 2, 3)
+        with pytest.raises(ValueError, match=r"^example 1: mask node outside \[0, 4\)$"):
+            loss_and_gradients(params, adj, examples)
 
 
 def noiseless_toy():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from harness_oracles import oracle_build_eval_slices
 
 from galstream import (
     ConfigError,
@@ -102,6 +103,41 @@ class TestBuildEvalSlices:
         assert slices["test_set_same_day"] is None
         assert slices["unqueried_same_day"] is None
         assert slices["unqueried_next_day"] is not None
+
+
+def _slice_bytes(slices):
+    return {
+        category: None if s is None else (
+            s.true_labels.dtype.str, s.true_labels.tobytes(), s.probabilities.tobytes()
+        )
+        for category, s in slices.items()
+    }
+
+
+def test_build_eval_slices_match_set_based_reference():
+    rng = np.random.default_rng(1717)
+    for trial in range(400):
+        n = int(rng.integers(1, 30))
+        nodes = rng.permutation(n)
+        cut = int(rng.integers(0, n + 1))
+        split = Split(holdout=tuple(nodes[:cut].tolist()), pool=tuple(nodes[cut:].tolist()))
+        # chosen pool nodes in selection order, not id order; sometimes none
+        k = int(rng.integers(0, len(split.pool) + 1))
+        chosen = tuple(rng.permutation(split.pool)[:k].tolist())
+        labels_now, labels_next = rng.integers(-1, 2, size=(2, n))
+        kind = trial % 4
+        if kind == 1:  # every label missing today: the same-day slices are empty
+            labels_now[:] = -1
+        elif kind == 2 and chosen:  # every queried node misses its label tomorrow
+            labels_next[list(chosen)] = -1
+        p_now, p_next = rng.uniform(0, 1, size=(2, n))
+        probs_now = np.column_stack([1 - p_now, p_now])
+        probs_next = np.column_stack([1 - p_next, p_next])
+        args = (split, chosen, labels_now, labels_next, probs_now, probs_next)
+        got = build_eval_slices(*args)
+        want = oracle_build_eval_slices(*args)
+        assert list(got) == list(want), trial
+        assert _slice_bytes(got) == _slice_bytes(want), trial
 
 
 class TestRunExperiment:

@@ -6,10 +6,11 @@ once; ``metric_oracles`` recounts each metric and walks each run of ties
 element by element. The tests require the
 same bits, or the same error type, on every slice and vector.
 ``rolling_mean_std_rows`` reduces every window of one length in one
-call, ``harness.row_means`` every row with the same count of defined
-values, and ``harness.compute_cpis`` takes the CPIs of every series with
-the same count of defined days in one call; each is held to the same bits
-as reducing one window, row or series at a time.
+call, ``harness.row_means`` and ``harness.mean_std_rows`` every row with
+the same count of defined values, and ``harness.compute_cpis`` takes the
+CPIs of every series with the same count of defined days in one call;
+each is held to the same bits as reducing one window, row or series at a
+time.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from metric_oracles import (
     oracle_compute_cpis,
     oracle_cpi,
     oracle_fmt,
+    oracle_mean_std,
     oracle_rolling_mean_std,
     oracle_rolling_rows,
     oracle_row_means,
@@ -36,7 +38,7 @@ from galstream import (
     rolling_mean_std,
 )
 from galstream.exceptions import UndefinedMetricError
-from galstream.harness import DailyTable, compute_cpis, row_means
+from galstream.harness import DailyTable, compute_cpis, mean_std_rows, row_means
 from galstream.metrics import THRESHOLD, rolling_mean_std_rows
 from galstream.stats import _tie_correction, average_ranks, tie_runs
 
@@ -202,6 +204,23 @@ def test_row_means_reduce_the_last_axis_of_any_grid():
     flat = got.reshape(-1)
     want = np.array(oracle_row_means(grid.reshape(-1, 9)))
     assert flat[~np.isnan(flat)].tobytes() == want.tobytes()
+
+
+def test_mean_std_rows_match_group_at_a_time_reference():
+    rng = np.random.default_rng(1416)
+    for _ in range(400):
+        length = int(rng.integers(1, 41))  # pairwise summation blocks by 8
+        values = _with_gaps(rng, rng.random((int(rng.integers(1, 20)), length)))
+        if rng.random() < 1 / 3:  # few distinct values
+            values = values.round(2)
+        values *= 10.0 ** rng.integers(-3, 4)
+        for rows in (values, np.asfortranarray(values), values[::-1, ::-1]):
+            got = mean_std_rows(rows)
+            want = [oracle_mean_std(row[~np.isnan(row)].tolist()) for row in rows]
+            assert [list(map(oracle_fmt, e)) for e in got] == [
+                list(map(oracle_fmt, e)) for e in want
+            ], length
+    assert mean_std_rows(np.zeros((3, 0))) == [(None, None, 0)] * 3
 
 
 def _gapped_table(rng, days, bootstraps=5):

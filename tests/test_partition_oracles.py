@@ -9,21 +9,29 @@ import numpy as np
 import pytest
 from graph_oracles import random_graph
 from partition_oracles import (
+    oracle_coreset,
     oracle_diversity_radius,
     oracle_graphpart,
     oracle_graphpartfar,
+    oracle_kcenter_greedy,
     oracle_kmedoids,
     oracle_modularity_partition,
 )
 from test_centrality_digests import GRAPHS
+from test_partition_pins import _benchmark_dataset
 
 from galstream import (
     Graph,
     SelectionContext,
+    TrainConfig,
     build_normalized_adjacency,
+    forward,
+    kcenter_greedy,
     kmedoids,
+    make_split,
     modularity_partition,
     select,
+    train,
 )
 from galstream.strategies import allocate_budget, diversity_radius
 
@@ -139,3 +147,70 @@ def test_graphpartfar_with_nan_anchor_matches_loop_reference():
         rng_seed=0,
     )
     assert select("graphpartfar", ctx).chosen == oracle_graphpartfar(ctx, allocate_budget)
+
+
+def test_kcenter_greedy_matches_loop_reference():
+    rng = np.random.default_rng(808)
+    for _ in range(300):
+        n = int(rng.integers(1, 19))
+        points = _points(rng, n)
+        pre = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+        k = int(rng.integers(1, n + 1))
+        got = kcenter_greedy(points, k, pre)
+        assert got.tolist() == oracle_kcenter_greedy(points, k, pre), (points.tolist(), k, pre)
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 5, 9])
+def test_kcenter_greedy_rejects_preselected_outside_the_points(bad):
+    # -1 once counted as the last point for distances but blocked no point
+    with pytest.raises(ValueError, match=rf"^preselected index {bad} outside \[0, 5\)$"):
+        kcenter_greedy(np.arange(10.0).reshape(5, 2), 2, [1, bad])
+
+
+def _trained_day(seed, history_size, k):
+    """A day of the 300-node benchmark stream, embedded by a trained model the way
+    the harness embeds it in model_based mode.
+
+    The history holds the pool nodes nearest one pool node in embedding space,
+    so GraphPartFar replaces the medoids near them and keeps the rest, and a
+    few holdout nodes, which anchor it from outside the pool.
+    """
+    dataset = _benchmark_dataset()
+    rng = np.random.default_rng(seed)
+    split = make_split(dataset, 0.2, seed)
+    adj = build_normalized_adjacency(dataset.graph)
+    examples = [
+        (day.features, day.labels, [v for v in split.pool if day.labels[v] != -1])
+        for day in dataset.days[:3]
+    ]
+    params = train(seed, adj, examples, TrainConfig(epochs=10, learning_rate=0.2))
+    out = forward(params, adj, dataset.days[int(rng.integers(3, 29))].features)
+    pool = np.array(split.pool)
+    offsets = out.hidden[pool] - out.hidden[rng.choice(pool)]
+    nearest = np.argsort(np.sqrt((offsets * offsets).sum(axis=1)), kind="stable")
+    history = pool[nearest[:history_size]].tolist()
+    history += rng.choice(split.holdout, size=5, replace=False).tolist()
+    return SelectionContext(
+        graph=dataset.graph,
+        adj=adj,
+        embeddings=out.hidden,
+        probabilities=out.probabilities,
+        pool=split.pool,
+        history={int(v): (int(rng.integers(0, 30)),) for v in history},
+        k=k,
+        rng_seed=seed,
+    )
+
+
+@pytest.mark.parametrize("seed, history_size, k", [(25, 100, 10), (25, 110, 24), (27, 110, 24)])
+def test_strategies_match_loop_reference_on_a_300_node_trained_day(seed, history_size, k):
+    ctx = _trained_day(seed, history_size, k)
+    assert len(ctx.pool) == 240 and np.count_nonzero(ctx.embeddings == 0) > 0
+    pool_points = np.asarray(ctx.embeddings)[list(ctx.pool)]
+    assert diversity_radius(ctx) == oracle_diversity_radius(pool_points)
+    graphpart = select("graphpart", ctx).chosen
+    assert graphpart == oracle_graphpart(ctx, allocate_budget)
+    graphpartfar = select("graphpartfar", ctx).chosen
+    assert graphpartfar == oracle_graphpartfar(ctx, allocate_budget)
+    assert graphpartfar != graphpart  # the scan replaced some medoids
+    assert select("coreset", ctx).chosen == oracle_coreset(ctx)

@@ -13,6 +13,7 @@ File formats (all CSV with headers, node ids 0-based):
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -146,13 +147,14 @@ def load_dataset(
             if cell.strip() == "":
                 continue  # missing cell, imputed to 0
             try:
-                values[j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise DataFormatError(
                     feature_path, lineno, f"feature cell {cell!r} is not a number"
                 ) from None
-            if not np.isfinite(values[j]):
+            if not math.isfinite(value):
                 raise DataFormatError(feature_path, lineno, "feature cells must be finite")
+            values[j] = value
         cells[(day, node)] = values
     if not cells:
         raise DataFormatError(feature_path, 2, "no feature rows")

@@ -162,8 +162,10 @@ def shortest_path_distances(g: Graph, source: int) -> np.ndarray:
 
 
 # The BFS runs from a block of sources at once. The block size follows from
-# the edge count, so one block's expansion pairs, over all its levels, number
-# about this many.
+# the edge count, so that one block's expansion pairs, over all its levels,
+# number at most this many (a graph with more adjacency entries runs one
+# source per block), and from the node count, so that the arrays over a
+# block's keys hold at most this many entries too (or n, at one source).
 _PAIR_ENTRIES = 1 << 14
 
 
@@ -179,29 +181,48 @@ def _shortest_paths(g: Graph) -> _ShortestPaths:
     """One level-synchronous BFS from every source, shared by the path centralities.
 
     A block of sources expands each level over the adjacency lists at once.
-    The pair (i-th source of the block, node) is keyed ``i * n + node``; the
-    frontier holds the keys in the order a one-source FIFO BFS discovers
-    them: by the rank of the first parent, then by node id. Each sum adds
-    its terms in that BFS's order, so every value has the bits of a
-    per-source BFS:
-    ``sigma[w]`` adds its parents in pop order, and the Brandes dependency
-    ``delta[v] += sigma[v] / sigma[w] * (1 + delta[w])`` runs over w in
-    reverse discovery order, then over w's parents in pop order. The
-    dependencies of the sources are added into the betweenness in source
-    order. ``beyond[s, v] = 1 + sum of beyond[s, w]`` over the successors w
-    of v counts the shortest paths that start at v and lead away from s, so
+    The pair (i-th source of the block, node) is keyed ``i * n + node``. A
+    level lists its (parent, child) pairs by the parent's place in the
+    frontier, then by the child's node id, and keeps those whose child is
+    new. The next frontier is the new keys in the order of their first
+    pair, which is the order a one-source FIFO BFS discovers them;
+    ``np.minimum.at`` finds each key's first pair, so no level sorts by
+    comparison. The backward pass takes a level's pairs by child, in
+    reverse discovery order: a stable radix sort of the children's reversed
+    ranks, held in 8 or 16 bits. A level finds at most ``_PAIR_ENTRIES``
+    keys when a block holds several sources, and at most n - 1 when it
+    holds one, so only a graph of more than 65,536 nodes needs wider ranks,
+    which numpy sorts by comparison.
+
+    Every value has the bits of a textbook per-source Brandes pass.
+    ``sigma``, ``beyond`` and ``through`` are sums of integers, held
+    exactly as floats while they stay below 2**53, so the order of their
+    terms does not matter. Only the dependency
+    ``delta[v] += sigma[v] / sigma[w] * (1 + delta[w])`` rounds, and it
+    adds, for each v, its successors w in reverse discovery order, as the
+    textbook pass does over ``reversed(S)``. The dependencies of the
+    sources are added into the betweenness in source order.
+    ``beyond[s, v] = 1 + sum of beyond[s, w]`` over the successors w of v
+    counts the shortest paths that start at v and lead away from s, so
     ``sigma[s, v] * (beyond[s, v] - 1)`` counts the s-t shortest paths that
     pass strictly through v, summed over t.
     """
     n = g.node_count
     rows, neighbors = np.nonzero(g.adjacency_matrix())
-    degree = np.bincount(rows, minlength=n)
+    block = max(1, min(n, _PAIR_ENTRIES // max(n, neighbors.size)))
+    # the adjacency lists of every key of a block, back to back: entry e
+    # lists neighbor_keys[e] under list_keys[e]
+    slots = n * np.arange(block)[:, None]
+    list_keys = (rows + slots).reshape(-1)
+    neighbor_keys = (neighbors + slots).reshape(-1)
+    degree = np.bincount(list_keys, minlength=block * n)
     first_neighbor = np.cumsum(degree) - degree
-    block = max(1, min(n, _PAIR_ENTRIES // max(1, neighbors.size)))
+    del rows, neighbors  # the block's copies hold them; this lowers the peak
     dist = np.full((n, n), UNREACHABLE, dtype=int)
     sigma = np.zeros((n, n))
     betweenness = np.zeros(n)
     through = np.zeros(n)
+    rank = np.empty(block * n, dtype=np.intp)  # per key, its reversed frontier rank
     for first in range(0, n, block):
         b = min(block, n - first)
         dist_b = dist[first : first + b].reshape(-1)  # views into the full matrices
@@ -214,23 +235,23 @@ def _shortest_paths(g: Graph) -> _ShortestPaths:
         depth = 0
         while frontier.size:
             depth += 1
-            v = frontier % n
-            counts = degree[v]
-            offsets = np.repeat(first_neighbor[v] - (np.cumsum(counts) - counts), counts)
-            parent = np.repeat(frontier, counts)
-            child = parent - parent % n + neighbors[offsets + np.arange(offsets.size)]
-            new = dist_b[child] == UNREACHABLE
-            parent, child = parent[new], child[new]
-            keys, first_seen, inverse = np.unique(
-                child, return_index=True, return_inverse=True
-            )
-            discovery = np.argsort(first_seen)
-            frontier = keys[discovery]
+            counts = degree[frontier]
+            ends = np.cumsum(counts)
+            edge = np.repeat(first_neighbor[frontier] - ends + counts, counts)
+            edge += np.arange(ends[-1])
+            child = neighbor_keys[edge]
+            new = np.flatnonzero(dist_b[child] == UNREACHABLE)
+            parent, child = list_keys[edge[new]], child[new]
+            pair = np.arange(-1 - child.size, -1)  # below UNREACHABLE, in pair order
+            np.minimum.at(dist_b, child, pair)  # each new key keeps its first pair
+            frontier = child[dist_b[child] == pair]
             dist_b[frontier] = depth
             np.add.at(sigma_b, child, sigma_b[parent])
-            rank = np.empty_like(discovery)
-            rank[discovery] = np.arange(discovery.size)
-            backward = np.argsort(-rank[inverse], kind="stable")
+            last = frontier.size - 1
+            rank[frontier] = np.arange(last, -1, -1)
+            backward = np.argsort(
+                rank[child].astype(np.min_scalar_type(last)), kind="stable"
+            )
             levels.append((parent[backward], child[backward]))
         delta = np.zeros(b * n)
         beyond = (dist_b != UNREACHABLE).astype(float)

@@ -6,6 +6,7 @@ search. Slow on purpose; only run on tiny graphs.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -68,6 +69,53 @@ def oracle_distances(g: Graph, s):
         if paths:
             out[t] = len(paths[0]) - 1
     return out
+
+
+def brandes_shortest_paths(g: Graph):
+    """Textbook Brandes (2001): a FIFO BFS per source, then dependencies over reversed S.
+
+    Returns ``(distances, sigma, betweenness, through)`` with the meaning of
+    ``galstream.graphs._shortest_paths``. Each float sum adds its terms in
+    this algorithm's order: ``sigma[w]`` over ``P[w]`` in pop order, and
+    ``delta[v]`` over the successors w of v as w leaves ``reversed(S)``.
+    ``beyond[v]`` is 1 plus the sum of ``beyond[w]`` over those successors,
+    so ``sigma[v] * (beyond[v] - 1)`` counts the s-t shortest paths through v.
+    """
+    n = g.node_count
+    distances = np.full((n, n), -1, dtype=int)
+    sigma = np.zeros((n, n))
+    betweenness = [0.0] * n
+    through = [0.0] * n
+    for s in range(n):
+        dist = [-1] * n
+        paths = [0.0] * n
+        preds = [[] for _ in range(n)]
+        dist[s], paths[s] = 0, 1.0
+        order = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in sorted(g.adjacency[v]):
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    paths[w] += paths[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        beyond = [1.0 if d >= 0 else 0.0 for d in dist]
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += paths[v] / paths[w] * (1.0 + delta[w])
+                beyond[v] += beyond[w]
+        delta[s], beyond[s] = 0.0, 1.0
+        for v in range(n):
+            betweenness[v] += delta[v]
+            through[v] += paths[v] * (beyond[v] - 1.0)
+        distances[s] = dist
+        sigma[s] = paths
+    return distances, sigma, np.array(betweenness) / 2.0, np.array(through) / 2.0
 
 
 def oracle_degree(g: Graph):

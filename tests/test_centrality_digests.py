@@ -16,10 +16,13 @@ and records in CHANGES.md which values moved.
 import hashlib
 import json
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from graph_oracles import brandes_shortest_paths, random_graph
 
 from galstream import (
     CENTRALITY_METRICS,
@@ -115,6 +118,53 @@ def test_shared_pass_distances_match_single_source_bfs(graph):
     dist = graphs._shortest_paths(g).distances
     for s in range(g.node_count):
         assert np.array_equal(dist[s], shortest_path_distances(g, s))
+
+
+def test_shared_pass_matches_textbook_brandes_bit_for_bit():
+    # the oracle's FIFO order fixes the order of every float sum, so the
+    # pass must give its bits on all four arrays, not merely close values
+    rng = np.random.default_rng(5)
+    shapes = Counter()
+    for i in range(160):
+        n = int(rng.integers(1, 46))
+        p = float(rng.uniform(0.02, 0.9))
+        g = random_graph(rng, n, p)
+        got = graphs._shortest_paths(g)
+        for field, have, want in zip(got._fields, got, brandes_shortest_paths(g)):
+            assert have.dtype == want.dtype, f"{field} on graph {i} (n={n}, p={p:.2f})"
+            assert have.tobytes() == want.tobytes(), f"{field} on graph {i} (n={n}, p={p:.2f})"
+        block = graphs._PAIR_ENTRIES // max(n, 2 * g.edge_count)
+        shapes["edgeless"] += g.edge_count == 0
+        shapes["isolated"] += g.edge_count > 0 and 0 in g.degrees()
+        shapes["disconnected"] += g.edge_count > 0 and bool((got.distances < 0).any())
+        shapes["partial last block"] += block < n and n % block > 0
+    # the seed must keep drawing every shape the pass has to get right
+    assert min(shapes.values()) >= 3 and len(shapes) == 4, shapes
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        GRAPHS["synthetic-300"],
+        # ten edges: a block size set by the edge count alone would be all
+        # 300 sources, and every array over the block's keys n x n
+        lambda: Graph.from_edges(300, [(i, i + 1) for i in range(0, 20, 2)]),
+    ],
+    ids=["synthetic-300", "ten-edges-300"],
+)
+def test_shared_pass_peak_memory_on_300_nodes(make):
+    # perfbench's study-large runs this pass cold on synthetic-300 in every
+    # report emission, and its peak_rss_mb may grow by 5% at most: speed
+    # must not cost memory, on that graph or on a sparse one
+    g = make()
+    graphs._shortest_paths.cache_clear()
+    tracemalloc.start()
+    try:
+        graphs._shortest_paths(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_cold_caches_recompute_the_shared_pass_once():

@@ -81,6 +81,23 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match=r"features\.csv:4: unknown node id -1"):
             load_dataset(edges, features, labels)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_feature_cell_names_the_line(self, tmp_path, cell):
+        edges, features, labels = toy_files(tmp_path)
+        write(features, f"day,node,f0,f1\n0,0,1.0,2.0\n0,1,3.0,{cell}\n")
+        with pytest.raises(
+            DataFormatError, match=r"features\.csv:3: feature cells must be finite"
+        ):
+            load_dataset(edges, features, labels)
+
+    def test_unparsable_feature_cell_names_the_line(self, tmp_path):
+        edges, features, labels = toy_files(tmp_path)
+        write(features, "day,node,f0,f1\n0,0,1.0,x2\n")
+        with pytest.raises(
+            DataFormatError, match=r"features\.csv:2: feature cell 'x2' is not a number"
+        ):
+            load_dataset(edges, features, labels)
+
     def test_duplicate_feature_row_rejected(self, tmp_path):
         edges, features, labels = toy_files(tmp_path)
         write(features, "day,node,f0,f1\n0,0,1.0,2.0\n0,0,1.0,2.0\n")

@@ -100,13 +100,16 @@ class Split:
 
 
 def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header, and each non-blank row with its (last) line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(path, 1, "file is empty") from None
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+            header = next(reader, None)
+            rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise DataFormatError(path, reader.line_num, str(exc)) from None
+    if header is None:
+        raise DataFormatError(path, 1, "file is empty")
     return header, rows
 
 

@@ -78,38 +78,17 @@ class DailyTable:
 
     def __init__(self, config: ExperimentConfig, days: tuple[int, ...], failed=frozenset()) -> None:
         self.strategies, self.days = config.strategies, np.array(days, dtype=np.int64)
-        units = [[(s, b) not in failed for b in range(config.bootstraps)] for s in self.strategies]
+        # units[s, b]: whether (strategy, bootstrap) is a unit of the run
+        self.units = np.array(
+            [[(s, b) not in failed for b in range(config.bootstraps)] for s in self.strategies]
+        )
         scored = [[c in scored_categories(s) for c in EVAL_CATEGORIES] for s in self.strategies]
-        shape = (*np.shape(units), self.days.size, len(EVAL_CATEGORIES), len(PERFORMANCE_METRICS))
+        shape = (*self.units.shape, self.days.size, len(EVAL_CATEGORIES), len(PERFORMANCE_METRICS))
         self.values = np.full(shape, np.nan)
-        exists = np.array(units)[:, :, None, None] & np.array(scored)[:, None, None, :]
+        exists = self.units[:, :, None, None] & np.array(scored)[:, None, None, :]
         self.exists = np.broadcast_to(exists[..., None], shape)
         # each (strategy, category, metric) group, in the order of series()
         self.keys = list(product(self.strategies, EVAL_CATEGORIES, PERFORMANCE_METRICS))
-        self._units = {(self.strategies[s], b): s for s, b in np.argwhere(units).tolist()}
-        self._days, self._categories, self._metrics = (
-            {name: i for i, name in enumerate(names)}
-            for names in (self.days.tolist(), EVAL_CATEGORIES, PERFORMANCE_METRICS)
-        )
-
-    def cell(self, strategy: str, bootstrap: int, day: int, category: str, metric: str):
-        """The index of a row's cell; a ValueError says why a row outside the grid has none."""
-        s, d = self._units.get((strategy, bootstrap)), self._days.get(day)
-        cell = (s, bootstrap, d, self._categories.get(category), self._metrics.get(metric))
-        if None not in cell and self.exists[cell]:
-            return cell
-        for kind, names, name in (
-            ("strategy", STRATEGY_NAMES, strategy),
-            ("category", EVAL_CATEGORIES, category),
-            ("metric", PERFORMANCE_METRICS, metric),
-        ):
-            if name not in names:
-                raise ValueError(f"unknown {kind} {name!r}")
-        if s is None:
-            raise ValueError(f"{strategy} bootstrap {bootstrap} is not a unit of this run")
-        if d is None:
-            raise ValueError(f"day {day} is not a query day of the dataset")
-        raise ValueError(f"{strategy} scores no {category}")
 
     def describe(self, cell) -> str:
         """A cell by name: the metric of (strategy, bootstrap, day) in its category."""

@@ -12,6 +12,7 @@ so recomputed files match the originals byte for byte whatever the row order.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from datetime import datetime, timezone
@@ -54,6 +55,7 @@ from .metrics import (
     rolling_mean_std_rows,
 )
 from .stats import anova_oneway, kruskal_wallis
+from .strategies import STRATEGY_NAMES
 
 NA = "NA"
 
@@ -82,8 +84,8 @@ _BURDEN_SIMPLE = (
 )
 
 
-# Report CSVs are written a block of this many rows at a time, so that a
-# block's strings stay small next to the columns they format.
+# Report CSVs are written, and read by ``csv.reader``, a block of this many rows
+# at a time, so that a block's strings stay small next to its columns.
 _BLOCK_ROWS = 1 << 10
 
 
@@ -357,109 +359,131 @@ def _write_derived(paths, result: RunResult, config, dataset) -> None:
     )
 
 
-def _report_rows(path: str | Path, header: list[str], parse):
-    """``parse(*row)`` for each row of a report CSV, after checking its header and width.
-
-    A row ``parse`` rejects with ``ValueError`` is reported with its file and line.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise DataFormatError(path, 1, f"header must be {','.join(header)}")
-        for row in filter(None, reader):  # blank lines carry no row
-            if len(row) != len(header):
-                raise DataFormatError(
-                    path, reader.line_num, f"expected {len(header)} columns, got {len(row)}"
-                )
-            try:
-                yield parse(*row)
-            except ValueError as exc:
-                raise DataFormatError(path, reader.line_num, str(exc)) from None
-
-
-# Report CSVs are read in blocks of lines of about this many bytes, so that
-# a block's strings stay small next to the arrays they fill.
+# Report CSVs are read in blocks of about this many characters, each completed to
+# the end of its last line, so that a block's strings stay small next to the
+# arrays they fill.
 _BLOCK_BYTES = 1 << 16
 
 
-class _Recheck(Exception):
-    """A block of rows failed a check; reading the file row by row names the first bad line."""
+def _report_blocks(path: str | Path, header: list[str]):
+    """Each block of a report CSV's rows: the line of each row, then each column's strings.
 
-
-def _report_columns(path: str | Path, header: list[str]):
-    """Each block of a report CSV's rows, as one sequence of strings per column.
-
-    The rows are those :func:`_report_rows` reads. A block of plain lines is
-    split on commas and newlines in one call. A wrong header or row width,
-    or a block with a quote, a carriage return or a blank line, raises
-    :class:`_Recheck`, so such a file is read row by row.
+    The rows are those ``csv.reader`` reads, blank lines left out. A block of
+    plain lines is split on commas and newlines in one call. From the first
+    block with a quote, a carriage return, a blank line, a row of the wrong
+    width or more characters than ``csv.reader``'s field limit on,
+    ``csv.reader`` reads the rest of the file, so a quoted field may span
+    lines. A wrong header or width, or a field ``csv.reader`` rejects, raises
+    :class:`DataFormatError` at its line once the rows before it are yielded.
     """
-    width = len(header)
+    width, span = len(header), len(header) + 1
     with open(path, newline="") as fh:
-        if next(csv.reader([fh.readline()]), None) != header:
-            raise _Recheck
-        while lines := fh.readlines(_BLOCK_BYTES):
-            text = "".join(lines)
-            if '"' in text or "\r" in text or "\n\n" in text or text.startswith("\n"):
-                raise _Recheck
-            # every line is its fields followed by one "\n" token
-            if not text.endswith("\n"):
-                text += "\n"
-            tokens = text.replace("\n", ",\n,").split(",")[:-1]
-            span = width + 1
-            if len(tokens) % span or tokens[width::span].count("\n") != len(tokens) // span:
-                raise _Recheck
-            yield [tokens[i::span] for i in range(width)]
-
-
-def _positions(*vocabularies) -> list[dict[str, int]]:
-    """Each vocabulary as a map from an entry's text to its position.
-
-    A number is known by its plain decimal text only, which is stricter
-    than the ``int`` of the row-by-row check.
-    """
-    return [{str(name): i for i, name in enumerate(names)} for names in vocabularies]
-
-
-def _codes(columns, positions) -> list[np.ndarray]:
-    """Each column's entries as positions in its vocabulary; :class:`_Recheck` if one has none."""
-    try:
-        return [
-            np.fromiter(map(position.__getitem__, column), np.intp, len(column))
-            for column, position in zip(columns, positions)
-        ]
-    except KeyError:
-        raise _Recheck from None
-
-
-def _fill_daily(path: str | Path, table: DailyTable, written: np.ndarray) -> None:
-    """Put each row of ``daily.csv`` in its cell; :class:`_Recheck` if any row fails a check."""
-    positions = _positions(
-        table.strategies,
-        range(table.values.shape[1]),
-        table.days.tolist(),
-        EVAL_CATEGORIES,
-        PERFORMANCE_METRICS,
-    )
-    rows = 0
-    for *names, values in _report_columns(path, _DAILY_HEADER):
-        cell = tuple(_codes(names, positions))
+        reader = csv.reader(fh)
         try:
-            parsed = {text: np.nan if text == NA else float(text) for text in dict.fromkeys(values)}
+            if next(reader, None) != header:
+                raise DataFormatError(path, 1, f"header must be {','.join(header)}")
+        except csv.Error as exc:
+            raise DataFormatError(path, reader.line_num, str(exc)) from None
+        line = reader.line_num
+        while text := fh.read(_BLOCK_BYTES) + fh.readline():
+            # each line of a plain block is one row: its fields, then one "\n" token
+            plain = text.removesuffix("\n") + "\n"
+            tokens = plain.replace("\n", ",\n,").split(",")[:-1]
+            rows = plain.count("\n")
+            if (
+                '"' in text or "\r" in text or "\n\n" in text or text.startswith("\n")
+                or len(tokens) != rows * span or tokens[width::span].count("\n") != rows
+                or len(text) > csv.field_size_limit()
+            ):
+                yield from _csv_blocks(path, chain(io.StringIO(text, newline=""), fh), width, line)
+                return
+            yield [range(line + 1, line + 1 + rows), *(tokens[i::span] for i in range(width))]
+            line += rows
+
+
+def _csv_blocks(path: str | Path, lines, width: int, line: int):
+    """:func:`_report_blocks` by ``csv.reader``, ``_BLOCK_ROWS`` rows at a time, over
+    ``lines``, the lines after line ``line``."""
+    reader, block, error = csv.reader(lines), [], None
+    try:
+        for row in filter(None, reader):  # blank lines carry no row
+            if len(row) != width:
+                error = f"expected {width} columns, got {len(row)}"
+                break
+            block.append((line + reader.line_num, *row))
+            if len(block) == _BLOCK_ROWS:
+                yield list(zip(*block))
+                block = []
+    except csv.Error as exc:
+        error = str(exc)
+    if block:
+        yield list(zip(*block))
+    if error is not None:
+        raise DataFormatError(path, line + reader.line_num, error)
+
+
+class _Codes(dict):
+    """A column's texts, each decoded once per file by ``decode``."""
+
+    def __init__(self, decode) -> None:
+        self.decode = decode
+
+    def __missing__(self, text: str):
+        self[text] = code = self.decode(text)
+        return code
+
+    def array(self, column, dtype=np.intp) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, column), dtype, len(column))
+
+
+def _positions(names, parse=str) -> _Codes:
+    """Codes of a text's position among ``names`` once parsed: -1 outside them, and -2
+    where ``parse`` raises ``ValueError``. So ``int`` reads ``01`` and `` 3`` as 1 and 3."""
+    position = {name: i for i, name in enumerate(names)}
+
+    def decode(text: str) -> int:
+        try:
+            return position.get(parse(text), -1)
         except ValueError:
-            raise _Recheck from None
-        v = np.fromiter(parsed.values(), float, len(parsed))
-        if np.count_nonzero(~((v >= 0.0) & (v <= 1.0))) != (NA in parsed):  # NA's NaN only
-            raise _Recheck
-        if not table.exists[cell].all():
-            raise _Recheck
-        flat = np.ravel_multi_index(cell, written.shape)
-        written.reshape(-1)[flat] = True
-        v = np.fromiter(map(parsed.__getitem__, values), float, len(values))
-        table.values.reshape(-1)[flat] = v
-        rows += len(values)
-    if rows != np.count_nonzero(written):  # a cell was written twice, in one block or two
-        raise _Recheck
+            return -2
+
+    return _Codes(decode)
+
+
+def _value(text: str) -> float:
+    """A ``daily.csv`` value: NaN for NA, and -1 for text that is not a number in [0, 1]."""
+    try:
+        v = np.nan if text == NA else float(text)
+    except ValueError:
+        return -1.0
+    return v if text == NA or 0.0 <= v <= 1.0 else -1.0
+
+
+def _error(parse, text: str) -> str | None:
+    """The message of the ``ValueError`` that ``parse(text)`` raises, if it raises one."""
+    try:
+        parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _repeats(flat: np.ndarray, written: np.ndarray) -> np.ndarray:
+    """Which cells of ``flat`` an earlier row wrote: in an earlier block, as marked in
+    ``written``, or in this one."""
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    return written.reshape(-1)[flat] | ~first
+
+
+def _check(path: str | Path, line_numbers, checks) -> None:
+    """Reject the first row of a block that a check rejects, at its line, with the message
+    of the first check that rejects it. ``checks`` are (mask of the rows a check rejects,
+    message for row ``i``) pairs, in the order a row is checked."""
+    rejected = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    if rejected.size:
+        i = int(rejected[0])
+        message = next(message for mask, message in checks if mask[i])
+        raise DataFormatError(path, line_numbers[i], message(i))
 
 
 def read_daily_records(
@@ -470,67 +494,55 @@ def read_daily_records(
 ) -> DailyTable:
     """The rows of ``daily.csv``, each put in its cell of a :class:`~galstream.harness.DailyTable`.
 
-    A row is rejected with its line if it names a strategy, category or
-    metric outside the vocabularies; if its (strategy, bootstrap) is not a
-    unit of the run (a strategy the config does not run, a bootstrap out of
-    range, or a pair listed in ``failed``); if its day is not a query day;
-    if its unit scores no such category (no_al's ``train_next_day``); if its
-    value is neither ``NA`` nor in [0, 1]; or if its cell was already
-    written. The first bad line of the file is the one reported. A file
-    that leaves a cell empty is rejected, naming the first such cell.
-
-    The rows are checked as whole columns, a bounded block at a time. Only
-    when a block fails a check is the file read again row by row, which
-    finds the first bad line, or accepts a row the block check was stricter
-    about.
+    A row is rejected with its line if its bootstrap or day is not an
+    integer; if it names a strategy, category or metric outside the
+    vocabularies; if its (strategy, bootstrap) is not a unit of the run (a
+    strategy the config does not run, a bootstrap out of range, or a pair
+    listed in ``failed``); if its day is not a query day; if its unit scores
+    no such category (no_al's ``train_next_day``); if its value is neither
+    ``NA`` nor in [0, 1]; or if its cell was already written. The first bad
+    line of the file is the one reported, with the first of these it fails.
+    A file that leaves a cell empty is rejected, naming the first such cell.
+    The file is read once (see :func:`_report_blocks`), and each check is one
+    mask over a block's columns.
     """
     table = DailyTable(config, query_days(config, dataset), failed)
     written = np.zeros(table.values.shape, dtype=bool)
-
-    def row(strategy, bootstrap, day, category, metric, value):
-        cell = table.cell(strategy, int(bootstrap), int(day), category, metric)
-        v = np.nan if value == NA else float(value)
-        if not (value == NA or 0.0 <= v <= 1.0):
-            raise ValueError("values must be finite and lie in [0, 1]")
-        if written[cell]:
-            raise ValueError(f"repeats {table.describe(cell)}")
-        return cell, v
-
-    try:
-        _fill_daily(path, table, written)
-    except _Recheck:
-        table.values.fill(np.nan)
-        written.fill(False)
-        for cell, v in _report_rows(path, _DAILY_HEADER, row):
-            written[cell], table.values[cell] = True, v
+    codes = (
+        # STRATEGY_NAMES.index rejects an unknown strategy; a known one not run is outside
+        _positions([STRATEGY_NAMES.index(s) for s in table.strategies], STRATEGY_NAMES.index),
+        _positions(range(table.values.shape[1]), int),
+        _positions(table.days.tolist(), int),
+        _positions(EVAL_CATEGORIES),
+        _positions(PERFORMANCE_METRICS),
+    )
+    values = _Codes(_value)
+    for line_numbers, *columns, value in _report_blocks(path, _DAILY_HEADER):
+        strategy, bootstrap, day, category, metric = columns
+        s, b, d, c, m = (code.array(column) for code, column in zip(codes, columns))
+        v = values.array(value, float)
+        cell = tuple(np.maximum(x, 0) for x in (s, b, d, c, m))
+        flat = np.ravel_multi_index(cell, written.shape)
+        unit = (s < 0) | (b < 0) | ~table.units[cell[:2]]
+        _check(path, line_numbers, [
+            (b == -2, lambda i: _error(int, bootstrap[i])),
+            (d == -2, lambda i: _error(int, day[i])),
+            (s == -2, lambda i: f"unknown strategy {strategy[i]!r}"),
+            (c < 0, lambda i: f"unknown category {category[i]!r}"),
+            (m < 0, lambda i: f"unknown metric {metric[i]!r}"),
+            (unit, lambda i: f"{strategy[i]} bootstrap {int(bootstrap[i])} is not a unit"
+             " of this run"),
+            (d < 0, lambda i: f"day {int(day[i])} is not a query day of the dataset"),
+            (~table.exists[cell], lambda i: f"{strategy[i]} scores no {category[i]}"),
+            (v < 0, lambda i: _error(float, value[i]) or "values must be finite and lie in [0, 1]"),
+            (_repeats(flat, written), lambda i: f"repeats {table.describe([x[i] for x in cell])}"),
+        ])
+        written.reshape(-1)[flat] = True
+        table.values.reshape(-1)[flat] = v
     empty = np.argwhere(table.exists & ~written)
     if empty.size:
         raise DataFormatError(path, None, f"no row for {table.describe(empty[0].tolist())}")
     return table
-
-
-def _query_events(path: str | Path, config, dataset, days, pools, logged) -> dict:
-    """Each logged unit's rows of ``queries.csv`` as an (events, 2) array of (day, node);
-    :class:`_Recheck` on any bad row."""
-    bootstraps, nodes = range(config.bootstraps), range(dataset.node_count)
-    positions = _positions(config.strategies, bootstraps, days, nodes)
-    blocks = [_codes(columns, positions) for columns in _report_columns(path, _QUERY_HEADER)]
-    if not blocks:
-        return {key: np.zeros((0, 2), np.int64) for key in logged}
-    s, b, d, n = map(np.concatenate, zip(*blocks))
-    units = list(product(config.strategies, bootstraps))
-    is_logged = np.array([key in logged for key in units])
-    in_pool = np.zeros((config.bootstraps, dataset.node_count), dtype=bool)
-    for i, pool in pools.items():
-        in_pool[i, list(pool)] = True
-    unit = s * config.bootstraps + b
-    query = np.ravel_multi_index((unit, d, n), (len(units), len(days), dataset.node_count))
-    if not (is_logged[unit].all() and in_pool[b, n].all() and np.unique(query).size == query.size):
-        raise _Recheck
-    order = np.argsort(unit, kind="stable")
-    bounds = np.searchsorted(unit[order], np.arange(len(units) + 1)).tolist()
-    events = np.column_stack((np.array(days)[d[order]], n[order]))
-    return {key: events[bounds[u] : bounds[u + 1]] for u, key in enumerate(units) if key in logged}
 
 
 def read_query_logs(
@@ -543,39 +555,55 @@ def read_query_logs(
 
     Pairs listed in ``failed`` had no log in the original run; pairs with no
     events (no_al) get an empty log, mirroring the run path. A row is
-    rejected with its line if its pair has no log (a strategy the config
-    does not run, a bootstrap out of range, or a failed pair), if it queries
-    a node outside its pool, if its day is not a query day, or if it repeats
-    an earlier row. As in :func:`read_daily_records`, the rows are checked
-    as whole columns, and only a file that fails a check is read row by row.
+    rejected with its line if its bootstrap, day or node is not an integer,
+    if its pair has no log (a strategy the config does not run, a bootstrap
+    out of range, or a failed pair), if it queries a node outside its pool,
+    if its day is not a query day, or if it repeats an earlier row. It is
+    read and checked as :func:`read_daily_records` reads its file.
     """
-    pools = {
-        b: frozenset(make_split(dataset, config.holdout_fraction, config.base_seed + b).pool)
+    pools = [
+        make_split(dataset, config.holdout_fraction, config.base_seed + b).pool
         for b in range(config.bootstraps)
-    }
-    logged = [(s, b) for s in config.strategies for b in pools if (s, b) not in failed]
-    seen: dict[tuple[str, int], set[tuple[int, int]]] = {key: set() for key in logged}
-    days = query_days(config, dataset)
-
-    def event(strategy, bootstrap, day, node):
-        key, day, node = (strategy, int(bootstrap)), int(day), int(node)
-        if key not in seen:
-            raise ValueError(f"{strategy} bootstrap {key[1]} is not a logged unit of this run")
-        if node not in pools[key[1]]:
-            raise ValueError(f"queried node {node} is not a pool node")
-        if day not in days:
-            raise ValueError(f"day {day} is not a query day of the dataset")
-        if (day, node) in seen[key]:
-            raise ValueError(f"repeats the query of node {node} on day {day}")
-        return key, day, node
-
-    try:
-        events = _query_events(path, config, dataset, days, pools, set(logged))
-    except _Recheck:
-        for key, day, node in _report_rows(path, _QUERY_HEADER, event):
-            seen[key].add((day, node))
-        events = seen
-    return {key: QueryLog.from_events(pools[key[1]], events[key]) for key in logged}
+    ]
+    in_pool = np.zeros((config.bootstraps, dataset.node_count), dtype=bool)
+    for b, pool in enumerate(pools):
+        in_pool[b, list(pool)] = True
+    logged = np.array(
+        [[(s, b) not in failed for b in range(config.bootstraps)] for s in config.strategies]
+    )
+    days = np.array(query_days(config, dataset), dtype=np.int64)
+    seen = np.zeros((*logged.shape, days.size, dataset.node_count), dtype=bool)
+    codes = (
+        _positions(config.strategies),
+        _positions(range(config.bootstraps), int),
+        _positions(days.tolist(), int),
+        _positions(range(dataset.node_count), int),
+    )
+    for line_numbers, *columns in _report_blocks(path, _QUERY_HEADER):
+        strategy, bootstrap, day, node = columns
+        s, b, d, n = (code.array(column) for code, column in zip(codes, columns))
+        cell = tuple(np.maximum(x, 0) for x in (s, b, d, n))
+        flat = np.ravel_multi_index(cell, seen.shape)
+        unit = (s < 0) | (b < 0) | ~logged[cell[:2]]
+        pool = (n < 0) | ~in_pool[cell[1], cell[3]]
+        again = _repeats(flat, seen)
+        _check(path, line_numbers, [
+            (b == -2, lambda i: _error(int, bootstrap[i])),
+            (d == -2, lambda i: _error(int, day[i])),
+            (n == -2, lambda i: _error(int, node[i])),
+            (unit, lambda i: f"{strategy[i]} bootstrap {int(bootstrap[i])} is not a logged unit"
+             " of this run"),
+            (pool, lambda i: f"queried node {int(node[i])} is not a pool node"),
+            (d < 0, lambda i: f"day {int(day[i])} is not a query day of the dataset"),
+            (again, lambda i: f"repeats the query of node {int(node[i])} on day {int(day[i])}"),
+        ])
+        seen.reshape(-1)[flat] = True
+    logs = {}
+    for s, b in np.argwhere(logged).tolist():
+        d, n = np.nonzero(seen[s, b])
+        events = np.column_stack((days[d], n))
+        logs[config.strategies[s], b] = QueryLog.from_events(pools[b], events)
+    return logs
 
 
 def recompute_reports(result_dir: str | Path) -> dict[str, Path]:

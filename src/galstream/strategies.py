@@ -256,20 +256,6 @@ def select_graphpart(ctx: SelectionContext) -> Selection:
     return _finish(ctx, [int(pool[m]) for _, medoids in plan for m in medoids])
 
 
-def _half_median(dist: np.ndarray) -> float:
-    """Half the median of a distance matrix's upper triangle; 0 for fewer than two points."""
-    n = dist.shape[0]
-    if n < 2:
-        return 0.0
-    return 0.5 * float(np.median(dist[np.triu_indices(n, k=1)]))
-
-
-def diversity_radius(ctx: SelectionContext) -> float:
-    """Half the median pairwise distance between pool embeddings."""
-    points = np.asarray(ctx.embeddings, dtype=float)[ctx.pool_array()]
-    return _half_median(pairwise_distances(points))
-
-
 def select_graphpartfar(ctx: SelectionContext) -> Selection:
     """GraphPart with a minimum-distance penalty against earlier selections.
 
@@ -288,7 +274,8 @@ def select_graphpartfar(ctx: SelectionContext) -> Selection:
     nodes = np.concatenate([pool, np.setdiff1d(anchors, pool)])
     emb = np.asarray(ctx.embeddings, dtype=float)
     dist = pairwise_distances(emb[nodes])
-    delta = _half_median(dist[:m, :m])
+    # the diversity radius: half the median distance between pool nodes
+    delta = 0.5 * float(np.median(dist[np.triu_indices(m, k=1)])) if m > 1 else 0.0
 
     def medoids_of(members: np.ndarray, k: int) -> np.ndarray:
         if not np.isfinite(emb[pool[members]]).all():

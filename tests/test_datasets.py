@@ -75,6 +75,12 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match=r"edges\.csv:3"):
             load_dataset(edges, features, labels)
 
+    def test_row_after_a_quoted_line_break_names_its_line(self, tmp_path):
+        edges, features, labels = toy_files(tmp_path)
+        write(edges, 'src,dst\n"0\n",1\n0,9\n')
+        with pytest.raises(DataFormatError, match=r"edges\.csv:4: edge \(0,9\)"):
+            load_dataset(edges, features, labels)
+
     def test_negative_feature_node_names_the_line(self, tmp_path):
         edges, features, labels = toy_files(tmp_path)
         write(features, "day,node,f0,f1\n0,0,1.0,2.0\n0,1,3.0,4.0\n0,-1,9.0,9.0\n")

@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 import shutil
@@ -630,9 +631,10 @@ class TestCli:
             assert "gap_thresholds must not repeat" in err
         assert not (tmp_path / "results").exists()
 
-    def test_synth_then_run_on_files(self, tmp_path, capsys):
-        ini = self.write_config(tmp_path)
+    def write_files_config(self, tmp_path):
+        """A config that runs on the synthetic stream, saved under ``data`` as files."""
         data_dir = tmp_path / "data"
+        ini = self.write_config(tmp_path)
         assert cli_main(["synth", "--config", str(ini), "--out", str(data_dir)]) == 0
         files_ini = tmp_path / "files.ini"
         files_ini.write_text(
@@ -644,8 +646,37 @@ class TestCli:
             f"bootstraps = 1\noutput_dir = {tmp_path / 'file_results'}\n\n"
             "[model]\nepochs = 5\n"
         )
+        return files_ini
+
+    def test_synth_then_run_on_files(self, tmp_path, capsys):
+        files_ini = self.write_files_config(tmp_path)
         assert cli_main(["run", "--config", str(files_ini)]) == 0
         assert (tmp_path / "file_results" / "aggregate.csv").exists()
+
+    def test_run_names_an_oversized_edges_field_by_file_and_line(self, tmp_path, capsys):
+        files_ini = self.write_files_config(tmp_path)
+        edges = tmp_path / "data" / "edges.csv"
+        edges.write_text(_inserting("1" * (csv.field_size_limit() + 1) + ",0")(edges.read_text()))
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(files_ini)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {edges}:2: field larger than field limit (131072)"]
+
+    def test_report_names_an_oversized_field_of_a_quoted_daily_by_file_and_line(
+        self, tmp_path, capsys
+    ):
+        ini = self.write_config(tmp_path)
+        assert cli_main(["run", "--config", str(ini)]) == 0
+        daily = tmp_path / "results" / "daily.csv"
+        with open(daily, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][5] = "0" * (csv.field_size_limit() + 1)
+        with open(daily, "w", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+        capsys.readouterr()
+        assert cli_main(["report", "--result", str(tmp_path / "results")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {daily}:4: field larger than field limit (131072)"]
 
     @pytest.mark.parametrize(
         "key, value",

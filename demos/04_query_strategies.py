@@ -38,6 +38,7 @@ history = {split.pool[3]: (3, 4), split.pool[11]: (4,)}
 ctx = SelectionContext(
     graph=dataset.graph,
     adj=adj,
+    features=today.features,
     embeddings=out.hidden,
     probabilities=out.probabilities,
     pool=split.pool,
@@ -53,6 +54,3 @@ for name in STRATEGY_NAMES:
     chosen = select(name, ctx).chosen
     annotated = [f"{v}(c{part.community_of[v]})" for v in chosen]
     print(f"{name:32s} {', '.join(annotated) if annotated else '(none - baseline keeps its model)'}")
-
-print("\nnote: featprop interprets the embedding slot as raw day features;")
-print("the harness passes those in automatically when the strategy is featprop")

@@ -310,13 +310,11 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
     community = synthetic_communities(config)
     n = config.node_count
 
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = config.p_in if community[u] == community[v] else config.p_out
-            if rng.random() < p:
-                edges.append((u, v))
-    graph = Graph.from_edges(n, edges)
+    # one uniform draw per node pair, in (u, v) row-major order
+    u, v = np.triu_indices(n, 1)
+    p = np.where(community[u] == community[v], config.p_in, config.p_out)
+    edge = rng.random(u.size) < p
+    graph = Graph.from_edges(n, zip(u[edge].tolist(), v[edge].tolist()))
 
     offsets = rng.normal(0.0, config.offset_scale, size=n)
     regime_count = -(-config.days // config.regime_period)

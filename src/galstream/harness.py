@@ -223,12 +223,9 @@ def build_eval_slices(
     return slices
 
 
-def _slice_records(
-    block: np.ndarray, strategy: str, slices: dict[str, EvalSlice | None]
-) -> None:
-    """Score one day into its NaN-filled (category, metric) block; undefined stays NaN."""
-    for category in scored_categories(strategy):
-        s = slices[category]
+def _slice_records(block: np.ndarray, slices: dict[str, EvalSlice | None]) -> None:
+    """Score one day's slices into its NaN-filled (category, metric) block; undefined stays NaN."""
+    for category, s in slices.items():
         if s is None:
             continue  # an empty slice leaves every metric undefined
         c = EVAL_CATEGORIES.index(category)
@@ -257,11 +254,18 @@ def run_unit(
     initial = config.initial_days
     buffer: list[tuple[np.ndarray, np.ndarray, list[int]]] = []
     trained: set[int] = set()
-    for frame in frames[:initial]:
-        mask = [v for v in split.pool if frame.labels[v] != MISSING_LABEL]
+
+    def learn(frame, nodes) -> bool:  # buffer the labelled nodes; whether there were any
+        mask = [v for v in nodes if frame.labels[v] != MISSING_LABEL]
+        if holdout_set.intersection(mask):
+            raise AssertionError("holdout node entered the labeled buffer")
         if mask:
             buffer.append((frame.features, frame.labels, mask))
             trained.update(mask)
+        return bool(mask)
+
+    for frame in frames[:initial]:
+        learn(frame, split.pool)
     if not buffer:
         raise RuntimeError("no labeled pool nodes in the initial training window")
     params = train(init_seed, adj, buffer, hyper)
@@ -273,42 +277,30 @@ def run_unit(
 
     current = forward(params, adj, frames[initial].features)
     for t in range(initial, dataset.day_count - 1):
-        frame = frames[t]
-        next_frame = frames[t + 1]
-
-        if strategy == "no_al":
-            chosen: tuple[int, ...] = ()
-            evaluated = current  # no query, so the parameters did not change
+        frame, next_frame = frames[t], frames[t + 1]
+        if config.embedding_mode == "model_based":
+            embeddings = current.hidden
         else:
-            if strategy == "featprop":
-                embeddings = frame.features  # raw features; the strategy propagates
-            elif config.embedding_mode == "model_based":
-                embeddings = current.hidden
-            else:
-                embeddings = embed("direct", None, adj, frame.features)
-            ctx = SelectionContext(
-                graph=dataset.graph,
-                adj=adj,
-                embeddings=embeddings,
-                probabilities=current.probabilities,
-                pool=split.pool,
-                history={n: tuple(d) for n, d in history.items()},
-                k=config.queries_per_day,
-                rng_seed=unit_seed(config.base_seed, strategy, bootstrap, t),
-            )
-            chosen = select(strategy, ctx).chosen
-            if set(chosen) & holdout_set:
-                raise AssertionError("holdout node selected for querying")
-            for v in chosen:
-                history.setdefault(v, []).append(frame.day_index)
-            mask = [v for v in chosen if frame.labels[v] != MISSING_LABEL]
-            if mask:
-                if set(mask) & holdout_set:
-                    raise AssertionError("holdout node entered the labeled buffer")
-                buffer.append((frame.features, frame.labels, mask))
-                trained.update(mask)
+            embeddings = embed("direct", None, adj, frame.features)
+        ctx = SelectionContext(
+            graph=dataset.graph,
+            adj=adj,
+            features=frame.features,
+            embeddings=embeddings,
+            probabilities=current.probabilities,
+            pool=split.pool,
+            history={n: tuple(d) for n, d in history.items()},
+            k=config.queries_per_day,
+            rng_seed=unit_seed(config.base_seed, strategy, bootstrap, t),
+        )
+        chosen = select(strategy, ctx).chosen
+        if holdout_set.intersection(chosen):
+            raise AssertionError("holdout node selected for querying")
+        for v in chosen:
+            history.setdefault(v, []).append(frame.day_index)
+        if learn(frame, chosen):  # train is pure in (seed, buffer): no new label, no change
             params = train(init_seed, adj, buffer, hyper)
-            evaluated = forward(params, adj, frame.features)
+            current = forward(params, adj, frame.features)
 
         upcoming = forward(params, adj, next_frame.features)
         slices = build_eval_slices(
@@ -316,14 +308,12 @@ def run_unit(
             chosen,
             frame.labels,
             next_frame.labels,
-            evaluated.probabilities,
+            current.probabilities,
             upcoming.probabilities,
         )
-        _slice_records(values[t - initial], strategy, slices)
+        _slice_records(values[t - initial], slices)
         current = upcoming  # the next day starts from these parameters and features
 
-    if trained & holdout_set:
-        raise AssertionError("holdout node entered the labeled buffer")
     return UnitResult(
         split=split,
         values=values,

@@ -39,10 +39,16 @@ UNCERTAINTY_VARIANTS = ("entropy", "least_confidence", "margin")
 
 @dataclass(frozen=True)
 class SelectionContext:
-    """Everything a strategy may look at when choosing k pool nodes for a day."""
+    """Everything a strategy may look at when choosing k pool nodes for a day.
+
+    ``features`` are the day's raw features, which ``featprop`` propagates;
+    ``embeddings`` are those of the run's embedding mode, which the other
+    embedding-space strategies read.
+    """
 
     graph: Graph
     adj: NormalizedAdjacency
+    features: np.ndarray
     embeddings: np.ndarray
     probabilities: np.ndarray
     pool: tuple[int, ...]
@@ -82,9 +88,9 @@ def _finish(ctx: SelectionContext, chosen) -> Selection:
     return Selection(chosen=chosen)
 
 
-def top_k_by_score(pool: tuple[int, ...], scores: Mapping[int, float], k: int) -> list[int]:
-    """Highest-score nodes first; equal scores fall back to the smaller id."""
-    return sorted(pool, key=lambda v: (-scores[v], v))[:k]
+def top_k_by_score(pool: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """The k highest-scoring pool nodes, highest first; equal scores fall back to the smaller id."""
+    return pool[np.lexsort((pool, -scores))[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +99,7 @@ def top_k_by_score(pool: tuple[int, ...], scores: Mapping[int, float], k: int) -
 
 
 def select_no_al(ctx: SelectionContext) -> Selection:
-    """Empty-budget sentinel: the harness skips querying and retraining."""
+    """Empty-budget sentinel: nothing is queried, so the harness never retrains."""
     return Selection(chosen=())
 
 
@@ -130,8 +136,7 @@ def select_uncertainty(ctx: SelectionContext, variant: str) -> Selection:
     else:  # margin
         ordered = np.sort(rows, axis=1)
         raw = -(ordered[:, -1] - ordered[:, -2])
-    scores = {int(v): float(s) for v, s in zip(pool, raw)}
-    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k))
+    return _finish(ctx, top_k_by_score(pool, raw, ctx.k))
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +145,13 @@ def select_uncertainty(ctx: SelectionContext, variant: str) -> Selection:
 
 
 def select_degree(ctx: SelectionContext) -> Selection:
-    values = degree_centrality(ctx.graph).values
-    scores = {v: float(values[v]) for v in ctx.pool}
-    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k))
+    pool = ctx.pool_array()
+    return _finish(ctx, top_k_by_score(pool, degree_centrality(ctx.graph).values[pool], ctx.k))
 
 
 def select_pagerank(ctx: SelectionContext) -> Selection:
-    values = pagerank(ctx.graph).values
-    scores = {v: float(values[v]) for v in ctx.pool}
-    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k))
+    pool = ctx.pool_array()
+    return _finish(ctx, top_k_by_score(pool, pagerank(ctx.graph).values[pool], ctx.k))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +195,7 @@ def select_coreset(ctx: SelectionContext) -> Selection:
 def select_featprop(ctx: SelectionContext) -> Selection:
     """Two propagation hops over the raw day features, then density selection."""
     a = ctx.adj.matrix
-    propagated = a @ (a @ np.asarray(ctx.embeddings, dtype=float))
+    propagated = a @ (a @ np.asarray(ctx.features, dtype=float))
     pool = ctx.pool_array()
     points = propagated[pool]
     centroids, _ = kmeans(points, ctx.k, ctx.rng_seed)
@@ -339,8 +342,7 @@ def select_age(
         + beta * percentile_ranks(density)
         + gamma * percentile_ranks(pr)
     )
-    scores = {int(v): float(s) for v, s in zip(pool, combined)}
-    return _finish(ctx, top_k_by_score(ctx.pool, scores, ctx.k))
+    return _finish(ctx, top_k_by_score(pool, combined, ctx.k))
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def _ref_select(name, ctx):
         feats = emb
         if name == "featprop":
             a = ctx.adj.matrix
-            feats = a @ (a @ emb)
+            feats = a @ (a @ np.asarray(ctx.features, dtype=float))
         points = feats[pool]
         centroids, _ = kmeans(points, ctx.k, ctx.rng_seed)
         return _ref_nearest_per_centroid(pool, points, centroids)
@@ -275,6 +275,7 @@ def _ref_select(name, ctx):
 
 def test_criterion_4_strategy_oracles():
     rng = np.random.default_rng(404)
+    feature_rng = np.random.default_rng(405)  # its own stream: no other draw depends on it
     mismatches = []
     for trial in range(50):
         n = 8
@@ -286,6 +287,7 @@ def test_criterion_4_strategy_oracles():
         ctx = SelectionContext(
             graph=g,
             adj=build_normalized_adjacency(g),
+            features=feature_rng.normal(size=(n, 3)),
             embeddings=rng.normal(size=(n, 3)),
             probabilities=np.column_stack([1 - p1, p1]),
             pool=pool,
@@ -338,7 +340,7 @@ def test_criterion_5_burden_identities(tmp_path):
     events = []
     for day in range(2500):
         ctx = SelectionContext(
-            graph=g, adj=adj, embeddings=emb, probabilities=probs,
+            graph=g, adj=adj, features=emb, embeddings=emb, probabilities=probs,
             pool=tuple(range(10)), history={}, k=2, rng_seed=day,
         )
         for v in select("random", ctx).chosen:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dataset_oracles import oracle_generate_synthetic
 
 from galstream import (
     DataFormatError,
@@ -153,6 +154,17 @@ class TestSynthetic:
         for fa, fb in zip(a.days, b.days):
             assert np.array_equal(fa.features, fb.features)
             assert np.array_equal(fa.labels, fb.labels)
+
+    @pytest.mark.parametrize("n", (10, 40, 120, 300))
+    def test_matches_pair_at_a_time_reference(self, n):
+        for seed in range(6):
+            config = SyntheticConfig(node_count=n, community_count=2 + seed % 3, days=5)
+            got = generate_synthetic(config, seed)
+            want = oracle_generate_synthetic(config, seed)
+            assert got.graph == want.graph
+            for a, b in zip(got.days, want.days, strict=True):
+                assert a.features.tobytes() == b.features.tobytes()
+                assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_labels_balanced_over_twenty_seeds(self):
         for seed in range(20):

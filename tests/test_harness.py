@@ -7,14 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from harness_oracles import oracle_build_eval_slices
+from harness_oracles import oracle_build_eval_slices, oracle_run_unit
 
 from galstream import (
+    STRATEGY_NAMES,
     ConfigError,
     ExperimentConfig,
     Graph,
     SyntheticConfig,
     build_eval_slices,
+    generate_synthetic,
     emit_reports,
     harness,
     load_config,
@@ -26,6 +28,7 @@ from galstream.cli import main as cli_main
 from galstream.config import INI_KEYS, config_to_dict
 from galstream.datasets import Dataset, DayFrame, Split, save_dataset
 from galstream.exceptions import DataFormatError
+from galstream.gcn import EMBEDDING_MODES, MISSING_LABEL
 from galstream.harness import aggregate_records, compute_cpis, load_configured_dataset
 from galstream.metrics import PERFORMANCE_METRICS
 from galstream.reports import REPORT_FILES, read_daily_records
@@ -139,6 +142,61 @@ def test_build_eval_slices_match_set_based_reference():
         want = oracle_build_eval_slices(*args)
         assert list(got) == list(want), trial
         assert _slice_bytes(got) == _slice_bytes(want), trial
+
+
+@pytest.fixture(scope="module")
+def gappy_dataset():
+    """30 nodes x 14 days with 35% of labels missing and query day 8 wholly unlabelled,
+    so some days' picks are all unlabelled and buffer nothing."""
+    base = generate_synthetic(SyntheticConfig(node_count=30, days=14), seed=3)
+    rng = np.random.default_rng(35)
+    frames = []
+    for frame in base.days:
+        labels = np.where(rng.random(30) < 0.35, MISSING_LABEL, frame.labels)
+        if frame.day_index == 8:
+            labels[:] = MISSING_LABEL
+        frames.append(DayFrame(frame.day_index, frame.features, labels))
+    return Dataset(base.graph, tuple(frames), base.feature_dim)
+
+
+def gappy_config(mode):
+    return ExperimentConfig(queries_per_day=2, epochs=15, embedding_mode=mode)
+
+
+@pytest.mark.parametrize("mode", EMBEDDING_MODES)
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_run_unit_matches_branching_loop_reference(gappy_dataset, strategy, mode):
+    config = gappy_config(mode)
+    for bootstrap in (0, 1):
+        got = harness.run_unit(gappy_dataset, config, strategy, bootstrap)
+        want = oracle_run_unit(gappy_dataset, config, strategy, bootstrap)
+        np.testing.assert_array_equal(got.values, want.values)  # NaN equals NaN
+        assert got.query_log == want.query_log
+        assert got.trained_nodes == want.trained_nodes
+        assert got.split == want.split
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_train_runs_once_per_growth_of_the_buffer(gappy_dataset, strategy, monkeypatch):
+    calls = []
+    real_train = harness.train
+
+    def counting_train(*args):
+        calls.append(args)
+        return real_train(*args)
+
+    monkeypatch.setattr(harness, "train", counting_train)
+    unit = harness.run_unit(gappy_dataset, gappy_config("model_based"), strategy, 0)
+    labels = {frame.day_index: frame.labels for frame in gappy_dataset.days}
+    labelled_days = {
+        day
+        for node, days in unit.query_log.days_by_node.items()
+        for day in days
+        if labels[day][node] != MISSING_LABEL
+    }
+    assert 8 not in labelled_days
+    # the initial window's model, then one retrain per day that buffered a label
+    assert len(calls) == 1 + len(labelled_days)
 
 
 class TestRunExperiment:

@@ -108,6 +108,7 @@ def _context(rng, g):
     return SelectionContext(
         graph=g,
         adj=build_normalized_adjacency(g),
+        features=points,
         embeddings=points,
         probabilities=np.column_stack([1 - p1, p1]),
         pool=tuple(pool),
@@ -136,6 +137,7 @@ def test_graphpartfar_with_nan_anchor_matches_loop_reference():
     ctx = SelectionContext(
         graph=g,
         adj=build_normalized_adjacency(g),
+        features=emb,
         embeddings=emb,
         probabilities=np.full((6, 2), 0.5),
         pool=(0, 1, 2, 3, 4),
@@ -181,7 +183,8 @@ def _trained_day(seed, history_size, k):
         for day in dataset.days[:3]
     ]
     params = train(seed, adj, examples, TrainConfig(epochs=10, learning_rate=0.2))
-    out = forward(params, adj, dataset.days[int(rng.integers(3, 29))].features)
+    frame = dataset.days[int(rng.integers(3, 29))]
+    out = forward(params, adj, frame.features)
     pool = np.array(split.pool)
     offsets = out.hidden[pool] - out.hidden[rng.choice(pool)]
     nearest = np.argsort(np.sqrt((offsets * offsets).sum(axis=1)), kind="stable")
@@ -190,6 +193,7 @@ def _trained_day(seed, history_size, k):
     return SelectionContext(
         graph=dataset.graph,
         adj=adj,
+        features=frame.features,
         embeddings=out.hidden,
         probabilities=out.probabilities,
         pool=split.pool,

@@ -91,6 +91,7 @@ def context(seed, kind, pool_size, history_size, k) -> SelectionContext:
     return SelectionContext(
         graph=dataset.graph,
         adj=build_normalized_adjacency(dataset.graph),
+        features=dataset.days[0].features,
         embeddings=_embeddings(kind, rng, dataset),
         probabilities=np.column_stack([1 - p1, p1]),
         pool=tuple(pool),

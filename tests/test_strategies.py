@@ -43,6 +43,7 @@ def make_ctx(
     probabilities=None,
     embeddings=None,
     history=None,
+    features=None,
 ):
     n = graph.node_count
     rng = np.random.default_rng(seed + 1000)
@@ -51,9 +52,12 @@ def make_ctx(
         probabilities = np.column_stack([1 - p1, p1])
     if embeddings is None:
         embeddings = rng.normal(size=(n, 3))
+    if features is None:
+        features = rng.normal(size=(n, 3))
     return SelectionContext(
         graph=graph,
         adj=build_normalized_adjacency(graph),
+        features=features,
         embeddings=embeddings,
         probabilities=probabilities,
         pool=tuple(pool if pool is not None else range(n)),
@@ -185,10 +189,22 @@ class TestCentralityStrategies:
             assert select("pagerank", ctx).chosen == want
 
     def test_scaling_scores_leaves_top_k_unchanged(self):
-        scores = {0: 0.3, 1: 0.1, 2: 0.9, 3: 0.3}
-        assert top_k_by_score((0, 1, 2, 3), scores, 2) == top_k_by_score(
-            (0, 1, 2, 3), {v: 7.5 * s for v, s in scores.items()}, 2
-        )
+        pool = np.arange(4)
+        scores = np.array([0.3, 0.1, 0.9, 0.3])
+        assert top_k_by_score(pool, scores, 2).tolist() == top_k_by_score(
+            pool, 7.5 * scores, 2
+        ).tolist()
+
+    def test_top_k_matches_sort_of_a_score_dict(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            pool = np.sort(rng.choice(20, size=int(rng.integers(1, 21)), replace=False))
+            # few distinct values, signed zeros among them, so ties are common
+            scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=pool.size)
+            k = int(rng.integers(1, pool.size + 1))
+            by_node = dict(zip(pool.tolist(), scores.tolist()))
+            want = sorted(by_node, key=lambda v: (-by_node[v], v))[:k]
+            assert top_k_by_score(pool, scores, k).tolist() == want
 
     def test_static_graph_means_stationary_selection(self):
         selections = set()
@@ -257,14 +273,14 @@ class TestFeatprop:
         g = Graph.from_edges(6, [])
         rng = np.random.default_rng(11)
         feats = rng.normal(size=(6, 3))
-        ctx = make_ctx(graph=g, pool=range(6), k=2, embeddings=feats, seed=5)
+        ctx = make_ctx(graph=g, pool=range(6), k=2, embeddings=feats, features=feats, seed=5)
         assert select("featprop", ctx).chosen == select("density", ctx).chosen
 
     def test_total_tie_takes_smallest_ids(self):
         k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         rng = np.random.default_rng(12)
         feats = rng.normal(size=(3, 2))  # propagation maps every row to the mean
-        ctx = make_ctx(graph=k3, pool=range(3), k=2, embeddings=feats)
+        ctx = make_ctx(graph=k3, pool=range(3), k=2, features=feats)
         assert select("featprop", ctx).chosen == (0, 1)
 
     def test_sbm_toy_selects_one_per_community(self):
@@ -276,7 +292,7 @@ class TestFeatprop:
             graph=dataset.graph,
             pool=range(20),
             k=2,
-            embeddings=frame.features,
+            features=frame.features,
             seed=4,
         )
         chosen = select("featprop", ctx).chosen

@@ -100,18 +100,30 @@ class DailyTable:
         return int(np.count_nonzero(self.exists))
 
     def __iter__(self):
-        *keys, v = self.columns()
-        columns = [x.tolist() for x in keys] + [np.where(np.isnan(v), None, v).tolist()]
+        (strategies, s), b, d, (categories, c), (metrics, m), v = self.columns()
+        columns = [
+            [strategies[i] for i in s.tolist()],
+            b.tolist(),
+            d.tolist(),
+            [categories[i] for i in c.tolist()],
+            [metrics[i] for i in m.tolist()],
+            np.where(np.isnan(v), None, v).tolist(),
+        ]
         return map(MetricRecord._make, zip(*columns))
 
-    def columns(self) -> list[np.ndarray]:
-        """The cells a run writes, in iteration order, as one array per :class:`MetricRecord`
-        field: the names as object arrays, bootstrap and day as ints, and the values,
-        NaN where undefined."""
+    def columns(self) -> list:
+        """The cells a run writes, in iteration order, one column per :class:`MetricRecord`
+        field: each name column as (names, each cell's index into them), bootstrap and
+        day as ints, and the values, NaN where undefined."""
         s, b, d, c, m = np.nonzero(self.exists)
-        names = (self.strategies, EVAL_CATEGORIES, PERFORMANCE_METRICS)
-        s, c, m = (np.array(n, dtype=object)[x] for n, x in zip(names, (s, c, m)))
-        return [s, b, self.days[d], c, m, self.values[self.exists]]
+        return [
+            (self.strategies, s),
+            b,
+            self.days[d],
+            (EVAL_CATEGORIES, c),
+            (PERFORMANCE_METRICS, m),
+            self.values[self.exists],
+        ]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DailyTable) and list(self) == list(other)

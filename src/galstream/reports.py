@@ -89,41 +89,54 @@ _BURDEN_SIMPLE = (
 _BLOCK_ROWS = 1 << 10
 
 
-def _cells(column) -> list[str]:
-    """One column's cells: ``repr`` of a float, ``str`` of anything else, and NA for an
-    undefined value, which is None or, in a float array, NaN.
+def _coded(column) -> tuple[np.ndarray, np.ndarray]:
+    """One column as its distinct texts, an object array, and each row's code into them.
 
-    A float array is formatted with one ``repr`` pass over its values.
+    ``column`` is a (names, codes) pair; a numeric array, each distinct bit
+    pattern of which is formatted once: ``repr`` of a float, NA for NaN and
+    ``str`` of an integer; or a sequence, each cell of which is formatted:
+    NA for None, ``repr`` of a float and ``str`` of anything else. Bit
+    patterns keep ``-0.0`` apart from ``0.0``.
     """
+    if isinstance(column, tuple):
+        names, codes = column
+        return np.array(names, dtype=object), codes
     if not isinstance(column, np.ndarray):
-        return [
+        texts = [
             NA if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
             for v in column
         ]
+        return np.array(texts, dtype=object), np.arange(len(texts))
     if column.dtype.kind != "f":
-        return list(map(str, column.tolist()))
-    cells = list(map(float.__repr__, column.tolist()))
-    for i in np.flatnonzero(np.isnan(column)).tolist():
-        cells[i] = NA
-    return cells
+        distinct, codes = np.unique(column, return_inverse=True)
+        return np.array(list(map(str, distinct.tolist())), dtype=object), codes
+    bits, codes = np.unique(column.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    texts[np.isnan(distinct)] = NA
+    return texts, codes
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write a report CSV from its columns, arrays or sequences of equal length.
+    """Write a report CSV from its columns of equal length: (names, codes) pairs,
+    arrays or lists (see :func:`_coded`).
 
-    No cell holds a comma, quote or line break, so each line is its cells
+    Each block of rows takes its cells from its columns' texts by code. No
+    cell holds a comma, quote or line break, so each line is its cells
     joined by commas, as ``csv.writer`` writes it.
     """
-    rows = len(columns[0]) if len(columns) else 0
+    coded = [_coded(column) for column in columns]
+    rows = len(coded[0][1]) if coded else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, _BLOCK_ROWS):
-            cells = [_cells(column[start : start + _BLOCK_ROWS]) for column in columns]
+            cells = [texts[codes[start : start + _BLOCK_ROWS]].tolist() for texts, codes in coded]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
-    _write_csv(path, header, list(zip(*rows)))
+    # lists, since a tuple column is a (names, codes) pair
+    _write_csv(path, header, list(map(list, zip(*rows))))
 
 
 def prepare_output_dir(path: str | Path) -> Path:
@@ -150,8 +163,8 @@ def _aggregate_rows(config, aggregate):
 
 
 def _rolling_columns(config, table: DailyTable) -> list:
-    """The rows of ``rolling.csv`` as columns: each group's rolling mean and std over
-    its defined days."""
+    """The rows of ``rolling.csv`` as columns, the names coded: each group's rolling
+    mean and std over its defined days."""
     # each day's mean over its group's bootstraps; each group's defined days first, in order
     per_day = row_means(np.swapaxes(table.series(), 1, 2))
     order = np.argsort(np.isnan(per_day), axis=1, kind="stable")
@@ -160,8 +173,9 @@ def _rolling_columns(config, table: DailyTable) -> list:
         np.take_along_axis(per_day, order, axis=1), lengths, config.rolling_window
     )
     group, i = np.nonzero(np.arange(per_day.shape[1]) < lengths[:, None])
-    keys = np.array(table.keys, dtype=object)[group]
-    return [*keys.T, table.days[order[group, i]], means[group, i], stds[group, i]]
+    names = (table.strategies, EVAL_CATEGORIES, PERFORMANCE_METRICS)
+    keys = np.unravel_index(group, tuple(map(len, names)))  # table.keys is their product
+    return [*zip(names, keys), table.days[order[group, i]], means[group, i], stds[group, i]]
 
 
 def _strategy_logs(config, query_logs) -> dict[str, list[QueryLog]]:
@@ -236,14 +250,14 @@ def _correlation_rows(config, per_strategy, dataset):
 
 
 def _significance_observations(config, table: DailyTable, cpis):
-    """Per (category, metric): strategy -> observation list."""
-    obs: dict[tuple[str, str], dict[str, list[float]]] = {}
+    """Per (category, metric): strategy -> its observations."""
+    obs: dict[tuple[str, str], dict[str, np.ndarray | list[float]]] = {}
     series = table.series()
     if config.significance_unit == "bootstrap_mean":
         series = row_means(series)
     for (strategy, category, metric), values in zip(table.keys, series):
-        values = values[~np.isnan(values)].tolist()  # in bootstrap (then day) order
-        if values:
+        values = values[~np.isnan(values)]  # in bootstrap (then day) order
+        if values.size:
             obs.setdefault((category, metric), {})[strategy] = values
         defined = cpis[(strategy, category, metric)]
         if defined:
@@ -271,7 +285,8 @@ def _significance_rows(config, table, cpis):
 
 
 def _query_columns(config, query_logs) -> list:
-    """The rows of ``queries.csv`` as columns: each unit's queries, by (day, node)."""
+    """The rows of ``queries.csv`` as columns, the strategy coded by unit: each unit's
+    queries, by (day, node)."""
     units = sorted(query_logs, key=lambda k: (config.strategies.index(k[0]), k[1]))
     counts = [query_logs[key].total_queries for key in units]
     days, nodes = [np.zeros(0, np.int64)], [np.zeros(0, np.intp)]
@@ -283,7 +298,7 @@ def _query_columns(config, query_logs) -> list:
         days.append(unit_days[order])
         nodes.append(unit_nodes[order])
     return [
-        np.repeat(np.array([s for s, _ in units], dtype=object), counts),
+        ([s for s, _ in units], np.repeat(np.arange(len(units)), counts)),
         np.repeat(np.array([b for _, b in units], dtype=np.int64), counts),
         np.concatenate(days),
         np.concatenate(nodes),

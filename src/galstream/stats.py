@@ -192,20 +192,29 @@ def f_survival(f: float, df1: int, df2: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_groups(groups) -> list[np.ndarray]:
+def _as_groups(groups) -> tuple[np.ndarray, np.ndarray]:
+    """The observations of ``groups``, a mapping of names to groups or a sequence of
+    groups named by position, pooled in group order, and each group's size. A
+    group's observations are all its values, in C order.
+
+    Finiteness is checked once over the pooled observations; a failure names
+    the first group that holds a non-finite one.
+    """
     named = dict(groups) if isinstance(groups, Mapping) else dict(enumerate(groups))
-    arrays = [np.asarray(g, dtype=float) for g in named.values()]
+    arrays = [np.asarray(g, dtype=float).ravel() for g in named.values()]
     if len(arrays) < 2:
         raise ValueError("need at least two groups")
-    if any(a.size == 0 for a in arrays):
+    sizes = np.array([a.size for a in arrays])
+    if not sizes.all():
         raise ValueError("every group must be nonempty")
-    for name, a in zip(named, arrays):
-        if not np.isfinite(a).all():
-            raise ValueError(f"group {name!r} holds a non-finite observation")
-    total = sum(a.size for a in arrays)
-    if total < len(arrays) + 1:
+    pooled = np.concatenate(arrays)
+    finite = np.isfinite(pooled)
+    if not finite.all():
+        bad = int(np.searchsorted(np.cumsum(sizes), np.argmin(finite), side="right"))
+        raise ValueError(f"group {list(named)[bad]!r} holds a non-finite observation")
+    if pooled.size < len(arrays) + 1:
         raise ValueError("need more observations than groups")
-    return arrays
+    return pooled, sizes
 
 
 def anova_oneway(groups) -> TestResult:
@@ -214,16 +223,29 @@ def anova_oneway(groups) -> TestResult:
     A zero within-group sum of squares with unequal means is degenerate:
     the statistic is +inf and the p-value 0. Identical observations
     everywhere raise instead, since F is then 0/0.
+
+    Groups of one size are packed into one C-contiguous matrix and reduced
+    along its rows, so each group's mean and sum of squared deviations keeps
+    the bits of the same reduction over the group alone. The sums over
+    groups run left to right.
     """
-    arrays = _as_groups(groups)
-    pooled = np.concatenate(arrays)
+    pooled, sizes = _as_groups(groups)
     if np.all(pooled == pooled[0]):
         raise ValueError("all observations identical; F is undefined")
     grand = pooled.mean()
-    ss_between = sum(a.size * (a.mean() - grand) ** 2 for a in arrays)
-    ss_within = sum(((a - a.mean()) ** 2).sum() for a in arrays)
-    df1 = len(arrays) - 1
-    df2 = pooled.size - len(arrays)
+    starts = np.cumsum(sizes) - sizes
+    means, squares = np.empty(sizes.size), np.empty(sizes.size)
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        packed = pooled[starts[rows, None] + np.arange(k)]
+        means[rows] = group_means = packed.mean(axis=1)
+        squares[rows] = ((packed - group_means[:, None]) ** 2).sum(axis=1)
+    ss_between = ss_within = 0
+    for size, mean, square in zip(sizes.tolist(), means, squares):
+        ss_between += size * (mean - grand) ** 2
+        ss_within += square
+    df1 = sizes.size - 1
+    df2 = pooled.size - sizes.size
     if ss_within == 0.0:
         return TestResult(math.inf, 0.0)
     f = float((ss_between / df1) / (ss_within / df2))
@@ -233,31 +255,38 @@ def anova_oneway(groups) -> TestResult:
 def _kw_statistic_from_rank_sums(
     rank_sums: Iterable[float], sizes: Iterable[int], n: int, tie_correction: float
 ) -> float:
-    # deviation form, multiplying before dividing for better float behavior
+    # deviation form, multiplying before dividing for better float behavior; the
+    # sum runs left to right, uncompensated whatever the Python version
     center = (n + 1) / 2.0
-    dev = sum(sz * (rs / sz - center) ** 2 for rs, sz in zip(rank_sums, sizes))
+    dev = 0.0
+    for rs, sz in zip(rank_sums, sizes):
+        dev += sz * (rs / sz - center) ** 2
     return 12.0 * dev / (n * (n + 1)) / tie_correction
 
 
-def _tie_correction(pooled: np.ndarray) -> float:
-    n = pooled.size
-    _, first, last = tie_runs(pooled)
+def _tie_correction(first: np.ndarray, last: np.ndarray) -> float:
+    """The Kruskal-Wallis tie correction of a sample, from the first and last sorted
+    position of each run of equal values, as :func:`tie_runs` gives them."""
     counts = last - first + 1
+    n = int(last[-1]) + 1
     return 1.0 - float((counts**3 - counts).sum()) / (n**3 - n)
 
 
 def kruskal_wallis(groups) -> TestResult:
     """Kruskal-Wallis H test with average ranks, tie correction and the usual
-    chi-square approximation of its p-value."""
-    arrays = _as_groups(groups)
-    pooled = np.concatenate(arrays)
-    correction = _tie_correction(pooled)
+    chi-square approximation of its p-value.
+
+    One stable sort of the pooled observations gives both the ranks and the
+    tie correction. Each group's rank sum is a sum of half-integers, so it is
+    exact in any order.
+    """
+    pooled, sizes = _as_groups(groups)
+    order, first, last = tie_runs(pooled)
+    correction = _tie_correction(first, last)
     if correction == 0.0:
         raise ValueError("all observations identical; H is undefined after tie correction")
-    n = pooled.size
-    ranks = average_ranks(pooled)
-    sizes = [a.size for a in arrays]
-    bounds = np.cumsum([0] + sizes)
-    rank_sums = [float(ranks[bounds[i] : bounds[i + 1]].sum()) for i in range(len(arrays))]
-    h = _kw_statistic_from_rank_sums(rank_sums, sizes, n, correction)
-    return TestResult(h, chi2_survival(h, len(arrays) - 1))
+    ranks = np.empty(pooled.size)
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
+    rank_sums = np.add.reduceat(ranks, np.cumsum(sizes) - sizes)
+    h = _kw_statistic_from_rank_sums(rank_sums.tolist(), sizes.tolist(), pooled.size, correction)
+    return TestResult(h, chi2_survival(h, sizes.size - 1))

@@ -1,7 +1,8 @@
 """The report writers against the cell-at-a-time ``csv.writer`` they replace.
 
-``reports._write_csv`` formats a block of rows a column at a time: one
-``repr`` pass over a float array, NA for an undefined value. These tests
+``reports._write_csv`` formats each distinct value of a column once, a
+float by its bit pattern, and takes a block's cells from those texts by
+code; a name column arrives as its names and a code per row. These tests
 hold it, and the ``daily.csv`` and ``queries.csv`` it writes from the grid
 and the logs, to the bytes of ``metric_oracles.oracle_write_csv``, with the
 block shrunk so that a small run's files span many blocks. The last test
@@ -61,6 +62,40 @@ def test_float_columns_match_the_cell_writer(tmp_path, monkeypatch):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     reports._write_csv(tmp_path / "empty.csv", ["day", "value"], [days[:0], values[:0]])
     assert (tmp_path / "empty.csv").read_bytes() == b"day,value\n"
+
+
+def _nan(payload: int, sign: int = 0) -> float:
+    bits = np.array([sign << 63 | 0x7FF8 << 48 | payload], dtype=np.uint64)
+    return float(bits.view(np.float64)[0])
+
+
+CODED_CASES = {
+    # a few values repeated in every block, so each block reuses texts formatted once
+    "repeats across blocks": lambda rng, n: rng.choice([0.5, 0.1 + 0.2, 1e22, 1.0 / 3.0], size=n),
+    "signed zeros and NaN payloads": lambda rng, n: rng.choice(
+        [0.0, -0.0, np.nan, _nan(1), _nan(5, sign=1), 1.0], size=n
+    ),
+    "repeated int64": lambda rng, n: rng.choice(
+        np.array([0, -3, 12, 2**62, -(2**63)], dtype=np.int64), size=n
+    ),
+    "coded names": lambda rng, n: (("no_al", "random", "NA", ""), rng.integers(0, 4, size=n)),
+}
+
+
+@pytest.mark.parametrize("case", CODED_CASES)
+def test_coded_columns_match_the_cell_writer(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(reports, "_BLOCK_ROWS", SMALL_BLOCK)
+    rng = np.random.default_rng(7)
+    column = CODED_CASES[case](rng, 10 * SMALL_BLOCK + 3)
+    days = rng.integers(0, 5, size=10 * SMALL_BLOCK + 3)
+    if isinstance(column, tuple):
+        names, codes = column
+        cells = [names[i] for i in codes.tolist()]
+    else:
+        cells = [None if v != v else v for v in column.tolist()]
+    oracle_write_csv(tmp_path / "want.csv", ["day", "x", "y"], zip(days.tolist(), cells, cells))
+    reports._write_csv(tmp_path / "got.csv", ["day", "x", "y"], [days, column, column])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def _config(nodes: int, out: Path, **overrides) -> ExperimentConfig:

@@ -1,19 +1,29 @@
 import itertools
+import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 from scipy import integrate
-from stats_oracles import oracle_kruskal_wallis_exact
+from stats_oracles import (
+    oracle_anova_oneway,
+    oracle_kruskal_wallis,
+    oracle_kruskal_wallis_exact,
+)
+from test_golden import GOLDEN_DIR, MODES, golden_config
 
 from galstream import (
     anova_oneway,
     chi2_survival,
     f_survival,
     kruskal_wallis,
+    recompute_reports,
     regularized_incomplete_beta,
     regularized_incomplete_gamma,
+    stats,
 )
+from galstream.config import config_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +264,119 @@ def test_non_finite_observation_rejected_naming_its_group(test, bad):
         test({"a": [0.1, 0.4, 0.3], "b": [bad, 0.2, 0.5]})
     with pytest.raises(ValueError, match="group 0 holds a non-finite"):
         test([[0.1, bad, 0.3], [bad, 0.2, 0.5]])
+
+
+# ---------------------------------------------------------------------------
+# The pooled tests against their group-at-a-time loop references
+# ---------------------------------------------------------------------------
+
+TESTS = [(anova_oneway, oracle_anova_oneway), (kruskal_wallis, oracle_kruskal_wallis)]
+
+
+def _random_groups(rng):
+    """Groups of equal or unequal sizes, long enough in places for pairwise summation to
+    engage, holding continuous, tied, signed-zero or single values, as lists or arrays,
+    named or by position."""
+    count = int(rng.integers(2, 14))
+    longest = int(rng.choice([3, 12, 300]))
+    if rng.random() < 0.5:
+        sizes = np.full(count, rng.integers(1, longest + 1))
+    else:
+        sizes = rng.integers(1, longest + 1, size=count)
+    kind = rng.integers(4)
+    groups = []
+    for size in sizes:
+        if kind == 0:
+            group = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4)
+        elif kind == 1:
+            group = rng.integers(0, 4, size=size) / 4.0
+        elif kind == 2:
+            group = rng.choice([0.0, -0.0, 0.5, -0.5], size=size)
+        else:
+            group = np.full(size, rng.choice([0.25, 0.5, -0.0]))
+        groups.append(group.tolist() if rng.random() < 0.5 else group)
+    if rng.random() < 0.3:
+        return {f"g{i}": g for i, g in enumerate(groups)}
+    return groups
+
+
+def _same_result(test, oracle, groups):
+    try:
+        want = oracle(groups)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            test(groups)
+        assert str(raised.value) == str(exc)
+        return False
+    got = test(groups)
+    assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+    return True
+
+
+@pytest.mark.parametrize("test, oracle", TESTS)
+def test_pooled_tests_match_group_at_a_time_loop(test, oracle):
+    rng = np.random.default_rng(2718)
+    defined = sum(_same_result(test, oracle, _random_groups(rng)) for _ in range(600))
+    assert defined > 400
+
+
+BAD_GROUPS = [
+    [],
+    [[1.0, 2.0]],
+    {"a": [1.0, 2.0], "b": [[1.0, 2.0], [3.0, 4.0]], "c": []},
+    [[1.0, 2.0], []],
+    {"a": [], "b": [math.nan]},
+    [[1.0, math.inf], [math.nan, 2.0]],
+    {"a": [0.5, 0.25], "b": [0.1], "c": [-math.inf]},
+    {"a": [0.5], "b": [math.nan]},
+    [[1.0], [2.0]],
+    [[0.0, -0.0], [0.0]],
+    [[3.0, 3.0], [3.0, 3.0]],
+]
+
+
+@pytest.mark.parametrize("test, oracle", TESTS)
+@pytest.mark.parametrize("groups", BAD_GROUPS)
+def test_group_checks_keep_their_messages_and_order(test, oracle, groups):
+    assert not _same_result(test, oracle, groups)
+
+
+@pytest.mark.parametrize("test", [anova_oneway, kruskal_wallis])
+def test_a_group_is_all_its_values(test):
+    flat = test([[1.0, 2.0, 4.0, 3.0], [5.0, 6.0, 7.0, 9.0], [2.5]])
+    nested = test([[[1.0, 2.0], [4.0, 3.0]], np.array([[5.0, 6.0], [7.0, 9.0]]), 2.5])
+    assert np.array(nested).tobytes() == np.array(flat).tobytes()
+
+
+def _neumaier_sum(values, start=0):
+    """The compensated sum that Python 3.12 made the built-in ``sum`` of floats."""
+    total, compensation = float(start), 0.0
+    for x in map(float, values):
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_significance_bytes_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
+    # the tests sum over groups left to right; a compensated built-in sum, as in
+    # Python 3.12 and later, must not reach them
+    monkeypatch.setattr(stats, "sum", _neumaier_sum, raising=False)
+    for prefix, mode in MODES.items():
+        run = tmp_path / mode
+        run.mkdir()
+        for name in ("daily.csv", "queries.csv"):
+            shutil.copy(GOLDEN_DIR / prefix / name, run / name)
+        config = config_to_dict(golden_config(run, mode))
+        (run / "run_manifest.json").write_text(json.dumps({"config": config, "failures": []}))
+        paths = recompute_reports(run)
+        golden = GOLDEN_DIR / prefix / "significance.csv"
+        assert paths["significance.csv"].read_bytes() == golden.read_bytes(), mode
+    rng = np.random.default_rng(3141)
+    for _ in range(200):
+        groups = _random_groups(rng)
+        for test, oracle in TESTS:
+            _same_result(test, oracle, groups)

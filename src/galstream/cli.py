@@ -42,6 +42,9 @@ def _cmd_run(args) -> int:
     dataset = load_configured_dataset(config)
     started = time.monotonic()
     result = run_experiment(config, dataset)
+    # before emission, so that an error writing the reports cannot hide them
+    for strategy, bootstrap, message in result.failures:
+        print(f"failed unit {strategy}/bootstrap {bootstrap}: {message}", file=sys.stderr)
     emit_reports(result, config, dataset)
     elapsed = time.monotonic() - started
     n_units = len(config.strategies) * config.bootstraps
@@ -49,8 +52,6 @@ def _cmd_run(args) -> int:
         f"completed {n_units - len(result.failures)}/{n_units} units "
         f"in {elapsed:.1f}s -> {config.output_dir}"
     )
-    for strategy, bootstrap, message in result.failures:
-        print(f"failed unit {strategy}/bootstrap {bootstrap}: {message}", file=sys.stderr)
     return 1 if result.failures else 0
 
 

@@ -367,9 +367,9 @@ def compute_cpis(table: DailyTable) -> dict[tuple[str, str, str], list[float]]:
     return {key: row[~np.isnan(row)].tolist() for key, row in zip(table.keys, cpis)}
 
 
-def mean_std_rows(values: np.ndarray) -> list[tuple[float | None, float | None, int]]:
+def mean_std_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, population std and count of each row's defined (non-NaN) values in a
-    matrix; the mean and std are None for a row with none.
+    matrix, as three arrays; the mean and std are NaN for a row with none.
 
     Rows are packed by their count of defined values, as in :func:`row_means`,
     and each packed matrix is reduced along its rows, so every mean and std
@@ -380,11 +380,7 @@ def mean_std_rows(values: np.ndarray) -> list[tuple[float | None, float | None, 
     for group, _, packed in _packed_rows(rows):
         means[group] = packed.mean(axis=1)
         stds[group] = packed.std(axis=1)
-    counts = np.count_nonzero(~np.isnan(rows), axis=1).tolist()
-    return [
-        (mean, std, count) if count else (None, None, 0)
-        for mean, std, count in zip(means.tolist(), stds.tolist(), counts)
-    ]
+    return means, stds, np.count_nonzero(~np.isnan(rows), axis=1)
 
 
 def aggregate_records(
@@ -397,15 +393,16 @@ def aggregate_records(
     CPI metrics use the per-bootstrap CPI values directly and appear under
     ``cpi_<metric>``.
     """
-    plain = mean_std_rows(row_means(table.series()))
     defined = [cpis[key] for key in table.keys]
     padded = np.full((len(defined), max(map(len, defined), default=0)), np.nan)
     for row, values in zip(padded, defined):
         row[: len(values)] = values
+    plain, cpi = (
+        zip(*(column.tolist() for column in mean_std_rows(rows)))
+        for rows in (row_means(table.series()), padded)
+    )
     out: dict[tuple[str, str, str], tuple[float, float, int]] = {}
-    for (strategy, category, metric), entry, cpi_entry in zip(
-        table.keys, plain, mean_std_rows(padded)
-    ):
+    for (strategy, category, metric), entry, cpi_entry in zip(table.keys, plain, cpi):
         if entry[2]:
             out[(strategy, category, metric)] = entry
         if cpi_entry[2]:

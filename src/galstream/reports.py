@@ -7,6 +7,12 @@ paths share the writers and the dense grid of one
 :class:`~galstream.harness.DailyTable`, whose cells the manifest and the
 dataset's query days fix. Reading ``daily.csv`` puts each row in its cell,
 so recomputed files match the originals byte for byte whatever the row order.
+
+Every report is written by :func:`_write_csv` from columns: numeric arrays,
+NaN where undefined, or (names, codes) pairs. Each per-log report computes
+one (log, *keys) array over the logs in (strategy, bootstrap) order and
+reduces each strategy's logs in one :func:`~galstream.harness.mean_std_rows`
+call (see :func:`_over_units`).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .burden import (
 )
 from .config import ExperimentConfig, config_from_dict, config_to_dict, read_manifest
 from .datasets import Dataset, make_split
-from .exceptions import ConfigError, ConvergenceError, DataFormatError
+from .exceptions import ConfigError, DataFormatError
 from .graphs import CENTRALITY_METRICS
 from .harness import (
     DailyTable,
@@ -92,21 +98,13 @@ _BLOCK_ROWS = 1 << 10
 def _coded(column) -> tuple[np.ndarray, np.ndarray]:
     """One column as its distinct texts, an object array, and each row's code into them.
 
-    ``column`` is a (names, codes) pair; a numeric array, each distinct bit
-    pattern of which is formatted once: ``repr`` of a float, NA for NaN and
-    ``str`` of an integer; or a sequence, each cell of which is formatted:
-    NA for None, ``repr`` of a float and ``str`` of anything else. Bit
-    patterns keep ``-0.0`` apart from ``0.0``.
+    ``column`` is a (names, codes) pair, or a numeric array, each distinct
+    bit pattern of which is formatted once: ``repr`` of a float, NA for NaN
+    and ``str`` of an integer. Bit patterns keep ``-0.0`` apart from ``0.0``.
     """
     if isinstance(column, tuple):
         names, codes = column
         return np.array(names, dtype=object), codes
-    if not isinstance(column, np.ndarray):
-        texts = [
-            NA if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
-            for v in column
-        ]
-        return np.array(texts, dtype=object), np.arange(len(texts))
     if column.dtype.kind != "f":
         distinct, codes = np.unique(column, return_inverse=True)
         return np.array(list(map(str, distinct.tolist())), dtype=object), codes
@@ -118,8 +116,8 @@ def _coded(column) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write a report CSV from its columns of equal length: (names, codes) pairs,
-    arrays or lists (see :func:`_coded`).
+    """Write a report CSV from its columns of equal length: (names, codes) pairs or
+    numeric arrays (see :func:`_coded`).
 
     Each block of rows takes its cells from its columns' texts by code. No
     cell holds a comma, quote or line break, so each line is its cells
@@ -132,11 +130,6 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
         for start in range(0, rows, _BLOCK_ROWS):
             cells = [texts[codes[start : start + _BLOCK_ROWS]].tolist() for texts, codes in coded]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    # lists, since a tuple column is a (names, codes) pair
-    _write_csv(path, header, list(map(list, zip(*rows))))
 
 
 def prepare_output_dir(path: str | Path) -> Path:
@@ -153,13 +146,19 @@ def prepare_output_dir(path: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _aggregate_rows(config, aggregate):
-    for strategy in config.strategies:
-        for category in EVAL_CATEGORIES:
-            for metric in _METRIC_ORDER:
-                entry = aggregate.get((strategy, category, metric))
-                if entry is not None:
-                    yield (strategy, category, metric, *entry)
+def _named(names, flat) -> list:
+    """The name columns of the cells ``flat`` of a grid whose axes ``names`` name, each
+    a (names, codes) pair."""
+    return list(zip(names, np.unravel_index(flat, tuple(map(len, names)))))
+
+
+def _aggregate_columns(config, aggregate) -> list:
+    """The rows of ``aggregate.csv`` as columns: each (strategy, category, metric) entry."""
+    names = (config.strategies, EVAL_CATEGORIES, _METRIC_ORDER)
+    entries = [aggregate.get(key, (np.nan, np.nan, 0)) for key in product(*names)]
+    cells = np.array(entries).reshape(-1, 3)
+    rows = np.flatnonzero(cells[:, 2])
+    return [*_named(names, rows), cells[rows, 0], cells[rows, 1], cells[rows, 2].astype(np.int64)]
 
 
 def _rolling_columns(config, table: DailyTable) -> list:
@@ -173,80 +172,88 @@ def _rolling_columns(config, table: DailyTable) -> list:
         np.take_along_axis(per_day, order, axis=1), lengths, config.rolling_window
     )
     group, i = np.nonzero(np.arange(per_day.shape[1]) < lengths[:, None])
-    names = (table.strategies, EVAL_CATEGORIES, PERFORMANCE_METRICS)
-    keys = np.unravel_index(group, tuple(map(len, names)))  # table.keys is their product
-    return [*zip(names, keys), table.days[order[group, i]], means[group, i], stds[group, i]]
+    names = (table.strategies, EVAL_CATEGORIES, PERFORMANCE_METRICS)  # table.keys is their product
+    return [*_named(names, group), table.days[order[group, i]], means[group, i], stds[group, i]]
 
 
-def _strategy_logs(config, query_logs) -> dict[str, list[QueryLog]]:
-    """Each strategy's logs in bootstrap order."""
-    keys = sorted(query_logs)
-    return {s: [query_logs[k] for k in keys if k[0] == s] for s in config.strategies}
+def _units(config, query_logs) -> tuple[list[tuple[str, int]], list[QueryLog]]:
+    """Each logged unit, in (strategy in config order, bootstrap) order, and its log."""
+    units = sorted(query_logs, key=lambda k: (config.strategies.index(k[0]), k[1]))
+    return units, [query_logs[key] for key in units]
 
 
-def _over_logs(fn, logs: list[QueryLog]) -> list[float]:
-    """``fn`` of each log; NaN where it is undefined.
+def _defined(fn, *args) -> float:
+    """A burden measure ``fn(*args)`` of one log; NaN where it raises ``ValueError``, as
+    on a log it is undefined for."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return np.nan
 
-    A centrality the graph cannot support leaves ``fn`` undefined on every log.
+
+def _over_units(config, units, per_log: np.ndarray) -> list[np.ndarray]:
+    """Mean, std and count over each strategy's logs of a (log, *keys) array whose logs
+    ``units`` names: three (strategy, *keys) arrays, NaN, NaN and 0 where no log
+    defines a value.
+
+    Each (strategy, *keys) row holds its values in bootstrap order, NaN where a
+    unit failed, so one :func:`~galstream.harness.mean_std_rows` call reduces
+    every row, each as if alone.
     """
-    values = []
-    for log in logs:
-        try:
-            values.append(fn(log))
-        except (ValueError, ConvergenceError):
-            values.append(np.nan)
-    return values
+    grid = np.full((len(config.strategies), *per_log.shape[1:], config.bootstraps), np.nan)
+    s = np.array([config.strategies.index(strategy) for strategy, _ in units], dtype=np.intp)
+    grid[s, ..., np.array([b for _, b in units], dtype=np.intp)] = per_log
+    return [x.reshape(grid.shape[:-1]) for x in mean_std_rows(grid.reshape(-1, config.bootstraps))]
 
 
-def _burden_rows(config, per_strategy):
-    for strategy in config.strategies:
-        logs = per_strategy[strategy]
-        keys, values = [], []
-        for name, fn in _BURDEN_SIMPLE:
-            keys.append((name, None))
-            values.append(_over_logs(fn, logs))
-        for threshold in config.gap_thresholds:
-            for name, fn in (
-                ("within_gap_pct", within_gap_percentage),
-                ("over_exertion", over_exertion),
-            ):
-                keys.append((name, threshold))
-                values.append(_over_logs(lambda log: fn(log, threshold), logs))
-        for key, stats in zip(keys, mean_std_rows(np.array(values, dtype=float))):
-            yield (strategy, *key, *stats)
+def _burden_columns(config, units, logs) -> list:
+    """The rows of ``burden.csv`` as columns: each per-log burden measure over each
+    strategy's logs."""
+    gapped = (("within_gap_pct", within_gap_percentage), ("over_exertion", over_exertion))
+    measures = [(name, NA, fn, ()) for name, fn in _BURDEN_SIMPLE] + [
+        (name, str(threshold), fn, (threshold,))
+        for threshold in config.gap_thresholds
+        for name, fn in gapped
+    ]
+    per_log = [[_defined(fn, log, *args) for *_, fn, args in measures] for log in logs]
+    per_log = np.array(per_log, dtype=float).reshape(len(logs), len(measures))
+    means, stds, counts = (x.ravel() for x in _over_units(config, units, per_log))
+    strategy, (_, key) = _named((config.strategies, measures), np.arange(means.size))
+    metrics, thresholds, _, _ = zip(*measures)
+    return [strategy, (metrics, key), (thresholds, key), means, stds, counts]
 
 
-def _tradeoff_rows(config, aggregate, per_strategy):
+def _tradeoff_columns(config, aggregate, units, logs) -> list:
+    """The rows of ``tradeoff.csv`` as columns: each strategy's mean CPI and mean
+    over-exertion at the reference gap."""
     cpi_key = f"cpi_{config.tradeoff_metric}"
-    for strategy in config.strategies:
-        entry = aggregate.get((strategy, "test_set_same_day", cpi_key))
-        mean_cpi = entry[0] if entry else None
-        exertion = _over_logs(
-            lambda log: over_exertion(log, config.reference_gap), per_strategy[strategy]
-        )
-        [(mean_exertion, _, _)] = mean_std_rows(np.array([exertion], dtype=float))
-        yield (strategy, mean_cpi, mean_exertion)
+    mean_cpi = [
+        aggregate.get((strategy, "test_set_same_day", cpi_key), (np.nan,))[0]
+        for strategy in config.strategies
+    ]
+    exertion = [_defined(over_exertion, log, config.reference_gap) for log in logs]
+    means, _, _ = _over_units(config, units, np.array(exertion, dtype=float))
+    return [(config.strategies, np.arange(len(config.strategies))), np.array(mean_cpi), means]
 
 
-def _heatmap_rows(config, per_strategy, dataset):
-    for strategy in config.strategies:
-        logs = {str(i): log for i, log in enumerate(per_strategy[strategy])}
-        tables = mean_normalized_centrality(logs, dataset.graph).values()
-        # None, a centrality undefined on the graph, becomes NaN
-        values = np.array([[t[m] for t in tables] for m in CENTRALITY_METRICS], dtype=float)
-        yield (strategy, *(mean for mean, _, _ in mean_std_rows(values)))
+def _heatmap_columns(config, units, logs, dataset) -> list:
+    """The rows of ``centrality_heatmap.csv`` as columns: each strategy's mean over its
+    logs of each log's mean normalized centrality."""
+    named = {str(i): log for i, log in enumerate(logs)}
+    tables = mean_normalized_centrality(named, dataset.graph).values()
+    # None, a centrality undefined on the graph, becomes NaN
+    per_log = np.array([[t[m] for m in CENTRALITY_METRICS] for t in tables], dtype=float)
+    means, _, _ = _over_units(config, units, per_log.reshape(len(logs), len(CENTRALITY_METRICS)))
+    return [(config.strategies, np.arange(len(config.strategies))), *means.T]
 
 
-def _correlation_rows(config, per_strategy, dataset):
-    logs = [log for strategy in config.strategies for log in per_strategy[strategy]]
-    values = centrality_burden_correlations(logs, dataset.graph).reshape(len(logs), -1)
-    start = 0
-    for strategy in config.strategies:
-        stop = start + len(per_strategy[strategy])
-        keys = product(CENTRALITY_METRICS, BURDEN_QUANTITIES, CORRELATION_METHODS)
-        for key, stats in zip(keys, mean_std_rows(values[start:stop].T)):
-            yield (strategy, *key, *stats)
-        start = stop
+def _correlation_columns(config, units, logs, dataset) -> list:
+    """The rows of ``centrality_correlation.csv`` as columns: each (centrality, burden
+    quantity, method) correlation over each strategy's logs."""
+    per_log = centrality_burden_correlations(logs, dataset.graph)
+    means, stds, counts = (x.ravel() for x in _over_units(config, units, per_log))
+    names = (config.strategies, CENTRALITY_METRICS, BURDEN_QUANTITIES, CORRELATION_METHODS)
+    return [*_named(names, np.arange(means.size)), means, stds, counts]
 
 
 def _significance_observations(config, table: DailyTable, cpis):
@@ -265,33 +272,37 @@ def _significance_observations(config, table: DailyTable, cpis):
     return obs
 
 
-def _significance_rows(config, table, cpis):
+def _tested(test, groups) -> tuple[float, float]:
+    """A significance test's statistic and p-value; NaN and NaN where it raises ``ValueError``."""
+    try:
+        return test(groups)
+    except ValueError:
+        return np.nan, np.nan
+
+
+def _significance_columns(config, table: DailyTable, cpis) -> list:
+    """The rows of ``significance.csv`` as columns: the tests across strategies of each
+    (category, metric) that at least two strategies observe."""
     obs = _significance_observations(config, table, cpis)
-    for category in EVAL_CATEGORIES:
-        for metric in _METRIC_ORDER:
-            groups = obs.get((category, metric), {})
-            if len(groups) < 2:
-                continue
+    names = (EVAL_CATEGORIES, _METRIC_ORDER)
+    cells, stats = [], []
+    for cell, key in enumerate(product(*names)):
+        groups = obs.get(key, {})
+        if len(groups) >= 2:
             named = {s: groups[s] for s in config.strategies if s in groups}
-            try:
-                anova_f, anova_p = anova_oneway(named)
-            except ValueError:
-                anova_f = anova_p = None
-            try:
-                kw_h, kw_p = kruskal_wallis(named)
-            except ValueError:
-                kw_h = kw_p = None
-            yield (category, metric, anova_f, anova_p, kw_h, kw_p)
+            cells.append(cell)
+            stats.append((*_tested(anova_oneway, named), *_tested(kruskal_wallis, named)))
+    stats = np.array(stats, dtype=float).reshape(len(cells), 4)
+    return [*_named(names, np.array(cells, dtype=np.intp)), *stats.T]
 
 
 def _query_columns(config, query_logs) -> list:
     """The rows of ``queries.csv`` as columns, the strategy coded by unit: each unit's
     queries, by (day, node)."""
-    units = sorted(query_logs, key=lambda k: (config.strategies.index(k[0]), k[1]))
-    counts = [query_logs[key].total_queries for key in units]
+    units, logs = _units(config, query_logs)
+    counts = [log.total_queries for log in logs]
     days, nodes = [np.zeros(0, np.int64)], [np.zeros(0, np.intp)]
-    for key, count in zip(units, counts):
-        log = query_logs[key]
+    for log, count in zip(logs, counts):
         unit_nodes = np.repeat(log.sampled, log.counts)
         unit_days = np.fromiter(chain.from_iterable(log.days_by_node.values()), np.int64, count)
         order = np.lexsort((unit_nodes, unit_days))
@@ -336,42 +347,25 @@ def emit_reports(
 
 def _write_derived(paths, result: RunResult, config, dataset) -> None:
     """Every derived report of ``result``."""
-    per_strategy = _strategy_logs(config, result.query_logs)
-    _write_rows(
-        paths["aggregate.csv"],
-        ["strategy", "category", "metric", "mean", "std", "n"],
-        _aggregate_rows(config, result.aggregate),
-    )
-    _write_csv(
-        paths["rolling.csv"],
-        ["strategy", "category", "metric", "day", "rolling_mean", "rolling_std"],
-        _rolling_columns(config, result.records),
-    )
-    _write_rows(
-        paths["burden.csv"],
-        ["strategy", "metric", "threshold", "mean", "std", "n"],
-        _burden_rows(config, per_strategy),
-    )
-    _write_rows(
-        paths["tradeoff.csv"],
-        ["strategy", "mean_cpi", "mean_over_exertion"],
-        _tradeoff_rows(config, result.aggregate, per_strategy),
-    )
-    _write_rows(
-        paths["centrality_heatmap.csv"],
-        ["strategy"] + list(CENTRALITY_METRICS),
-        _heatmap_rows(config, per_strategy, dataset),
-    )
-    _write_rows(
-        paths["centrality_correlation.csv"],
-        ["strategy", "centrality", "burden_quantity", "method", "mean", "std", "n"],
-        _correlation_rows(config, per_strategy, dataset),
-    )
-    _write_rows(
-        paths["significance.csv"],
-        ["category", "metric", "anova_f", "anova_p", "kw_h", "kw_p"],
-        _significance_rows(config, result.records, result.cpis),
-    )
+    units, logs = _units(config, result.query_logs)
+    for name, header, columns in (
+        ("aggregate.csv", ["strategy", "category", "metric", "mean", "std", "n"],
+         _aggregate_columns(config, result.aggregate)),
+        ("rolling.csv", ["strategy", "category", "metric", "day", "rolling_mean", "rolling_std"],
+         _rolling_columns(config, result.records)),
+        ("burden.csv", ["strategy", "metric", "threshold", "mean", "std", "n"],
+         _burden_columns(config, units, logs)),
+        ("tradeoff.csv", ["strategy", "mean_cpi", "mean_over_exertion"],
+         _tradeoff_columns(config, result.aggregate, units, logs)),
+        ("centrality_heatmap.csv", ["strategy", *CENTRALITY_METRICS],
+         _heatmap_columns(config, units, logs, dataset)),
+        ("centrality_correlation.csv",
+         ["strategy", "centrality", "burden_quantity", "method", "mean", "std", "n"],
+         _correlation_columns(config, units, logs, dataset)),
+        ("significance.csv", ["category", "metric", "anova_f", "anova_p", "kw_h", "kw_p"],
+         _significance_columns(config, result.records, result.cpis)),
+    ):
+        _write_csv(paths[name], header, columns)
 
 
 # Report CSVs are read in blocks of about this many characters, each completed to

@@ -217,6 +217,15 @@ def oracle_fmt(value):
     return str(value)
 
 
+def oracle_cells(column):
+    """The cells of a report column: a (names, codes) pair's names by code, and an
+    array's values, None for NaN."""
+    if isinstance(column, tuple):
+        names, codes = column
+        return [names[i] for i in codes.tolist()]
+    return [None if v != v else v for v in column.tolist()]
+
+
 def oracle_write_csv(path, header, rows):
     """A report CSV written a row and a cell at a time by ``csv.writer``."""
     with open(path, "w", newline="") as fh:

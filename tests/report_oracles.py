@@ -1,22 +1,48 @@
-"""Row-by-row readers of ``daily.csv`` and ``queries.csv``.
+"""Row-by-row readers of ``daily.csv`` and ``queries.csv``, and row-at-a-time
+writers of the derived reports.
 
 ``csv.reader`` reads each row, and each check runs on the row's parsed
 values, in the order the row is checked. ``reports.read_daily_records`` and
 ``reports.read_query_logs`` must give what these give: the same table or
 logs, or the same error with its message and line.
+
+The derived reports are built one strategy and one report row at a time,
+each per-log measure called on one log and each mean and std taken over one
+group's defined values, and written a cell at a time by
+``metric_oracles.oracle_write_csv``. ``reports.emit_reports`` and
+``reports.recompute_reports`` must write the same bytes.
 """
 
 import csv
+from itertools import product
+from pathlib import Path
 
 import numpy as np
+from burden_oracles import oracle_over_logs
+from metric_oracles import oracle_mean_std, oracle_rolling_rows, oracle_write_csv
 
-from galstream.burden import QueryLog
+from galstream.burden import (
+    BURDEN_QUANTITIES,
+    CORRELATION_METHODS,
+    QueryLog,
+    average_time_gap,
+    centrality_burden_correlation,
+    coverage_ratio,
+    mean_normalized_centrality,
+    over_exertion,
+    sampling_entropy,
+    within_gap_percentage,
+)
 from galstream.datasets import make_split
 from galstream.exceptions import DataFormatError
+from galstream.graphs import CENTRALITY_METRICS
 from galstream.harness import DailyTable, query_days
 from galstream.metrics import EVAL_CATEGORIES, PERFORMANCE_METRICS
 from galstream.reports import _DAILY_HEADER, _QUERY_HEADER, NA
+from galstream.stats import anova_oneway, kruskal_wallis
 from galstream.strategies import STRATEGY_NAMES
+
+_METRIC_ORDER = PERFORMANCE_METRICS + tuple(f"cpi_{m}" for m in PERFORMANCE_METRICS)
 
 
 def oracle_report_rows(path, header, parse):
@@ -111,3 +137,140 @@ def oracle_read_query_logs(path, config, dataset, failed=frozenset()):
     for key, day, node in oracle_report_rows(path, _QUERY_HEADER, event):
         seen[key].add((day, node))
     return {key: QueryLog.from_events(pools[key[1]], seen[key]) for key in logged}
+
+
+def oracle_strategy_logs(config, query_logs):
+    """Each strategy's logs in bootstrap order."""
+    keys = sorted(query_logs)
+    return {s: [query_logs[k] for k in keys if k[0] == s] for s in config.strategies}
+
+
+def oracle_aggregate_rows(config, aggregate):
+    for strategy in config.strategies:
+        for category in EVAL_CATEGORIES:
+            for metric in _METRIC_ORDER:
+                entry = aggregate.get((strategy, category, metric))
+                if entry is not None:
+                    yield (strategy, category, metric, *entry)
+
+
+def oracle_burden_rows(config, per_strategy):
+    simple = (
+        ("sampling_entropy", sampling_entropy),
+        ("coverage_ratio", coverage_ratio),
+        ("average_time_gap", average_time_gap),
+    )
+    for strategy in config.strategies:
+        logs = per_strategy[strategy]
+        for name, fn in simple:
+            yield (strategy, name, None, *oracle_over_logs(fn, logs))
+        for threshold in config.gap_thresholds:
+            for name, fn in (
+                ("within_gap_pct", within_gap_percentage),
+                ("over_exertion", over_exertion),
+            ):
+                stats = oracle_over_logs(lambda log: fn(log, threshold), logs)
+                yield (strategy, name, threshold, *stats)
+
+
+def oracle_tradeoff_rows(config, aggregate, per_strategy):
+    cpi_key = f"cpi_{config.tradeoff_metric}"
+    for strategy in config.strategies:
+        entry = aggregate.get((strategy, "test_set_same_day", cpi_key))
+        exertion = oracle_over_logs(
+            lambda log: over_exertion(log, config.reference_gap), per_strategy[strategy]
+        )
+        yield (strategy, entry[0] if entry else None, exertion[0])
+
+
+def oracle_heatmap_rows(config, per_strategy, graph):
+    for strategy in config.strategies:
+        logs = {str(i): log for i, log in enumerate(per_strategy[strategy])}
+        tables = mean_normalized_centrality(logs, graph).values()
+        means = [
+            oracle_mean_std([t[m] for t in tables if t[m] is not None])[0]
+            for m in CENTRALITY_METRICS
+        ]
+        yield (strategy, *means)
+
+
+def oracle_correlation_rows(config, per_strategy, graph):
+    keys = product(config.strategies, CENTRALITY_METRICS, BURDEN_QUANTITIES, CORRELATION_METHODS)
+    for strategy, metric, quantity, method in keys:
+        stats = oracle_over_logs(
+            lambda log: centrality_burden_correlation(log, graph, metric, quantity, method),
+            per_strategy[strategy],
+        )
+        yield (strategy, metric, quantity, method, *stats)
+
+
+def oracle_significance_rows(config, table, cpis):
+    """Each (category, metric) row of ``significance.csv``, its observations gathered
+    from the table's rows one at a time."""
+    by_bootstrap = {}  # (strategy, category, metric) -> bootstrap -> defined values by day
+    for record in table:
+        if record.value is not None:
+            key = (record.strategy, record.category, record.metric)
+            by_bootstrap.setdefault(key, {}).setdefault(record.bootstrap, []).append(record.value)
+    obs = {}
+    for (strategy, category, metric), days in by_bootstrap.items():
+        if config.significance_unit == "bootstrap_mean":
+            values = [np.mean(day_values) for day_values in days.values()]
+        else:
+            values = [v for day_values in days.values() for v in day_values]
+        obs.setdefault((category, metric), {})[strategy] = np.array(values)
+    for (strategy, category, metric), defined in cpis.items():
+        if defined:
+            obs.setdefault((category, f"cpi_{metric}"), {})[strategy] = defined
+    for category in EVAL_CATEGORIES:
+        for metric in _METRIC_ORDER:
+            groups = obs.get((category, metric), {})
+            if len(groups) < 2:
+                continue
+            named = {s: groups[s] for s in config.strategies if s in groups}
+            stats = []
+            for test in (anova_oneway, kruskal_wallis):
+                try:
+                    stats.extend(test(named))
+                except ValueError:
+                    stats.extend((None, None))
+            yield (category, metric, *stats)
+
+
+def oracle_derived_reports(directory, result, config, dataset):
+    """Write every derived report of ``result`` under ``directory``, a row at a time."""
+    directory = Path(directory)
+    per_strategy = oracle_strategy_logs(config, result.query_logs)
+    reports = {
+        "aggregate.csv": (
+            ["strategy", "category", "metric", "mean", "std", "n"],
+            oracle_aggregate_rows(config, result.aggregate),
+        ),
+        "rolling.csv": (
+            ["strategy", "category", "metric", "day", "rolling_mean", "rolling_std"],
+            oracle_rolling_rows(result.records, config.rolling_window),
+        ),
+        "burden.csv": (
+            ["strategy", "metric", "threshold", "mean", "std", "n"],
+            oracle_burden_rows(config, per_strategy),
+        ),
+        "tradeoff.csv": (
+            ["strategy", "mean_cpi", "mean_over_exertion"],
+            oracle_tradeoff_rows(config, result.aggregate, per_strategy),
+        ),
+        "centrality_heatmap.csv": (
+            ["strategy", *CENTRALITY_METRICS],
+            oracle_heatmap_rows(config, per_strategy, dataset.graph),
+        ),
+        "centrality_correlation.csv": (
+            ["strategy", "centrality", "burden_quantity", "method", "mean", "std", "n"],
+            oracle_correlation_rows(config, per_strategy, dataset.graph),
+        ),
+        "significance.csv": (
+            ["category", "metric", "anova_f", "anova_p", "kw_h", "kw_p"],
+            oracle_significance_rows(config, result.records, result.cpis),
+        ),
+    }
+    for name, (header, rows) in reports.items():
+        oracle_write_csv(directory / name, header, rows)
+    return list(reports)

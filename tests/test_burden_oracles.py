@@ -25,7 +25,7 @@ from burden_oracles import (
     oracle_within_gap_percentage,
 )
 from graph_oracles import random_graph
-from metric_oracles import oracle_fmt
+from metric_oracles import oracle_cells, oracle_fmt
 
 from galstream import (
     CENTRALITY_METRICS,
@@ -201,10 +201,13 @@ def test_report_correlations_match_loop_reference():
     assert any(log.total_queries == 0 for log in logs)  # as a no_al log is
     strategies = tuple(f"s{i}" for i in range(8))
     per_strategy = {s: logs[i::8] for i, s in enumerate(strategies)}
-    config = SimpleNamespace(strategies=strategies)
+    units = [(s, b) for s in strategies for b in range(len(per_strategy[s]))]
+    config = SimpleNamespace(strategies=strategies, bootstraps=len(per_strategy[strategies[0]]))
+    unit_logs = [per_strategy[s][b] for s, b in units]
     for connected in (False, True):
         g = random_graph(rng, 50, 0.08, connected=connected)
-        got = list(reports._correlation_rows(config, per_strategy, SimpleNamespace(graph=g)))
+        columns = reports._correlation_columns(config, units, unit_logs, SimpleNamespace(graph=g))
+        got = list(zip(*map(oracle_cells, columns)))
         want = [
             (strategy, metric, quantity, method, *oracle_over_logs(
                 lambda log: oracle_centrality_burden_correlation(log, g, metric, quantity, method),

@@ -711,6 +711,37 @@ class TestCli:
         assert cli_main(["run", "--config", str(files_ini)]) == 0
         assert (tmp_path / "file_results" / "aggregate.csv").exists()
 
+    def test_run_in_which_every_unit_fails_writes_every_report(self, tmp_path, capsys):
+        ini = self.write_config(tmp_path)
+        ini.write_text(ini.read_text() + "learning_rate = 1e12\n")  # every unit diverges
+        assert cli_main(["run", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        units = [(s, b) for s in ("random", "degree", "no_al") for b in range(2)]
+        assert len(err) == len(units)
+        for line, (strategy, bootstrap) in zip(err, units):
+            assert line.startswith(f"failed unit {strategy}/bootstrap {bootstrap}: "), line
+        results = tmp_path / "results"
+        manifest = json.loads((results / "run_manifest.json").read_text())
+        assert [f[:2] for f in manifest["failures"]] == [list(unit) for unit in units]
+        written = {name: (results / name).read_bytes() for name in REPORT_FILES}
+        for name in ("daily.csv", "queries.csv", "aggregate.csv", "rolling.csv"):
+            assert written[name].count(b"\n") == 1, name  # the header alone
+        assert written["significance.csv"].count(b"\n") == 1
+        # each strategy's rows: their names, then undefined values over no log
+        undefined = {
+            "burden.csv": (3, ["NA", "NA", "0"]),
+            "tradeoff.csv": (1, ["NA", "NA"]),
+            "centrality_heatmap.csv": (1, ["NA"] * 8),
+            "centrality_correlation.csv": (4, ["NA", "NA", "0"]),
+        }
+        for name, (names, values) in undefined.items():
+            rows = written[name].decode().splitlines()[1:]
+            assert len(rows) % 3 == 0 and rows, name
+            assert all(row.split(",")[names:] == values for row in rows), name
+        assert cli_main(["report", "--result", str(results)]) == 0
+        for name in REPORT_FILES:
+            assert (results / name).read_bytes() == written[name], name
+
     def test_run_names_an_oversized_edges_field_by_file_and_line(self, tmp_path, capsys):
         files_ini = self.write_files_config(tmp_path)
         edges = tmp_path / "data" / "edges.csv"

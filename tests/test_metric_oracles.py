@@ -18,6 +18,7 @@ import pytest
 from metric_oracles import (
     ORACLE_METRICS,
     oracle_average_ranks,
+    oracle_cells,
     oracle_compute_cpis,
     oracle_cpi,
     oracle_fmt,
@@ -206,6 +207,15 @@ def test_row_means_reduce_the_last_axis_of_any_grid():
     assert flat[~np.isnan(flat)].tobytes() == want.tobytes()
 
 
+def _stat_rows(stats):
+    """``mean_std_rows``' three arrays as (mean, std, count) rows, None for an undefined
+    mean or std."""
+    return [
+        (mean, std, count) if count else (None, None, 0)
+        for mean, std, count in zip(*(column.tolist() for column in stats))
+    ]
+
+
 def test_mean_std_rows_match_group_at_a_time_reference():
     rng = np.random.default_rng(1416)
     for _ in range(400):
@@ -215,12 +225,12 @@ def test_mean_std_rows_match_group_at_a_time_reference():
             values = values.round(2)
         values *= 10.0 ** rng.integers(-3, 4)
         for rows in (values, np.asfortranarray(values), values[::-1, ::-1]):
-            got = mean_std_rows(rows)
+            got = _stat_rows(mean_std_rows(rows))
             want = [oracle_mean_std(row[~np.isnan(row)].tolist()) for row in rows]
             assert [list(map(oracle_fmt, e)) for e in got] == [
                 list(map(oracle_fmt, e)) for e in want
             ], length
-    assert mean_std_rows(np.zeros((3, 0))) == [(None, None, 0)] * 3
+    assert _stat_rows(mean_std_rows(np.zeros((3, 0)))) == [(None, None, 0)] * 3
 
 
 def _gapped_table(rng, days, bootstraps=5):
@@ -291,14 +301,6 @@ def test_cpi_matches_its_loop_reference():
         assert np.float64(cpi(days, values)).tobytes() == want
 
 
-def _decoded(column):
-    """A report column, its cells' names in place of a (names, codes) pair's codes."""
-    if isinstance(column, tuple):
-        names, codes = column
-        return [names[i] for i in codes.tolist()]
-    return column
-
-
 @pytest.mark.parametrize("window", [1, 2, 5, 23, 40])
 def test_rolling_report_matches_window_loop(window):
     rng = np.random.default_rng(1618 + window)
@@ -306,7 +308,7 @@ def test_rolling_report_matches_window_loop(window):
     for _ in range(4):
         for days in DAY_SETS:
             table = _gapped_table(rng, days)
-            got = list(zip(*map(_decoded, reports._rolling_columns(config, table))))
+            got = list(zip(*map(oracle_cells, reports._rolling_columns(config, table))))
             want = list(oracle_rolling_rows(table, window))
             assert [list(map(oracle_fmt, row)) for row in got] == [
                 list(map(oracle_fmt, row)) for row in want

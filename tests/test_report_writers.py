@@ -5,9 +5,11 @@ float by its bit pattern, and takes a block's cells from those texts by
 code; a name column arrives as its names and a code per row. These tests
 hold it, and the ``daily.csv`` and ``queries.csv`` it writes from the grid
 and the logs, to the bytes of ``metric_oracles.oracle_write_csv``, with the
-block shrunk so that a small run's files span many blocks. The last test
-interleaves three runs in one process and requires the bytes each writes
-alone in a fresh one, so no state outlives a call.
+block shrunk so that a small run's files span many blocks. Every derived
+report, written and rewritten, must match the row-at-a-time references of
+``report_oracles``, also when units fail. The last test interleaves three
+runs in one process and requires the bytes each writes alone in a fresh
+one, so no state outlives a call.
 """
 
 import json
@@ -19,16 +21,21 @@ import numpy as np
 import pytest
 from burden_oracles import oracle_query_rows
 from metric_oracles import oracle_write_csv
+from report_oracles import oracle_derived_reports
 
 from galstream import (
     ExperimentConfig,
     SyntheticConfig,
+    burden,
     emit_reports,
+    harness,
     recompute_reports,
     reports,
     run_experiment,
 )
 from galstream.config import config_to_dict
+from galstream.graphs import CENTRALITY_METRICS
+from galstream.harness import load_configured_dataset
 
 SMALL_BLOCK = 7  # rows
 
@@ -41,11 +48,27 @@ CELLS = [
 def test_cells_match_the_cell_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(reports, "_BLOCK_ROWS", SMALL_BLOCK)
     rng = np.random.default_rng(5)
-    rows = [tuple(CELLS[i] for i in rng.integers(0, len(CELLS), size=3)) for _ in range(60)]
-    rows += [(value, value, value) for value in CELLS]
+    kinds = [
+        [c for c in CELLS if c is None or isinstance(c, float)],  # a float column, None as NaN
+        [c for c in CELLS if isinstance(c, (int, np.integer))],
+        [c for c in CELLS if isinstance(c, str)],
+    ]
+    assert sum(map(len, kinds)) == len(CELLS)
+    # random rows, then rows that write every value of each kind
+    codes = [
+        np.concatenate([rng.integers(0, len(kind), size=60), np.arange(len(CELLS)) % len(kind)])
+        for kind in kinds
+    ]
+    floats, ints, names = kinds
+    columns = [
+        np.array([np.nan if v is None else v for v in floats])[codes[0]],
+        np.array(ints, dtype=np.int64)[codes[1]],
+        (names, codes[2]),
+    ]
+    rows = zip(*([kind[i] for i in c.tolist()] for kind, c in zip(kinds, codes)))
     header = ["a", "b", "c"]
     oracle_write_csv(tmp_path / "want.csv", header, rows)
-    reports._write_rows(tmp_path / "got.csv", header, rows)
+    reports._write_csv(tmp_path / "got.csv", header, columns)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -98,10 +121,13 @@ def test_coded_columns_match_the_cell_writer(tmp_path, monkeypatch, case):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+STRATEGIES = ("no_al", "random", "degree", "age")
+
+
 def _config(nodes: int, out: Path, **overrides) -> ExperimentConfig:
     settings = dict(
         synthetic=SyntheticConfig(node_count=nodes, days=9, feature_dim=2, regime_period=3),
-        strategies=("no_al", "random", "degree", "age"),
+        strategies=STRATEGIES,
         initial_days=2,
         queries_per_day=3,
         bootstraps=2,
@@ -124,6 +150,67 @@ def test_daily_and_queries_span_write_blocks(tmp_path, monkeypatch):
         got = paths[name].read_bytes()
         assert got.count(b"\n") > 8 * SMALL_BLOCK, name
         assert got == (tmp_path / name).read_bytes(), name
+
+
+def _failing(failed):
+    """``harness.run_unit`` raising for each (strategy, bootstrap) that ``failed`` holds."""
+    run_unit = harness.run_unit
+
+    def run(dataset, config, strategy, bootstrap):
+        if (strategy, bootstrap) in failed:
+            raise RuntimeError("injected fault")
+        return run_unit(dataset, config, strategy, bootstrap)
+
+    return run
+
+
+DERIVED_CASES = {
+    "one failed unit": ({("degree", 1)}, {}),
+    "one strategy failed": ({("random", 0), ("random", 1), ("random", 2)}, {}),
+    "every unit failed": ({(s, b) for s in STRATEGIES for b in range(3)}, {}),
+    "bootstrap_mean": (set(), {"significance_unit": "bootstrap_mean"}),
+    "direct": (set(), {"embedding_mode": "direct"}),
+}
+
+
+@pytest.mark.parametrize("case", DERIVED_CASES)
+def test_derived_reports_match_row_at_a_time_reference(tmp_path, monkeypatch, case):
+    failed, overrides = DERIVED_CASES[case]
+    monkeypatch.setattr(harness, "run_unit", _failing(failed))
+    config = _config(12, tmp_path / "run", bootstraps=3, **overrides)
+    result = run_experiment(config)
+    assert {f[:2] for f in result.failures} == failed
+    paths = emit_reports(result, config)
+    names = oracle_derived_reports(tmp_path, result, config, load_configured_dataset(config))
+    emitted = {name: paths[name].read_bytes() for name in names}
+    for name in names:
+        assert emitted[name] == (tmp_path / name).read_bytes(), name
+    recompute_reports(config.output_dir)
+    for name in names:
+        assert paths[name].read_bytes() == emitted[name], name
+
+
+def test_heatmap_normalizes_each_centrality_once_per_emit(tmp_path, monkeypatch):
+    config = ExperimentConfig(
+        synthetic=SyntheticConfig(node_count=12, days=7, feature_dim=2, regime_period=3),
+        initial_days=2,
+        queries_per_day=2,
+        bootstraps=2,
+        epochs=2,
+        output_dir=str(tmp_path / "run"),
+    )
+    assert len(config.strategies) == 13
+    result = run_experiment(config)
+    calls = []
+    normalized_centrality = burden.normalized_centrality
+
+    def counted(*args):
+        calls.append(args)
+        return normalized_centrality(*args)
+
+    monkeypatch.setattr(burden, "normalized_centrality", counted)
+    emit_reports(result, config)
+    assert 0 < len(calls) <= len(CENTRALITY_METRICS)
 
 
 _FRESH = """

@@ -7,6 +7,11 @@ graph, because benchmark runs re-request them every day on the same static
 structure. The four path centralities (betweenness, closeness, harmonic,
 load) share one cached all-pairs shortest-path pass, a level-synchronous
 BFS from every source (Brandes 2001), and each reads what it needs from it.
+That BFS runs a block of sources at once, and each level expands from its
+cheaper side: the frontier's adjacency lists or those of the nodes not yet
+reached (Beamer, Asanović & Patterson 2012). Both sides list a level's
+pairs in the order a FIFO BFS finds them, so every value has the bits of
+a textbook per-source pass.
 """
 
 from __future__ import annotations
@@ -161,12 +166,29 @@ def shortest_path_distances(g: Graph, source: int) -> np.ndarray:
     return dist
 
 
-# The BFS runs from a block of sources at once. The block size follows from
-# the edge count, so that one block's expansion pairs, over all its levels,
-# number at most this many (a graph with more adjacency entries runs one
-# source per block), and from the node count, so that the arrays over a
-# block's keys hold at most this many entries too (or n, at one source).
+# A block of the shared pass holds at most this many keys, and four times
+# this many adjacency entries; see _block_size.
 _PAIR_ENTRIES = 1 << 14
+
+
+def _block_size(n: int, entries: int) -> int:
+    """The sources per block of the shared pass, on n nodes with ``entries`` adjacency entries.
+
+    Each source of a block costs its n keys, each in five arrays (degree,
+    first entry, rank, dependency and paths beyond), and its adjacency
+    entries: the block's copy of them, the level's pairs and the kept
+    (parent, child) pairs of the whole BFS, each at most one per entry. So a
+    block of ``_PAIR_ENTRIES // (n + entries // 4)`` sources holds at most
+    ``_PAIR_ENTRIES`` keys and ``4 * _PAIR_ENTRIES`` entries, whatever the
+    graph. The keys count in the sum, not only in a maximum with the entries:
+    on sparse 300-node graphs, where n is the larger term, the maximum alone
+    gives 54 sources, and path-300 and grid-15x20 then peak at 2.95 and
+    3.36 MB. The sum gives 36 and 28 sources, which peak at 2.48 and 2.44
+    MB, and synthetic-300 three. Fewer sources cost sparse graphs time, since
+    their many levels each pay numpy's per-call overhead once per block:
+    path-300 runs twice as long at 13 sources as at 36.
+    """
+    return max(1, min(n, _PAIR_ENTRIES // (n + entries // 4)))
 
 
 class _ShortestPaths(NamedTuple):
@@ -180,19 +202,39 @@ class _ShortestPaths(NamedTuple):
 def _shortest_paths(g: Graph) -> _ShortestPaths:
     """One level-synchronous BFS from every source, shared by the path centralities.
 
-    A block of sources expands each level over the adjacency lists at once.
-    The pair (i-th source of the block, node) is keyed ``i * n + node``. A
-    level lists its (parent, child) pairs by the parent's place in the
-    frontier, then by the child's node id, and keeps those whose child is
-    new. The next frontier is the new keys in the order of their first
-    pair, which is the order a one-source FIFO BFS discovers them;
-    ``np.minimum.at`` finds each key's first pair, so no level sorts by
-    comparison. The backward pass takes a level's pairs by child, in
-    reverse discovery order: a stable radix sort of the children's reversed
-    ranks, held in 8 or 16 bits. A level finds at most ``_PAIR_ENTRIES``
-    keys when a block holds several sources, and at most n - 1 when it
-    holds one, so only a graph of more than 65,536 nodes needs wider ranks,
-    which numpy sorts by comparison.
+    A block of sources (:func:`_block_size`) expands each level over the
+    adjacency lists at once. The pair (i-th source of the block, node) is
+    keyed ``i * n + node``. A level lists its (parent, child) pairs, those
+    whose child is new, by the parent's place in the frontier, then by the
+    child's node id. It takes them from whichever side has fewer adjacency
+    entries:
+
+    - top-down, the frontier's lists, keeping the pairs whose child is not
+      yet reached; they come in that order;
+    - bottom-up, the lists of the keys not yet reached, keeping the pairs
+      whose far end is in the frontier. They come by child, and a parent's
+      children by key, so a stable radix sort by the parent's frontier place
+      puts them in top-down's order.
+
+    ``unreached`` counts the adjacency entries of the keys not yet reached:
+    it starts at every entry of the block and loses each frontier's. A level
+    goes top-down when its frontier has at most ``unreached + b * n``
+    entries, where ``b * n`` prices the scan that finds the unreached keys.
+    The roots' level always goes top-down, since each root's entry has a
+    reverse entry among the unreached keys, so the roots need no rank. A
+    block stops when no entry is
+    left unreached, where the last frontier would find nothing.
+
+    Both sides give the same pairs in the same order, so from there a level
+    is one code path. The next frontier is the new keys in the order of
+    their first pair, which is the order a one-source FIFO BFS discovers
+    them; ``np.minimum.at`` finds each key's first pair. The backward pass
+    takes a level's pairs by child, in reverse discovery order: a stable
+    radix sort of the children's reversed ranks. No level sorts by
+    comparison: ranks and places are held in 8 or 16 bits, since a level
+    finds at most ``_PAIR_ENTRIES`` keys when a block holds several sources,
+    and at most n - 1 when it holds one, so only a graph of more than 65,536
+    nodes needs wider ones, which numpy sorts by comparison.
 
     Every value has the bits of a textbook per-source Brandes pass.
     ``sigma``, ``beyond`` and ``through`` are sums of integers, held
@@ -208,16 +250,23 @@ def _shortest_paths(g: Graph) -> _ShortestPaths:
     pass strictly through v, summed over t.
     """
     n = g.node_count
-    rows, neighbors = np.nonzero(g.adjacency_matrix())
-    block = max(1, min(n, _PAIR_ENTRIES // max(n, neighbors.size)))
-    # the adjacency lists of every key of a block, back to back: entry e
-    # lists neighbor_keys[e] under list_keys[e]
-    slots = n * np.arange(block)[:, None]
-    list_keys = (rows + slots).reshape(-1)
-    neighbor_keys = (neighbors + slots).reshape(-1)
-    degree = np.bincount(list_keys, minlength=block * n)
+    neighbors = np.fromiter(
+        chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.edge_count
+    )
+    entries = neighbors.size
+    block = _block_size(n, entries)
+    # the adjacency lists of every key of a block, back to back
+    neighbor_keys = (neighbors + n * np.arange(block)[:, None]).reshape(-1)
+    degree = np.tile(g.degrees(), block)
     first_neighbor = np.cumsum(degree) - degree
-    del rows, neighbors  # the block's copies hold them; this lowers the peak
+    del neighbors  # the block's copy holds them; this lowers the peak
+
+    def lists(keys, counts, ends):
+        """The neighbor keys of the keys' adjacency lists, back to back."""
+        edge = np.repeat(first_neighbor[keys] - ends + counts, counts)
+        edge += np.arange(ends[-1])
+        return neighbor_keys[edge]
+
     dist = np.full((n, n), UNREACHABLE, dtype=int)
     sigma = np.zeros((n, n))
     betweenness = np.zeros(n)
@@ -231,17 +280,32 @@ def _shortest_paths(g: Graph) -> _ShortestPaths:
         dist_b[roots] = 0
         sigma_b[roots] = 1.0
         frontier = roots
+        unreached = b * entries
         levels = []  # per level, (parent, child) keys in Brandes' order
         depth = 0
         while frontier.size:
             depth += 1
             counts = degree[frontier]
             ends = np.cumsum(counts)
-            edge = np.repeat(first_neighbor[frontier] - ends + counts, counts)
-            edge += np.arange(ends[-1])
-            child = neighbor_keys[edge]
-            new = np.flatnonzero(dist_b[child] == UNREACHABLE)
-            parent, child = list_keys[edge[new]], child[new]
+            unreached -= ends[-1]  # the adjacency entries of the keys not yet reached
+            if unreached == 0:
+                break
+            if ends[-1] <= unreached + b * n:  # top-down: the frontier's lists
+                child = lists(frontier, counts, ends)
+                new = np.flatnonzero(dist_b[child] == UNREACHABLE)
+                parent, child = np.repeat(frontier, counts)[new], child[new]
+            else:  # bottom-up: the unreached keys' lists
+                keys = np.flatnonzero(dist_b == UNREACHABLE)
+                counts = degree[keys]
+                ends = np.cumsum(counts)
+                parent = lists(keys, counts, ends)
+                hit = np.flatnonzero(dist_b[parent] == depth - 1)
+                parent, child = parent[hit], np.repeat(keys, counts)[hit]
+                place = frontier.size - 1 - rank[parent]  # rank counts from the end
+                order = np.argsort(
+                    place.astype(np.min_scalar_type(frontier.size)), kind="stable"
+                )
+                parent, child = parent[order], child[order]
             pair = np.arange(-1 - child.size, -1)  # below UNREACHABLE, in pair order
             np.minimum.at(dist_b, child, pair)  # each new key keeps its first pair
             frontier = child[dist_b[child] == pair]
@@ -300,12 +364,19 @@ def closeness_centrality(g: Graph) -> CentralityVector:
 
 @lru_cache(maxsize=64)
 def harmonic_centrality(g: Graph) -> CentralityVector:
-    """Sum of reciprocal distances to every reachable node."""
+    """Sum of reciprocal distances to every reachable node.
+
+    Rows with the same count of reachable nodes are packed into one
+    C-contiguous matrix and summed along its rows, which adds each row's
+    terms as summing that row on its own does, so every value keeps its bits.
+    """
+    dist = _shortest_paths(g).distances
+    reach = dist > 0
+    counts = np.count_nonzero(reach, axis=1)
     values = np.zeros(g.node_count)
-    for v, dist in enumerate(_shortest_paths(g).distances):
-        reach = dist > 0
-        if reach.any():
-            values[v] = (1.0 / dist[reach]).sum()
+    for k in np.unique(counts[counts > 0]).tolist():
+        rows = counts == k
+        values[rows] = (1.0 / dist[reach & rows[:, None]].reshape(-1, k)).sum(axis=1)
     return CentralityVector("harmonic", values)
 
 

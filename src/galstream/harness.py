@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -100,16 +100,19 @@ class DailyTable:
         return int(np.count_nonzero(self.exists))
 
     def __iter__(self):
-        (strategies, s), b, d, (categories, c), (metrics, m), v = self.columns()
-        columns = [
-            [strategies[i] for i in s.tolist()],
-            b.tolist(),
-            d.tolist(),
-            [categories[i] for i in c.tolist()],
-            [metrics[i] for i in m.tolist()],
-            np.where(np.isnan(v), None, v).tolist(),
-        ]
-        return map(MetricRecord._make, zip(*columns))
+        # one strategy's cells at a time, so a walk never holds the whole run as objects
+        for strategy, exists, values in zip(self.strategies, self.exists, self.values):
+            b, d, c, m = np.nonzero(exists)
+            v = values[exists]
+            columns = [
+                repeat(strategy),
+                b.tolist(),
+                self.days[d].tolist(),
+                [EVAL_CATEGORIES[i] for i in c.tolist()],
+                [PERFORMANCE_METRICS[i] for i in m.tolist()],
+                np.where(np.isnan(v), None, v).tolist(),
+            ]
+            yield from map(MetricRecord._make, zip(*columns))
 
     def columns(self) -> list:
         """The cells a run writes, in iteration order, one column per :class:`MetricRecord`

@@ -120,6 +120,28 @@ def test_shared_pass_distances_match_single_source_bfs(graph):
         assert np.array_equal(dist[s], shortest_path_distances(g, s))
 
 
+def _bottom_up_levels(g: Graph, distances: np.ndarray) -> int:
+    """The levels the shared pass expands from the unreached keys' side, by its rule.
+
+    Each block's level volumes are the adjacency entries of its keys at
+    each depth. A level goes bottom-up when its frontier has more entries
+    than the keys not yet reached, plus one per key of the block, and some
+    unreached entry is left.
+    """
+    n, entries = g.node_count, 2 * g.edge_count
+    block = graphs._block_size(n, entries)
+    degrees = np.broadcast_to(g.degrees(), (block, n))
+    count = 0
+    for first in range(0, n, block):
+        dist = distances[first : first + block]
+        b = dist.shape[0]
+        reached = dist >= 0
+        volume = np.bincount(dist[reached], weights=degrees[:b][reached])
+        unreached = b * entries - np.cumsum(volume)
+        count += np.count_nonzero((volume > unreached + b * n) & (unreached > 0))
+    return count
+
+
 def test_shared_pass_matches_textbook_brandes_bit_for_bit():
     # the oracle's FIFO order fixes the order of every float sum, so the
     # pass must give its bits on all four arrays, not merely close values
@@ -133,29 +155,31 @@ def test_shared_pass_matches_textbook_brandes_bit_for_bit():
         for field, have, want in zip(got._fields, got, brandes_shortest_paths(g)):
             assert have.dtype == want.dtype, f"{field} on graph {i} (n={n}, p={p:.2f})"
             assert have.tobytes() == want.tobytes(), f"{field} on graph {i} (n={n}, p={p:.2f})"
-        block = graphs._PAIR_ENTRIES // max(n, 2 * g.edge_count)
+        block = graphs._block_size(n, 2 * g.edge_count)
         shapes["edgeless"] += g.edge_count == 0
         shapes["isolated"] += g.edge_count > 0 and 0 in g.degrees()
         shapes["disconnected"] += g.edge_count > 0 and bool((got.distances < 0).any())
         shapes["partial last block"] += block < n and n % block > 0
+        shapes["bottom-up level"] += block > 1 and _bottom_up_levels(g, got.distances) > 0
     # the seed must keep drawing every shape the pass has to get right
-    assert min(shapes.values()) >= 3 and len(shapes) == 4, shapes
+    assert min(shapes.values()) >= 3 and len(shapes) == 5, shapes
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        GRAPHS["synthetic-300"],
+        *(GRAPHS[name] for name in ("synthetic-300", "path-300", "grid-15x20", "geometric-300")),
         # ten edges: a block size set by the edge count alone would be all
         # 300 sources, and every array over the block's keys n x n
         lambda: Graph.from_edges(300, [(i, i + 1) for i in range(0, 20, 2)]),
     ],
-    ids=["synthetic-300", "ten-edges-300"],
+    ids=["synthetic-300", "path-300", "grid-15x20", "geometric-300", "ten-edges-300"],
 )
 def test_shared_pass_peak_memory_on_300_nodes(make):
     # perfbench's study-large runs this pass cold on synthetic-300 in every
     # report emission, and its peak_rss_mb may grow by 5% at most: speed
-    # must not cost memory, on that graph or on a sparse one
+    # must not cost memory, on that graph or on the sparse ones, whose
+    # blocks hold the most sources
     g = make()
     graphs._shortest_paths.cache_clear()
     tracemalloc.start()

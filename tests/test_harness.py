@@ -2,6 +2,7 @@ import csv
 import json
 import random
 import shutil
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -350,6 +351,32 @@ def emitted(tmp_path_factory):
     result = run_experiment(config)
     paths = emit_reports(result, config)
     return config, result, paths
+
+
+def test_daily_table_rows_are_its_columns_one_strategy_at_a_time():
+    # the reports benchmark's finished run: 13 strategies x 10 bootstraps x 24 days
+    config = ExperimentConfig(strategies=STRATEGY_NAMES, bootstraps=10)
+    table = harness.DailyTable(config, tuple(range(5, 29)), failed={("random", 3)})
+    values = np.random.default_rng(23).random(table.values.shape)
+    values[values < 0.1] = np.nan
+    table.values[...] = np.where(table.exists, values, np.nan)
+    tracemalloc.start()
+    try:
+        for _ in table:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000, f"iterating the table peaked at {peak / 1e6:.2f} MB"
+    (strategies, s), b, d, (categories, c), (metrics, m), v = table.columns()
+    want = [
+        harness.MetricRecord(
+            strategies[s[i]], int(b[i]), int(d[i]), categories[c[i]], metrics[m[i]],
+            None if np.isnan(v[i]) else float(v[i]),
+        )
+        for i in range(v.size)
+    ]
+    assert list(table) == want
 
 
 class TestReports:

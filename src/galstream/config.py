@@ -63,10 +63,11 @@ def validate_config(config: ExperimentConfig) -> None:
     """Check every invariant that does not require reading the dataset files."""
     if config.source not in ("synthetic", "files"):
         raise ConfigError(f"dataset source must be 'synthetic' or 'files', got {config.source!r}")
-    if config.source == "files":
-        for key in ("edges_path", "features_path", "labels_path"):
-            if not getattr(config, key):
-                raise ConfigError(f"dataset source 'files' requires {key}")
+    for key in ("edges_path", "features_path", "labels_path"):
+        if config.source == "files" and not getattr(config, key):
+            raise ConfigError(f"dataset source 'files' requires {key}")
+        if config.source == "synthetic" and getattr(config, key) is not None:
+            raise ConfigError(f"dataset source 'synthetic' reads no files, but {key} is set")
     if not config.strategies:
         raise ConfigError("at least one strategy is required")
     for name in config.strategies:

@@ -8,13 +8,21 @@ File formats (all CSV with headers, node ids 0-based):
   an all-zero feature row.
 * ``labels.csv``     -- ``day,node,label`` with label in {0, 1}; absent rows
   mean the label is missing for that (day, node).
+
+This module holds the package's one CSV reader, :func:`_read_blocks`, and its
+one CSV writer, :func:`_write_csv`, for every file the package reads or
+writes: the three dataset files here and the report files of
+:mod:`galstream.reports`. Files are written with ``\\n`` line ends; quoted
+fields and ``\\r\\n`` line ends are read.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -99,25 +107,187 @@ class Split:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header, and each non-blank row with its (last) line."""
+NA = "NA"
+
+# So that a block's strings stay small next to its arrays, CSVs are written, and read
+# by ``csv.reader``, this many rows at a time, and otherwise read in blocks of about
+# this many characters, each completed to the end of its last line.
+_BLOCK_ROWS = 1 << 10
+_BLOCK_BYTES = 1 << 16
+
+
+def _coded(column) -> tuple[np.ndarray, np.ndarray]:
+    """One column as its distinct texts, an object array, and each row's code into them.
+
+    ``column`` is a (names, codes) pair, or a numeric array, each distinct
+    bit pattern of which is formatted once: ``repr`` of a float, NA for NaN
+    and ``str`` of an integer. Bit patterns keep ``-0.0`` apart from ``0.0``.
+    """
+    if isinstance(column, tuple):
+        names, codes = column
+        return np.array(names, dtype=object), codes
+    if column.dtype.kind != "f":
+        distinct, codes = np.unique(column, return_inverse=True)
+        return np.array(list(map(str, distinct.tolist())), dtype=object), codes
+    bits, codes = np.unique(column.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    texts[np.isnan(distinct)] = NA
+    return texts, codes
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a CSV from its columns of equal length: (names, codes) pairs or numeric
+    arrays (see :func:`_coded`).
+
+    Each block of rows takes its cells from its columns' texts by code. No
+    cell holds a comma, quote or line break, so each line is its cells
+    joined by commas, as ``csv.writer`` writes it with ``\\n`` line ends.
+    """
+    coded = [_coded(column) for column in columns]
+    rows = len(coded[0][1]) if coded else 0
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, _BLOCK_ROWS):
+            cells = [texts[codes[start : start + _BLOCK_ROWS]].tolist() for texts, codes in coded]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _next_row(path: str | Path, reader) -> list[str] | None:
+    """The next row of a ``csv.reader`` over ``path``, None at its end; a field it
+    rejects raises :class:`DataFormatError` at its line."""
+    try:
+        return next(reader, None)
+    except csv.Error as exc:
+        raise DataFormatError(path, reader.line_num, str(exc)) from None
+
+
+def _read_blocks(path: str | Path, header: list[str]):
+    """Each block of a CSV's rows: the line of each row, then each column's strings.
+
+    The rows are those ``csv.reader`` reads, blank lines left out. A block of
+    plain lines is split on commas and newlines in one call. From the first
+    block with a quote, a carriage return, a blank line, a row of the wrong
+    width or more characters than ``csv.reader``'s field limit on,
+    ``csv.reader`` reads the rest of the file, so a quoted field may span
+    lines. A file with no line, a wrong header or width, or a field
+    ``csv.reader`` rejects, raises :class:`DataFormatError` at its line once
+    the rows before it are yielded.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            rows = [(reader.line_num, row) for row in reader if row]
-        except csv.Error as exc:
-            raise DataFormatError(path, reader.line_num, str(exc)) from None
-    if header is None:
-        raise DataFormatError(path, 1, "file is empty")
-    return header, rows
+        first = _next_row(path, reader)
+        if first is None:
+            raise DataFormatError(path, 1, "file is empty")
+        if first != header:
+            raise DataFormatError(path, 1, f"header must be {','.join(header)}")
+        width, span = len(header), len(header) + 1
+        line = reader.line_num
+        while text := fh.read(_BLOCK_BYTES) + fh.readline():
+            # each line of a plain block is one row: its fields, then one "\n" token
+            plain = text.removesuffix("\n") + "\n"
+            tokens = plain.replace("\n", ",\n,").split(",")[:-1]
+            rows = plain.count("\n")
+            if (
+                '"' in text or "\r" in text or "\n\n" in text or text.startswith("\n")
+                or len(tokens) != rows * span or tokens[width::span].count("\n") != rows
+                or len(text) > csv.field_size_limit()
+            ):
+                yield from _csv_blocks(path, chain(io.StringIO(text, newline=""), fh), width, line)
+                return
+            yield [range(line + 1, line + 1 + rows), *(tokens[i::span] for i in range(width))]
+            line += rows
 
 
-def _parse_int(path: Path, lineno: int, text: str, what: str) -> int:
+def _csv_blocks(path: str | Path, lines, width: int, line: int):
+    """:func:`_read_blocks` by ``csv.reader``, ``_BLOCK_ROWS`` rows at a time, over
+    ``lines``, the lines after line ``line``."""
+    reader, block, error = csv.reader(lines), [], None
     try:
-        return int(text)
+        for row in filter(None, reader):  # blank lines carry no row
+            if len(row) != width:
+                error = f"expected {width} columns, got {len(row)}"
+                break
+            block.append((line + reader.line_num, *row))
+            if len(block) == _BLOCK_ROWS:
+                yield list(zip(*block))
+                block = []
+    except csv.Error as exc:
+        error = str(exc)
+    if block:
+        yield list(zip(*block))
+    if error is not None:
+        raise DataFormatError(path, line + reader.line_num, error)
+
+
+class _Codes(dict):
+    """A column's texts, each decoded once per file: ``code(parse(text))``, and -2 where
+    ``parse`` raises ``ValueError``."""
+
+    def __init__(self, parse, code=lambda value: value) -> None:
+        self.parse, self.code = parse, code
+
+    def __missing__(self, text: str):
+        try:
+            value = self.parse(text)
+        except ValueError:
+            self[text] = -2
+        else:
+            self[text] = self.code(value)
+        return self[text]
+
+    def array(self, column, dtype=np.intp) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, column), dtype, len(column))
+
+
+def _positions(names, parse=str) -> _Codes:
+    """Codes of a text's position among ``names`` once parsed: -1 outside them, and -2
+    where ``parse`` raises ``ValueError``. So ``int`` reads ``01`` and `` 3`` as 1 and 3."""
+    position = {name: i for i, name in enumerate(names)}
+    return _Codes(parse, lambda value: position.get(value, -1))
+
+
+def _error(parse, text: str) -> str | None:
+    """The message of the ``ValueError`` that ``parse(text)`` raises, if it raises one."""
+    try:
+        parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _repeats(flat: np.ndarray, written: np.ndarray) -> np.ndarray:
+    """Which cells of ``flat`` an earlier row wrote: in an earlier block, as marked in
+    ``written``, or in this one."""
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    return written.reshape(-1)[flat] | ~first
+
+
+def _check(path: str | Path, line_numbers, checks) -> None:
+    """Reject the first row of a block that a check rejects, at its line, with the message
+    of the first check that rejects it. ``checks`` are (mask of the rows a check rejects,
+    message for row ``i``) pairs, in the order a row is checked."""
+    rejected = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    if rejected.size:
+        i = int(rejected[0])
+        message = next(message for mask, message in checks if mask[i])
+        raise DataFormatError(path, line_numbers[i], message(i))
+
+
+def _cell(text: str) -> float:
+    """A feature cell's value: 0 for a blank cell, NaN for text that is not a number."""
+    try:
+        return float(text)
     except ValueError:
-        raise DataFormatError(path, lineno, f"{what} {text!r} is not an integer") from None
+        return np.nan if text.strip() else 0.0
+
+
+def _cell_error(cells) -> str:
+    """The message of the first of a row's feature cells that is not a finite number."""
+    bad = next(cell for cell in cells if not math.isfinite(_cell(cell)))
+    if _error(float, bad):
+        return f"feature cell {bad!r} is not a number"
+    return "feature cells must be finite"
 
 
 def load_dataset(
@@ -126,127 +296,97 @@ def load_dataset(
     label_file: str | Path,
     name: str = "dataset",
 ) -> Dataset:
-    """Load and validate the three-file CSV dataset format."""
+    """Load and validate the three-file CSV dataset format: each file read once by
+    :func:`_read_blocks`, each rule one mask over a block's columns (see :func:`_check`)."""
     feature_path = Path(feature_file)
-    header, rows = _read_rows(feature_path)
-    if len(header) < 3 or header[:2] != ["day", "node"]:
+    with open(feature_path, newline="") as fh:
+        header = _next_row(feature_path, csv.reader(fh))
+    if header is not None and (len(header) < 3 or header[:2] != ["day", "node"]):
         raise DataFormatError(feature_path, 1, "header must be day,node,f0,...")
-    feature_dim = len(header) - 2
-
-    cells: dict[tuple[int, int], np.ndarray] = {}
-    for lineno, row in rows:
-        if len(row) != feature_dim + 2:
-            raise DataFormatError(
-                feature_path, lineno, f"expected {feature_dim + 2} columns, got {len(row)}"
-            )
-        day = _parse_int(feature_path, lineno, row[0], "day")
-        node = _parse_int(feature_path, lineno, row[1], "node")
-        if node < 0:
-            raise DataFormatError(feature_path, lineno, f"unknown node id {node}")
-        if (day, node) in cells:
-            raise DataFormatError(feature_path, lineno, f"duplicate (day,node) row ({day},{node})")
-        values = np.zeros(feature_dim)
-        for j, cell in enumerate(row[2:]):
-            if cell.strip() == "":
-                continue  # missing cell, imputed to 0
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    feature_path, lineno, f"feature cell {cell!r} is not a number"
-                ) from None
-            if not math.isfinite(value):
-                raise DataFormatError(feature_path, lineno, "feature cells must be finite")
-            values[j] = value
-        cells[(day, node)] = values
-    if not cells:
+    day_codes: dict[int, int] = {}
+    days = _Codes(int, lambda day: day_codes.setdefault(day, len(day_codes)))
+    nodes = _Codes(int, lambda node: node if node >= 0 else -1)
+    seen: dict[tuple[int, int], int] = {}  # each (day code, node) key -> its first row
+    keys, values = [], []
+    for line_numbers, day, node, *cells in _read_blocks(feature_path, header):
+        d, n = days.array(day), nodes.array(node)
+        rows = np.arange(len(seen), len(seen) + len(d))
+        first = np.fromiter(map(seen.setdefault, zip(d.tolist(), n.tolist()), rows.tolist()), int)
+        v = np.column_stack([np.fromiter(map(_cell, c), float, len(c)) for c in cells])
+        _check(feature_path, line_numbers, [
+            (d == -2, lambda i: f"day {day[i]!r} is not an integer"),
+            (n == -2, lambda i: f"node {node[i]!r} is not an integer"),
+            (n == -1, lambda i: f"unknown node id {int(node[i])}"),
+            (first != rows, lambda i: f"duplicate (day,node) row ({int(day[i])},{int(node[i])})"),
+            (~np.isfinite(v).all(axis=1), lambda i: _cell_error([c[i] for c in cells])),
+        ])
+        keys.append(np.column_stack((d, n)))
+        values.append(v)
+    if not keys:
         raise DataFormatError(feature_path, 2, "no feature rows")
-    node_count = max(node for _, node in cells) + 1
-    day_indices = sorted(set(day for day, _ in cells))
+    d, n = np.concatenate(keys).T
+    day_indices = sorted(day_codes)
+    rank = np.argsort([day_codes[day] for day in day_indices])  # each day code's place
+    features = np.zeros((len(day_indices), int(n.max()) + 1, len(header) - 2))
+    features[rank[d], n] = np.concatenate(values)
+    node_count = features.shape[1]
 
     edge_path = Path(edge_file)
-    header, rows = _read_rows(edge_path)
-    if header != ["src", "dst"]:
-        raise DataFormatError(edge_path, 1, "header must be src,dst")
-    edges = []
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise DataFormatError(edge_path, lineno, "expected 2 columns")
-        u = _parse_int(edge_path, lineno, row[0], "src")
-        v = _parse_int(edge_path, lineno, row[1], "dst")
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise DataFormatError(edge_path, lineno, f"edge ({u},{v}) references an unknown node id")
-        if u == v:
-            raise DataFormatError(edge_path, lineno, f"self-loop at node {u}")
-        edges.append((u, v))
-    graph = Graph.from_edges(node_count, edges)
+    nodes = _positions(range(node_count), int)
+    edges = [np.zeros((0, 2), dtype=np.intp)]
+    for line_numbers, src, dst in _read_blocks(edge_path, ["src", "dst"]):
+        u, v = nodes.array(src), nodes.array(dst)
+        _check(edge_path, line_numbers, [
+            (u == -2, lambda i: f"src {src[i]!r} is not an integer"),
+            (v == -2, lambda i: f"dst {dst[i]!r} is not an integer"),
+            ((u < 0) | (v < 0), lambda i: f"edge ({int(src[i])},{int(dst[i])}) references an"
+             " unknown node id"),
+            (u == v, lambda i: f"self-loop at node {int(src[i])}"),
+        ])
+        edges.append(np.column_stack((u, v)))
+    graph = Graph.from_edges(node_count, np.concatenate(edges).tolist())
 
     label_path = Path(label_file)
-    header, rows = _read_rows(label_path)
-    if header != ["day", "node", "label"]:
-        raise DataFormatError(label_path, 1, "header must be day,node,label")
-    label_map: dict[tuple[int, int], int] = {}
-    day_set = set(day_indices)
-    for lineno, row in rows:
-        if len(row) != 3:
-            raise DataFormatError(label_path, lineno, "expected 3 columns")
-        day = _parse_int(label_path, lineno, row[0], "day")
-        node = _parse_int(label_path, lineno, row[1], "node")
-        if day not in day_set:
-            raise DataFormatError(label_path, lineno, f"day {day} has no feature rows")
-        if not 0 <= node < node_count:
-            raise DataFormatError(label_path, lineno, f"unknown node id {node}")
-        if row[2] not in ("0", "1"):
-            raise DataFormatError(
-                label_path, lineno, f"label {row[2]!r} is not binary (expected 0 or 1)"
-            )
-        if (day, node) in label_map:
-            raise DataFormatError(label_path, lineno, f"duplicate label row ({day},{node})")
-        label_map[(day, node)] = int(row[2])
+    days, binary = _positions(day_indices, int), _positions(["0", "1"])
+    labels = np.full(features.shape[:2], MISSING_LABEL)
+    written = np.zeros(labels.shape, dtype=bool)
+    for line_numbers, day, node, label in _read_blocks(label_path, ["day", "node", "label"]):
+        d, n, y = days.array(day), nodes.array(node), binary.array(label)
+        flat = np.ravel_multi_index((np.maximum(d, 0), np.maximum(n, 0)), labels.shape)
+        _check(label_path, line_numbers, [
+            (d == -2, lambda i: f"day {day[i]!r} is not an integer"),
+            (n == -2, lambda i: f"node {node[i]!r} is not an integer"),
+            (d == -1, lambda i: f"day {int(day[i])} has no feature rows"),
+            (n == -1, lambda i: f"unknown node id {int(node[i])}"),
+            (y < 0, lambda i: f"label {label[i]!r} is not binary (expected 0 or 1)"),
+            (_repeats(flat, written), lambda i: f"duplicate label row ({int(day[i])},"
+             f"{int(node[i])})"),
+        ])
+        written.reshape(-1)[flat] = True
+        labels.reshape(-1)[flat] = y
 
-    frames = []
-    for day in day_indices:
-        feats = np.zeros((node_count, feature_dim))
-        labels = np.full(node_count, MISSING_LABEL, dtype=int)
-        for node in range(node_count):
-            if (day, node) in cells:
-                feats[node] = cells[(day, node)]
-            if (day, node) in label_map:
-                labels[node] = label_map[(day, node)]
-        frames.append(DayFrame(day_index=day, features=feats, labels=labels))
-    return Dataset(graph=graph, days=tuple(frames), feature_dim=feature_dim, name=name)
+    frames = tuple(map(DayFrame, day_indices, features, labels))
+    return Dataset(graph=graph, days=frames, feature_dim=features.shape[2], name=name)
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     """Write edges.csv / features.csv / labels.csv; floats use repr so loads round-trip."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "edges": out / "edges.csv",
-        "features": out / "features.csv",
-        "labels": out / "labels.csv",
-    }
-    with open(paths["edges"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst"])
-        for u, v in dataset.graph.edges:
-            writer.writerow([u, v])
-    with open(paths["features"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "node"] + [f"f{j}" for j in range(dataset.feature_dim)])
-        for frame in dataset.days:
-            for node in range(dataset.node_count):
-                writer.writerow(
-                    [frame.day_index, node]
-                    + [repr(float(x)) for x in frame.features[node]]
-                )
-    with open(paths["labels"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "node", "label"])
-        for frame in dataset.days:
-            for node in range(dataset.node_count):
-                if frame.labels[node] != MISSING_LABEL:
-                    writer.writerow([frame.day_index, node, int(frame.labels[node])])
+    paths = {kind: out / f"{kind}.csv" for kind in ("edges", "features", "labels")}
+    edges = np.array(dataset.graph.edges, dtype=np.intp).reshape(-1, 2)
+    _write_csv(paths["edges"], ["src", "dst"], list(edges.T))
+    # each (day, node) row, in (day, node) order; a day index is any integer, so it is a name
+    n, days = dataset.node_count, dataset.day_count
+    day = ([str(frame.day_index) for frame in dataset.days], np.repeat(np.arange(days), n))
+    node = np.tile(np.arange(n), days)
+    features = np.array([frame.features for frame in dataset.days]).reshape(-1, dataset.feature_dim)
+    header = ["day", "node"] + [f"f{j}" for j in range(dataset.feature_dim)]
+    _write_csv(paths["features"], header, [day, node, *features.T])
+    labels = np.array([frame.labels for frame in dataset.days], dtype=np.intp).reshape(-1)
+    kept = labels != MISSING_LABEL
+    day = (day[0], day[1][kept])
+    _write_csv(paths["labels"], ["day", "node", "label"], [day, node[kept], labels[kept]])
     return paths
 
 

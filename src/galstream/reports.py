@@ -8,8 +8,10 @@ paths share the writers and the dense grid of one
 dataset's query days fix. Reading ``daily.csv`` puts each row in its cell,
 so recomputed files match the originals byte for byte whatever the row order.
 
-Every report is written by :func:`_write_csv` from columns: numeric arrays,
-NaN where undefined, or (names, codes) pairs. Each per-log report computes
+Every report is written by :func:`~galstream.datasets._write_csv` from
+columns: numeric arrays, NaN where undefined, or (names, codes) pairs, and
+``daily.csv`` and ``queries.csv`` are read by its block reader,
+:func:`~galstream.datasets._read_blocks`. Each per-log report computes
 one (log, *keys) array over the logs in (strategy, bootstrap) order and
 reduces each strategy's logs in one :func:`~galstream.harness.mean_std_rows`
 call (see :func:`_over_units`).
@@ -17,8 +19,6 @@ call (see :func:`_over_units`).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from datetime import datetime, timezone
@@ -41,7 +41,18 @@ from .burden import (
     within_gap_percentage,
 )
 from .config import ExperimentConfig, config_from_dict, config_to_dict, read_manifest
-from .datasets import Dataset, make_split
+from .datasets import (
+    NA,
+    Dataset,
+    _check,
+    _Codes,
+    _error,
+    _positions,
+    _read_blocks,
+    _repeats,
+    _write_csv,
+    make_split,
+)
 from .exceptions import ConfigError, DataFormatError
 from .graphs import CENTRALITY_METRICS
 from .harness import (
@@ -62,8 +73,6 @@ from .metrics import (
 )
 from .stats import anova_oneway, kruskal_wallis
 from .strategies import STRATEGY_NAMES
-
-NA = "NA"
 
 REPORT_FILES = (
     "aggregate.csv",
@@ -88,48 +97,6 @@ _BURDEN_SIMPLE = (
     ("coverage_ratio", coverage_ratio),
     ("average_time_gap", average_time_gap),
 )
-
-
-# Report CSVs are written, and read by ``csv.reader``, a block of this many rows
-# at a time, so that a block's strings stay small next to its columns.
-_BLOCK_ROWS = 1 << 10
-
-
-def _coded(column) -> tuple[np.ndarray, np.ndarray]:
-    """One column as its distinct texts, an object array, and each row's code into them.
-
-    ``column`` is a (names, codes) pair, or a numeric array, each distinct
-    bit pattern of which is formatted once: ``repr`` of a float, NA for NaN
-    and ``str`` of an integer. Bit patterns keep ``-0.0`` apart from ``0.0``.
-    """
-    if isinstance(column, tuple):
-        names, codes = column
-        return np.array(names, dtype=object), codes
-    if column.dtype.kind != "f":
-        distinct, codes = np.unique(column, return_inverse=True)
-        return np.array(list(map(str, distinct.tolist())), dtype=object), codes
-    bits, codes = np.unique(column.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
-    texts[np.isnan(distinct)] = NA
-    return texts, codes
-
-
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write a report CSV from its columns of equal length: (names, codes) pairs or
-    numeric arrays (see :func:`_coded`).
-
-    Each block of rows takes its cells from its columns' texts by code. No
-    cell holds a comma, quote or line break, so each line is its cells
-    joined by commas, as ``csv.writer`` writes it.
-    """
-    coded = [_coded(column) for column in columns]
-    rows = len(coded[0][1]) if coded else 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, rows, _BLOCK_ROWS):
-            cells = [texts[codes[start : start + _BLOCK_ROWS]].tolist() for texts, codes in coded]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def prepare_output_dir(path: str | Path) -> Path:
@@ -368,97 +335,6 @@ def _write_derived(paths, result: RunResult, config, dataset) -> None:
         _write_csv(paths[name], header, columns)
 
 
-# Report CSVs are read in blocks of about this many characters, each completed to
-# the end of its last line, so that a block's strings stay small next to the
-# arrays they fill.
-_BLOCK_BYTES = 1 << 16
-
-
-def _report_blocks(path: str | Path, header: list[str]):
-    """Each block of a report CSV's rows: the line of each row, then each column's strings.
-
-    The rows are those ``csv.reader`` reads, blank lines left out. A block of
-    plain lines is split on commas and newlines in one call. From the first
-    block with a quote, a carriage return, a blank line, a row of the wrong
-    width or more characters than ``csv.reader``'s field limit on,
-    ``csv.reader`` reads the rest of the file, so a quoted field may span
-    lines. A wrong header or width, or a field ``csv.reader`` rejects, raises
-    :class:`DataFormatError` at its line once the rows before it are yielded.
-    """
-    width, span = len(header), len(header) + 1
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != header:
-                raise DataFormatError(path, 1, f"header must be {','.join(header)}")
-        except csv.Error as exc:
-            raise DataFormatError(path, reader.line_num, str(exc)) from None
-        line = reader.line_num
-        while text := fh.read(_BLOCK_BYTES) + fh.readline():
-            # each line of a plain block is one row: its fields, then one "\n" token
-            plain = text.removesuffix("\n") + "\n"
-            tokens = plain.replace("\n", ",\n,").split(",")[:-1]
-            rows = plain.count("\n")
-            if (
-                '"' in text or "\r" in text or "\n\n" in text or text.startswith("\n")
-                or len(tokens) != rows * span or tokens[width::span].count("\n") != rows
-                or len(text) > csv.field_size_limit()
-            ):
-                yield from _csv_blocks(path, chain(io.StringIO(text, newline=""), fh), width, line)
-                return
-            yield [range(line + 1, line + 1 + rows), *(tokens[i::span] for i in range(width))]
-            line += rows
-
-
-def _csv_blocks(path: str | Path, lines, width: int, line: int):
-    """:func:`_report_blocks` by ``csv.reader``, ``_BLOCK_ROWS`` rows at a time, over
-    ``lines``, the lines after line ``line``."""
-    reader, block, error = csv.reader(lines), [], None
-    try:
-        for row in filter(None, reader):  # blank lines carry no row
-            if len(row) != width:
-                error = f"expected {width} columns, got {len(row)}"
-                break
-            block.append((line + reader.line_num, *row))
-            if len(block) == _BLOCK_ROWS:
-                yield list(zip(*block))
-                block = []
-    except csv.Error as exc:
-        error = str(exc)
-    if block:
-        yield list(zip(*block))
-    if error is not None:
-        raise DataFormatError(path, line + reader.line_num, error)
-
-
-class _Codes(dict):
-    """A column's texts, each decoded once per file by ``decode``."""
-
-    def __init__(self, decode) -> None:
-        self.decode = decode
-
-    def __missing__(self, text: str):
-        self[text] = code = self.decode(text)
-        return code
-
-    def array(self, column, dtype=np.intp) -> np.ndarray:
-        return np.fromiter(map(self.__getitem__, column), dtype, len(column))
-
-
-def _positions(names, parse=str) -> _Codes:
-    """Codes of a text's position among ``names`` once parsed: -1 outside them, and -2
-    where ``parse`` raises ``ValueError``. So ``int`` reads ``01`` and `` 3`` as 1 and 3."""
-    position = {name: i for i, name in enumerate(names)}
-
-    def decode(text: str) -> int:
-        try:
-            return position.get(parse(text), -1)
-        except ValueError:
-            return -2
-
-    return _Codes(decode)
-
-
 def _value(text: str) -> float:
     """A ``daily.csv`` value: NaN for NA, and -1 for text that is not a number in [0, 1]."""
     try:
@@ -466,33 +342,6 @@ def _value(text: str) -> float:
     except ValueError:
         return -1.0
     return v if text == NA or 0.0 <= v <= 1.0 else -1.0
-
-
-def _error(parse, text: str) -> str | None:
-    """The message of the ``ValueError`` that ``parse(text)`` raises, if it raises one."""
-    try:
-        parse(text)
-    except ValueError as exc:
-        return str(exc)
-
-
-def _repeats(flat: np.ndarray, written: np.ndarray) -> np.ndarray:
-    """Which cells of ``flat`` an earlier row wrote: in an earlier block, as marked in
-    ``written``, or in this one."""
-    first = np.zeros(flat.size, dtype=bool)
-    first[np.unique(flat, return_index=True)[1]] = True
-    return written.reshape(-1)[flat] | ~first
-
-
-def _check(path: str | Path, line_numbers, checks) -> None:
-    """Reject the first row of a block that a check rejects, at its line, with the message
-    of the first check that rejects it. ``checks`` are (mask of the rows a check rejects,
-    message for row ``i``) pairs, in the order a row is checked."""
-    rejected = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
-    if rejected.size:
-        i = int(rejected[0])
-        message = next(message for mask, message in checks if mask[i])
-        raise DataFormatError(path, line_numbers[i], message(i))
 
 
 def read_daily_records(
@@ -512,7 +361,7 @@ def read_daily_records(
     ``NA`` nor in [0, 1]; or if its cell was already written. The first bad
     line of the file is the one reported, with the first of these it fails.
     A file that leaves a cell empty is rejected, naming the first such cell.
-    The file is read once (see :func:`_report_blocks`), and each check is one
+    The file is read once (see :func:`_read_blocks`), and each check is one
     mask over a block's columns.
     """
     table = DailyTable(config, query_days(config, dataset), failed)
@@ -526,7 +375,7 @@ def read_daily_records(
         _positions(PERFORMANCE_METRICS),
     )
     values = _Codes(_value)
-    for line_numbers, *columns, value in _report_blocks(path, _DAILY_HEADER):
+    for line_numbers, *columns, value in _read_blocks(path, _DAILY_HEADER):
         strategy, bootstrap, day, category, metric = columns
         s, b, d, c, m = (code.array(column) for code, column in zip(codes, columns))
         v = values.array(value, float)
@@ -588,7 +437,7 @@ def read_query_logs(
         _positions(days.tolist(), int),
         _positions(range(dataset.node_count), int),
     )
-    for line_numbers, *columns in _report_blocks(path, _QUERY_HEADER):
+    for line_numbers, *columns in _read_blocks(path, _QUERY_HEADER):
         strategy, bootstrap, day, node = columns
         s, b, d, n = (code.array(column) for code, column in zip(codes, columns))
         cell = tuple(np.maximum(x, 0) for x in (s, b, d, n))

@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .clustering import kcenter_greedy, kmeans, kmedoids, pairwise_distances, pam
-from .gcn import NormalizedAdjacency
+from .gcn import NormalizedAdjacency, embed
 from .graphs import Graph, degree_centrality, modularity_partition, pagerank
 from .stats import average_ranks
 
@@ -194,8 +194,7 @@ def select_coreset(ctx: SelectionContext) -> Selection:
 
 def select_featprop(ctx: SelectionContext) -> Selection:
     """Two propagation hops over the raw day features, then density selection."""
-    a = ctx.adj.matrix
-    propagated = a @ (a @ np.asarray(ctx.features, dtype=float))
+    propagated = embed("direct", None, ctx.adj, ctx.features)
     pool = ctx.pool_array()
     points = propagated[pool]
     centroids, _ = kmeans(points, ctx.k, ctx.rng_seed)

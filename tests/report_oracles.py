@@ -33,12 +33,12 @@ from galstream.burden import (
     sampling_entropy,
     within_gap_percentage,
 )
-from galstream.datasets import make_split
+from galstream.datasets import NA, make_split
 from galstream.exceptions import DataFormatError
 from galstream.graphs import CENTRALITY_METRICS
 from galstream.harness import DailyTable, query_days
 from galstream.metrics import EVAL_CATEGORIES, PERFORMANCE_METRICS
-from galstream.reports import _DAILY_HEADER, _QUERY_HEADER, NA
+from galstream.reports import _DAILY_HEADER, _QUERY_HEADER
 from galstream.stats import anova_oneway, kruskal_wallis
 from galstream.strategies import STRATEGY_NAMES
 
@@ -46,7 +46,8 @@ _METRIC_ORDER = PERFORMANCE_METRICS + tuple(f"cpi_{m}" for m in PERFORMANCE_METR
 
 
 def oracle_report_rows(path, header, parse):
-    """``parse(*row)`` for each row of a report CSV, after checking its header and width.
+    """``parse(*row)`` for each row of a report CSV, after checking that it has a first
+    line, its header and its width.
 
     A row ``parse`` rejects with ``ValueError``, or a field ``csv.reader``
     rejects, is reported with its file and line.
@@ -54,7 +55,10 @@ def oracle_report_rows(path, header, parse):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            if next(reader, None) != header:
+            first = next(reader, None)
+            if first is None:
+                raise DataFormatError(path, 1, "file is empty")
+            if first != header:
                 raise DataFormatError(path, 1, f"header must be {','.join(header)}")
             for row in filter(None, reader):  # blank lines carry no row
                 if len(row) != len(header):

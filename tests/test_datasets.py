@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
-from dataset_oracles import oracle_generate_synthetic
+from csv_edits import edited
+from dataset_oracles import oracle_generate_synthetic, oracle_load_dataset, oracle_save_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galstream import (
     DataFormatError,
@@ -9,6 +12,7 @@ from galstream import (
     Graph,
     Split,
     SyntheticConfig,
+    datasets,
     generate_synthetic,
     load_dataset,
     make_split,
@@ -144,6 +148,158 @@ class TestSaveLoadRoundTrip:
         paths = save_dataset(ds, tmp_path / "o")
         loaded = load_dataset(paths["edges"], paths["features"], paths["labels"])
         assert loaded.days[0].labels.tolist() == [1, -1, 0]
+
+
+FILES = ("edges", "features", "labels")  # in load_dataset's argument order
+SMALL_BLOCK = 64  # bytes: a few lines, so each file of a 16-node dataset spans several blocks
+# (bytes of a plain block, rows of a csv.reader block): small, then the defaults
+BLOCKS = ((SMALL_BLOCK, 2), (datasets._BLOCK_BYTES, datasets._BLOCK_ROWS))
+
+# Tokens an edit writes into a field: ids in and out of range and in forms ``int``
+# accepts that are not plain decimals, labels, cells that are blank, not numbers or
+# not finite, and text the csv parser treats specially. No id is large enough to
+# size a big grid, which either loader would allocate.
+TOKENS = (
+    "0", "1", "2", "3", "11", "12", "99", "-1", "-0", "01", " 3", "+3", "1_0", "٣",
+    "0.5", " 0.25", "1e-1", "-0.0", "1.0", "x", "x2", "", " ", "nan", "inf", "-Infinity",
+    "1e400", '"0.5"', '0.5"', '"a,b"', "4,4", '"1\n"', '"3\n"',
+)
+EDITS = (
+    "replace", "delete", "duplicate", "blank line", "crlf line", "quoted field",
+    "extra column", "missing column", "field to line break", "no final newline",
+    "empty file", "header only", "crlf file",
+)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """The saved files' texts of a dense 16-node dataset with some labels missing, and
+    a directory to write edited copies to."""
+    synthetic = SyntheticConfig(
+        node_count=16, days=5, feature_dim=2, regime_period=2, p_in=0.9, p_out=0.4
+    )
+    dataset = generate_synthetic(synthetic, 4)
+    missing = np.arange(16) % 3
+    frames = tuple(
+        DayFrame(f.day_index, f.features, np.where(missing == f.day_index % 3, -1, f.labels))
+        for f in dataset.days
+    )
+    paths = save_dataset(
+        Dataset(dataset.graph, frames, dataset.feature_dim), tmp_path_factory.mktemp("saved")
+    )
+    return {kind: paths[kind].read_text() for kind in FILES}, tmp_path_factory.mktemp("edited")
+
+
+def _loaded(load, paths):
+    """What ``load`` makes of the files: the dataset's bits, or its error."""
+    try:
+        ds = load(*paths)
+    except DataFormatError as exc:
+        return str(exc)
+    frames = [(f.day_index, f.features.tobytes(), f.labels.tobytes()) for f in ds.days]
+    return ds.graph, ds.feature_dim, frames
+
+
+def _assert_as_row_by_row(paths):
+    want = _loaded(oracle_load_dataset, paths)
+    for block_bytes, block_rows in BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datasets, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(datasets, "_BLOCK_ROWS", block_rows)
+            assert _loaded(load_dataset, paths) == want, block_bytes
+    return want
+
+
+def _written(directory, texts):
+    paths = [directory / f"{kind}.csv" for kind in FILES]
+    for kind, path in zip(FILES, paths):
+        path.write_text(texts[kind], newline="")
+    return paths
+
+
+class TestLoadAsRowByRow:
+    """``load_dataset`` against ``oracle_load_dataset``, at a small and the default block."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(FILES),
+                st.sampled_from(EDITS),
+                st.integers(0, 10_000),
+                st.integers(0, 10_000),
+                st.integers(0, 5),
+                st.sampled_from(TOKENS),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_edited_files_load_as_row_by_row(self, saved, edits):
+        texts, directory = saved
+        texts = dict(texts)
+        for kind, *edit in edits:
+            texts[kind] = edited(texts[kind], *edit)
+        _assert_as_row_by_row(_written(directory, texts))
+
+    def test_unedited_files_span_blocks_and_load_as_row_by_row(self, saved):
+        texts, directory = saved
+        assert min(map(len, texts.values())) > 4 * SMALL_BLOCK
+        assert not isinstance(_assert_as_row_by_row(_written(directory, texts)), str)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("features", "duplicate (day,node) row (0,0)"), ("labels", "duplicate label row (0,")],
+    )
+    def test_repeat_of_a_row_in_an_earlier_block_named_at_its_line(
+        self, saved, kind, message
+    ):
+        texts, directory = saved
+        texts = dict(texts)
+        texts[kind] += texts[kind].splitlines(keepends=True)[1]
+        paths = _written(directory, texts)
+        error = _assert_as_row_by_row(paths)
+        line = texts[kind].count("\n")
+        assert error.startswith(f"{paths[FILES.index(kind)]}:{line}: {message}")
+
+    @pytest.mark.parametrize("kind", FILES)
+    def test_empty_file_named(self, saved, kind):
+        texts, directory = saved
+        paths = _written(directory, {**texts, kind: ""})
+        assert _assert_as_row_by_row(paths) == f"{paths[FILES.index(kind)]}:1: file is empty"
+
+    def test_crlf_copy_loads_the_same_bits(self, saved):
+        texts, directory = saved
+        want = _assert_as_row_by_row(_written(directory, texts))
+        crlf = {kind: text.replace("\n", "\r\n") for kind, text in texts.items()}
+        assert _assert_as_row_by_row(_written(directory, crlf)) == want
+
+    def test_day_past_int64_loads_in_order(self, tmp_path):
+        edges, features, labels = toy_files(tmp_path)
+        far = 10**20
+        write(features, f"day,node,f0,f1\n{far},0,1.0,2.0\n3,2,3.0,4.0\n{far},1,0.5,\n")
+        write(labels, f"day,node,label\n{far},1,1\n")
+        got = _assert_as_row_by_row([edges, features, labels])
+        assert [day for day, *_ in got[2]] == [3, far]
+        ds = load_dataset(edges, features, labels)
+        assert ds.days[1].labels.tolist() == [-1, 1, -1]
+        assert ds.days[1].features.tolist() == [[1.0, 2.0], [0.5, 0.0], [0.0, 0.0]]
+
+
+class TestSaveAsRowByRow:
+    @pytest.mark.parametrize("n", (12, 40))
+    def test_saved_bytes_are_the_cell_writer_bytes(self, tmp_path, n):
+        dataset = generate_synthetic(SyntheticConfig(node_count=n, days=6), n)
+        frames = tuple(
+            DayFrame(10**20 * (f.day_index == 5) + f.day_index, -f.features,
+                     np.where(np.arange(n) % 4 == f.day_index % 4, -1, f.labels))
+            for f in dataset.days
+        )
+        dataset = Dataset(dataset.graph, frames, dataset.feature_dim)
+        got = save_dataset(dataset, tmp_path / "got")
+        want = oracle_save_dataset(dataset, tmp_path / "want")
+        for kind in FILES:
+            assert got[kind].read_bytes() == want[kind].read_bytes(), kind
 
 
 class TestSynthetic:

@@ -600,9 +600,14 @@ class TestConfigFile:
     @pytest.mark.parametrize("section,key", sorted(INI_SAMPLES))
     def test_each_ini_key_sets_the_field_it_names(self, tmp_path, section, key):
         raw, field_path, want = INI_SAMPLES[(section, key)]
+        paths = ("edges", "features", "labels")
         lines = {"dataset": ["source = synthetic"]}
         if key == "source":  # a files source must name its files
             lines["dataset"] = ["edges = e.csv", "features = f.csv", "labels = l.csv"]
+        elif section == "dataset" and key in paths:  # only a files source reads them
+            lines["dataset"] = ["source = files"] + [
+                f"{other} = {INI_SAMPLES['dataset', other][0]}" for other in paths if other != key
+            ]
         lines.setdefault(section, []).append(f"{key} = {raw}")
         ini = tmp_path / "exp.ini"
         ini.write_text(
@@ -623,6 +628,20 @@ class TestConfigFile:
     def test_files_source_requires_paths(self):
         with pytest.raises(ConfigError, match="edges_path"):
             validate_config(ExperimentConfig(source="files"))
+
+    @pytest.mark.parametrize("key", ["edges", "features", "labels"])
+    def test_synthetic_source_rejects_each_file_path(self, tmp_path, key):
+        field_name = f"{key}_path"
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[dataset]\nsource = synthetic\n{key} = {key}.csv\n")
+        manifest = tmp_path / "run_manifest.json"
+        config = {**config_to_dict(ExperimentConfig()), field_name: f"{key}.csv"}
+        manifest.write_text(json.dumps({"config": config}))
+        for path in (ini, manifest):
+            with pytest.raises(ConfigError, match=f"synthetic.*{field_name}"):
+                load_config(path)
+        with pytest.raises(ConfigError, match=field_name):
+            validate_config(ExperimentConfig(**{field_name: f"{key}.csv"}))
 
     def test_invariant_checks(self):
         with pytest.raises(ConfigError):

@@ -16,11 +16,13 @@ import shutil
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from csv_edits import edited
 from report_oracles import oracle_read_daily_records, oracle_read_query_logs
 
 from galstream import (
     ExperimentConfig,
     SyntheticConfig,
+    datasets,
     emit_reports,
     recompute_reports,
     reports,
@@ -35,7 +37,7 @@ DERIVED = (
 )
 SMALL_BLOCK = 64  # bytes: a few lines, so even the run's queries.csv spans several blocks
 # (bytes of a plain block, rows of a csv.reader block): small, then the defaults
-BLOCKS = ((SMALL_BLOCK, 2), (reports._BLOCK_BYTES, reports._BLOCK_ROWS))
+BLOCKS = ((SMALL_BLOCK, 2), (datasets._BLOCK_BYTES, datasets._BLOCK_ROWS))
 ORACLES = {
     reports.read_daily_records: oracle_read_daily_records,
     reports.read_query_logs: oracle_read_query_logs,
@@ -87,40 +89,10 @@ def _assert_as_row_by_row(read, path, config, dataset):
     want = _outcome(ORACLES[read], path, config, dataset)
     for block_bytes, block_rows in BLOCKS:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reports, "_BLOCK_BYTES", block_bytes)
-            mp.setattr(reports, "_BLOCK_ROWS", block_rows)
+            mp.setattr(datasets, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(datasets, "_BLOCK_ROWS", block_rows)
             assert _outcome(read, path, config, dataset) == want, block_bytes
     return want
-
-
-def _edited(text, kind, line, other, column, token):
-    header, *rows = text.splitlines(keepends=True)
-    i = line % len(rows)
-    fields = rows[i].rstrip("\n").split(",")
-    column %= len(fields)
-    if kind == "delete":
-        del rows[i]
-    elif kind == "duplicate":
-        rows.insert(other % (len(rows) + 1), rows[i])
-    elif kind == "blank line":
-        rows.insert(other % (len(rows) + 1), "\n")
-    elif kind == "crlf line":
-        rows[i] = rows[i].rstrip("\n") + "\r\n"
-    elif kind == "no final newline":
-        rows[-1] = rows[-1].rstrip("\n")
-    else:
-        if kind == "replace":
-            fields[column] = token
-        elif kind == "quoted field":
-            fields[column] = '"' + fields[column].replace('"', '""') + '"'
-        elif kind == "extra column":
-            fields.insert(column, token)
-        elif kind == "missing column":
-            del fields[column]
-        else:  # field to line break: two lines that hold one field fewer than a row
-            fields = [",".join(fields[:column]) + "\n" + ",".join(fields[column + 1 :])]
-        rows[i] = ",".join(fields) + "\n"
-    return header + "".join(rows)
 
 
 @pytest.mark.parametrize(
@@ -145,7 +117,7 @@ def test_edited_file_read_as_row_by_row(run, name, read, edits):
     config, dataset, run_dir = run
     text = (run_dir / name).read_text()
     for edit in edits:
-        text = _edited(text, *edit)
+        text = edited(text, *edit)
     path = run_dir / f"edited-{name}"
     path.write_text(text, newline="")
     _assert_as_row_by_row(read, path, config, dataset)
@@ -203,9 +175,9 @@ def test_bad_row_past_the_first_block_named_at_its_line(run, tmp_path, name, rea
     assert error == f"{path}:{i + 2}: {message}"
 
 
-@pytest.mark.parametrize("block", [SMALL_BLOCK, reports._BLOCK_BYTES])
+@pytest.mark.parametrize("block", [SMALL_BLOCK, datasets._BLOCK_BYTES])
 def test_crlf_quote_all_files_recompute_byte_for_byte(run, tmp_path, monkeypatch, block):
-    monkeypatch.setattr(reports, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(datasets, "_BLOCK_BYTES", block)
     _, _, run_dir = run
     copy = shutil.copytree(run_dir, tmp_path / "quoted")
     for name in ("daily.csv", "queries.csv"):

@@ -1,6 +1,6 @@
 """The report writers against the cell-at-a-time ``csv.writer`` they replace.
 
-``reports._write_csv`` formats each distinct value of a column once, a
+``datasets._write_csv`` formats each distinct value of a column once, a
 float by its bit pattern, and takes a block's cells from those texts by
 code; a name column arrives as its names and a code per row. These tests
 hold it, and the ``daily.csv`` and ``queries.csv`` it writes from the grid
@@ -27,6 +27,7 @@ from galstream import (
     ExperimentConfig,
     SyntheticConfig,
     burden,
+    datasets,
     emit_reports,
     harness,
     recompute_reports,
@@ -46,7 +47,7 @@ CELLS = [
 
 
 def test_cells_match_the_cell_writer(tmp_path, monkeypatch):
-    monkeypatch.setattr(reports, "_BLOCK_ROWS", SMALL_BLOCK)
+    monkeypatch.setattr(datasets, "_BLOCK_ROWS", SMALL_BLOCK)
     rng = np.random.default_rng(5)
     kinds = [
         [c for c in CELLS if c is None or isinstance(c, float)],  # a float column, None as NaN
@@ -68,12 +69,12 @@ def test_cells_match_the_cell_writer(tmp_path, monkeypatch):
     rows = zip(*([kind[i] for i in c.tolist()] for kind, c in zip(kinds, codes)))
     header = ["a", "b", "c"]
     oracle_write_csv(tmp_path / "want.csv", header, rows)
-    reports._write_csv(tmp_path / "got.csv", header, columns)
+    datasets._write_csv(tmp_path / "got.csv", header, columns)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_float_columns_match_the_cell_writer(tmp_path, monkeypatch):
-    monkeypatch.setattr(reports, "_BLOCK_ROWS", SMALL_BLOCK)
+    monkeypatch.setattr(datasets, "_BLOCK_ROWS", SMALL_BLOCK)
     rng = np.random.default_rng(6)
     floats = [c for c in CELLS if isinstance(c, float)] + rng.random(40).tolist()
     values = np.array(floats + [np.nan] * 5)
@@ -81,9 +82,9 @@ def test_float_columns_match_the_cell_writer(tmp_path, monkeypatch):
     days = rng.integers(0, 1000, size=values.size)
     want = [(int(d), None if np.isnan(v) else v) for d, v in zip(days, values)]
     oracle_write_csv(tmp_path / "want.csv", ["day", "value"], want)
-    reports._write_csv(tmp_path / "got.csv", ["day", "value"], [days, values])
+    datasets._write_csv(tmp_path / "got.csv", ["day", "value"], [days, values])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    reports._write_csv(tmp_path / "empty.csv", ["day", "value"], [days[:0], values[:0]])
+    datasets._write_csv(tmp_path / "empty.csv", ["day", "value"], [days[:0], values[:0]])
     assert (tmp_path / "empty.csv").read_bytes() == b"day,value\n"
 
 
@@ -107,7 +108,7 @@ CODED_CASES = {
 
 @pytest.mark.parametrize("case", CODED_CASES)
 def test_coded_columns_match_the_cell_writer(tmp_path, monkeypatch, case):
-    monkeypatch.setattr(reports, "_BLOCK_ROWS", SMALL_BLOCK)
+    monkeypatch.setattr(datasets, "_BLOCK_ROWS", SMALL_BLOCK)
     rng = np.random.default_rng(7)
     column = CODED_CASES[case](rng, 10 * SMALL_BLOCK + 3)
     days = rng.integers(0, 5, size=10 * SMALL_BLOCK + 3)
@@ -117,7 +118,7 @@ def test_coded_columns_match_the_cell_writer(tmp_path, monkeypatch, case):
     else:
         cells = [None if v != v else v for v in column.tolist()]
     oracle_write_csv(tmp_path / "want.csv", ["day", "x", "y"], zip(days.tolist(), cells, cells))
-    reports._write_csv(tmp_path / "got.csv", ["day", "x", "y"], [days, column, column])
+    datasets._write_csv(tmp_path / "got.csv", ["day", "x", "y"], [days, column, column])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -139,7 +140,7 @@ def _config(nodes: int, out: Path, **overrides) -> ExperimentConfig:
 
 
 def test_daily_and_queries_span_write_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(reports, "_BLOCK_ROWS", SMALL_BLOCK)
+    monkeypatch.setattr(datasets, "_BLOCK_ROWS", SMALL_BLOCK)
     config = _config(12, tmp_path / "run")
     result = run_experiment(config)
     paths = emit_reports(result, config)

@@ -166,11 +166,11 @@ def _read_blocks(path: str | Path, header: list[str]):
     """Each block of a CSV's rows: the line of each row, then each column's strings.
 
     The rows are those ``csv.reader`` reads, blank lines left out. A block of
-    plain lines is split on commas and newlines in one call. From the first
-    block with a quote, a carriage return, a blank line, a row of the wrong
-    width or more characters than ``csv.reader``'s field limit on,
-    ``csv.reader`` reads the rest of the file, so a quoted field may span
-    lines. A file with no line, a wrong header or width, or a field
+    plain lines, ended by ``\n`` or ``\r\n``, is split on commas and newlines in
+    one call. From the first block with a quote, a carriage return outside a
+    ``\r\n``, a blank line, a row of the wrong width or more characters than
+    ``csv.reader``'s field limit on, ``csv.reader`` reads the rest of the file,
+    so a quoted field may span lines. A file with no line, a wrong header or width, or a field
     ``csv.reader`` rejects, raises :class:`DataFormatError` at its line once
     the rows before it are yielded.
     """
@@ -184,12 +184,14 @@ def _read_blocks(path: str | Path, header: list[str]):
         width, span = len(header), len(header) + 1
         line = reader.line_num
         while text := fh.read(_BLOCK_BYTES) + fh.readline():
+            # so a lone "\r" is left to csv.reader; replace scans slowly, "in" does not
+            lines = text.replace("\r\n", "\n") if "\r" in text else text
             # each line of a plain block is one row: its fields, then one "\n" token
-            plain = text.removesuffix("\n") + "\n"
+            plain = lines.removesuffix("\n") + "\n"
             tokens = plain.replace("\n", ",\n,").split(",")[:-1]
             rows = plain.count("\n")
             if (
-                '"' in text or "\r" in text or "\n\n" in text or text.startswith("\n")
+                '"' in lines or "\r" in lines or "\n\n" in lines or lines.startswith("\n")
                 or len(tokens) != rows * span or tokens[width::span].count("\n") != rows
                 or len(text) > csv.field_size_limit()
             ):
@@ -344,7 +346,7 @@ def load_dataset(
             (u == v, lambda i: f"self-loop at node {int(src[i])}"),
         ])
         edges.append(np.column_stack((u, v)))
-    graph = Graph.from_edges(node_count, np.concatenate(edges).tolist())
+    graph = Graph.from_edges(node_count, np.concatenate(edges))
 
     label_path = Path(label_file)
     days, binary = _positions(day_indices, int), _positions(["0", "1"])
@@ -374,8 +376,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {kind: out / f"{kind}.csv" for kind in ("edges", "features", "labels")}
-    edges = np.array(dataset.graph.edges, dtype=np.intp).reshape(-1, 2)
-    _write_csv(paths["edges"], ["src", "dst"], list(edges.T))
+    _write_csv(paths["edges"], ["src", "dst"], list(dataset.graph.pairs.T))
     # each (day, node) row, in (day, node) order; a day index is any integer, so it is a name
     n, days = dataset.node_count, dataset.day_count
     day = ([str(frame.day_index) for frame in dataset.days], np.repeat(np.arange(days), n))
@@ -454,7 +455,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
     u, v = np.triu_indices(n, 1)
     p = np.where(community[u] == community[v], config.p_in, config.p_out)
     edge = rng.random(u.size) < p
-    graph = Graph.from_edges(n, zip(u[edge].tolist(), v[edge].tolist()))
+    graph = Graph.from_edges(n, np.column_stack((u[edge], v[edge])))
 
     offsets = rng.normal(0.0, config.offset_scale, size=n)
     regime_count = -(-config.days // config.regime_period)

@@ -2,7 +2,9 @@
 
 All functions are pure: they take an immutable :class:`Graph` and return
 fresh (read-only) arrays, so they are safe to call from any number of
-workers. Every centrality and the modularity partition are cached per
+workers. A graph holds its edges and its adjacency as read-only integer
+arrays, built and checked in whole-array steps. Every centrality and the
+modularity partition are cached per
 graph, because benchmark runs re-request them every day on the same static
 structure. The four path centralities (betweenness, closeness, harmonic,
 load) share one cached all-pairs shortest-path pass, a level-synchronous
@@ -16,10 +18,9 @@ a textbook per-source pass.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -46,74 +47,153 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
 class Graph:
     """Immutable undirected graph on nodes ``0..node_count-1``.
 
-    ``edges`` is the canonical edge set: unique ``(u, v)`` pairs with
-    ``u < v``, sorted. No self-loops. Use :meth:`from_edges` to build one
-    from raw edge pairs.
+    ``pairs`` is the canonical edge set as an (m, 2) integer array: unique
+    ``(u, v)`` rows with ``u < v``, no self-loops, in the order given (sorted
+    when built by :meth:`from_edges`, which takes raw edge pairs). Its CSR
+    adjacency is ``offsets`` and ``neighbors``: the neighbours of node ``v``,
+    sorted, are ``neighbors[offsets[v] : offsets[v + 1]]``. All three are
+    read-only. ``edges`` and ``adjacency`` give the same as tuples, built
+    anew on each read, so the package itself reads only the arrays.
+
+    Graphs are equal when their node counts and edge rows are, and the hash
+    is that of ``(node_count, edges)``, computed once, since every measure is
+    cached per graph. It hashes integers only, so every process gives the
+    same value.
     """
 
-    node_count: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
-    # the measures are cached per graph, so hash the edge tuple only once
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
+    def __init__(self, node_count: int, edges) -> None:
+        if node_count < 1:
             raise ValueError("graph needs at least one node")
-        seen = set()
-        neighbors: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError(f"edge ({u},{v}) references an unknown node")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if u > v:
-                raise ValueError(f"edge ({u},{v}) is not in canonical (u<v) order")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        object.__setattr__(
-            self, "adjacency", tuple(tuple(sorted(ns)) for ns in neighbors)
+        n = operator.index(node_count)
+        pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        u, v = pairs.T
+        unknown = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+        # among the edges that pass the other checks, those equal to an earlier one:
+        # a stable sort puts the earliest of equal keys first
+        proper = np.flatnonzero(~unknown & (u < v))
+        key = u[proper] * n + v[proper]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeat = np.zeros(len(pairs), dtype=bool)
+        repeat[proper[order[1:][key[1:] == key[:-1]]]] = True
+        checks = [  # in the order an edge is checked
+            (unknown, lambda i: f"edge ({u[i]},{v[i]}) references an unknown node"),
+            (u == v, lambda i: f"self-loop at node {u[i]}"),
+            (u > v, lambda i: f"edge ({u[i]},{v[i]}) is not in canonical (u<v) order"),
+            (repeat, lambda i: f"duplicate edge ({u[i]},{v[i]})"),
+        ]
+        rejected = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+        if rejected.size:
+            i = rejected[0]
+            raise ValueError(next(message for mask, message in checks if mask[i])(i))
+        # CSR: the directed entries sorted by (node, neighbour) as one key
+        entry = np.sort(np.concatenate((u * n + v, v * n + u)))
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(pairs.reshape(-1), minlength=n), out=offsets[1:])
+        self.__dict__.update(  # past the frozen __setattr__
+            node_count=n,
+            pairs=_read_only(pairs),
+            offsets=_read_only(offsets),
+            neighbors=_read_only(entry % n),
         )
-        object.__setattr__(self, "_hash", hash((self.node_count, self.edges)))
+        self.__dict__["_hash"] = hash((n, self.edges))
+
+    @classmethod
+    def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
+        """Build a graph from raw pairs, canonicalizing order and dropping duplicates.
+
+        ``edges`` is an (m, 2) integer array or any iterable of pairs whose
+        ids ``int()`` reads. A self-loop is rejected first, at the first
+        pair that has one; the graph then rejects the first bad edge in
+        sorted canonical order.
+        """
+        pairs = _int_pairs(edges)
+        _reject_self_loop(pairs)
+        n = int(node_count)
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+        if lo.size == 0 or (lo.min() >= 0 and hi.max() < n):
+            order = np.argsort(lo * n + hi, kind="stable")
+        else:  # an id outside 0..n-1, so n cannot key a pair
+            order = np.lexsort((hi, lo))
+        canon = np.column_stack((lo, hi))[order]
+        kept = np.ones(len(canon), dtype=bool)
+        kept[1:] = (canon[1:] != canon[:-1]).any(axis=1)
+        return cls(n, canon[kept])
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.pairs.T.tolist()))
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        neighbors, offsets = self.neighbors.tolist(), self.offsets.tolist()
+        return tuple(tuple(neighbors[a:b]) for a, b in zip(offsets, offsets[1:]))
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.pairs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.node_count == other.node_count and np.array_equal(self.pairs, other.pairs)
 
     def __hash__(self) -> int:
         return self._hash
 
-    @classmethod
-    def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from raw pairs, canonicalizing order and dropping duplicates."""
-        canon = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            canon.add((min(u, v), max(u, v)))
-        return cls(node_count=int(node_count), edges=tuple(sorted(canon)))
+    def __repr__(self) -> str:
+        return f"Graph(node_count={self.node_count!r}, edges={self.edges!r})"
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def __reduce__(self):  # rebuilt on unpickling, so its arrays stay read-only
+        return self.__class__, (self.node_count, self.pairs)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(ns) for ns in self.adjacency], dtype=int)
+        return np.diff(self.offsets)
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.node_count, self.node_count))
-        rows = np.repeat(np.arange(self.node_count), self.degrees())
-        cols = np.fromiter(
-            chain.from_iterable(self.adjacency), dtype=int, count=2 * self.edge_count
-        )
-        a[rows, cols] = 1.0
+        a[np.repeat(np.arange(self.node_count), self.degrees()), self.neighbors] = 1.0
         return a
+
+
+def _int_pairs(edges) -> np.ndarray:
+    """Raw edge pairs as an (m, 2) integer array, each id as ``int()`` reads it.
+
+    An (m, 2) integer array is taken whole. Anything else is read pair by
+    pair, and raises what ``for u, v in edges: int(u), int(v)`` raises,
+    unless a pair before the failing one is a self-loop, which is rejected
+    first.
+    """
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+        return edges.astype(np.intp, copy=False)
+    ids: list[tuple[int, int]] = []
+    try:
+        for u, v in edges:
+            ids.append((int(u), int(v)))
+    except (TypeError, ValueError):
+        _reject_self_loop(np.array(ids, dtype=np.intp).reshape(-1, 2))
+        raise
+    return np.array(ids, dtype=np.intp).reshape(-1, 2)
+
+
+def _reject_self_loop(pairs: np.ndarray) -> None:
+    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    if loops.size:
+        raise ValueError(f"self-loop at node {pairs[loops[0], 0]}")
 
 
 @dataclass(frozen=True)
@@ -156,13 +236,15 @@ def shortest_path_distances(g: Graph, source: int) -> np.ndarray:
         raise ValueError(f"source {source} out of range")
     dist = np.full(g.node_count, UNREACHABLE, dtype=int)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    node = np.repeat(np.arange(g.node_count), g.degrees())  # each adjacency entry's node
+    frontier = dist == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = np.zeros(g.node_count, dtype=bool)
+        frontier[g.neighbors[(dist == depth - 1)[node]]] = True
+        frontier &= dist == UNREACHABLE
+        dist[frontier] = depth
     return dist
 
 
@@ -250,16 +332,12 @@ def _shortest_paths(g: Graph) -> _ShortestPaths:
     pass strictly through v, summed over t.
     """
     n = g.node_count
-    neighbors = np.fromiter(
-        chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.edge_count
-    )
-    entries = neighbors.size
+    entries = g.neighbors.size
     block = _block_size(n, entries)
     # the adjacency lists of every key of a block, back to back
-    neighbor_keys = (neighbors + n * np.arange(block)[:, None]).reshape(-1)
+    neighbor_keys = (g.neighbors + n * np.arange(block)[:, None]).reshape(-1)
     degree = np.tile(g.degrees(), block)
     first_neighbor = np.cumsum(degree) - degree
-    del neighbors  # the block's copy holds them; this lowers the peak
 
     def lists(keys, counts, ends):
         """The neighbor keys of the keys' adjacency lists, back to back."""
@@ -508,17 +586,13 @@ def modularity(g: Graph, community_of: np.ndarray) -> float:
     m = g.edge_count
     if m == 0:
         raise ValueError("modularity is undefined on an edgeless graph")
-    community_of = np.asarray(community_of, dtype=int)
-    deg = g.degrees()
-    q = 0.0
-    for c in np.unique(community_of):
-        members = community_of == c
-        internal = sum(
-            1 for u, v in g.edges if members[u] and members[v]
-        )
-        deg_sum = deg[members].sum()
-        q += internal / m - (deg_sum / (2.0 * m)) ** 2
-    return q
+    ids, community = np.unique(np.asarray(community_of, dtype=int), return_inverse=True)
+    u, v = g.pairs.T
+    inside = community[u] == community[v]
+    internal = np.bincount(community[u[inside]], minlength=ids.size)
+    deg_sum = np.bincount(community, weights=g.degrees(), minlength=ids.size)  # exact integers
+    # each community's term, added to q from left to right in community order
+    return np.add.accumulate(internal / m - (deg_sum / (2.0 * m)) ** 2)[-1]
 
 
 @lru_cache(maxsize=64)

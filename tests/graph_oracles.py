@@ -1,16 +1,61 @@
 """Brute-force graph oracles for the test suite.
 
-Everything here is written independently of the library: path enumeration
-by DFS, dictionary-based fixed-point iterations, and exhaustive partition
-search. Slow on purpose; only run on tiny graphs.
+Everything here is written independently of the library: the per-edge
+build and checks of a graph, path enumeration by DFS, dictionary-based
+fixed-point iterations, and exhaustive partition search. Slow on purpose;
+only run on tiny graphs.
 """
 
 import itertools
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
 from galstream import Graph
+
+
+class ReferenceGraph(NamedTuple):
+    """What the per-edge reference builds: ``Graph``'s fields as tuples, and its hash."""
+
+    node_count: int
+    edges: tuple
+    adjacency: tuple
+    hash: int
+
+
+def reference_graph(node_count, edges) -> ReferenceGraph:
+    """``Graph(node_count, edges)`` one edge at a time: each edge's checks, in order, and
+    its adjacency lists."""
+    if node_count < 1:
+        raise ValueError("graph needs at least one node")
+    seen = set()
+    neighbors = [[] for _ in range(node_count)]
+    for u, v in edges:
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise ValueError(f"edge ({u},{v}) references an unknown node")
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if u > v:
+            raise ValueError(f"edge ({u},{v}) is not in canonical (u<v) order")
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+    return ReferenceGraph(node_count, edges, adjacency, hash((node_count, edges)))
+
+
+def reference_from_edges(node_count, edges) -> ReferenceGraph:
+    """``Graph.from_edges`` one pair at a time: canonicalize into a set, then sort."""
+    canon = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        canon.add((min(u, v), max(u, v)))
+    return reference_graph(int(node_count), tuple(sorted(canon)))
 
 
 def random_graph(rng, n, p, connected=False) -> Graph:
@@ -23,11 +68,12 @@ def random_graph(rng, n, p, connected=False) -> Graph:
 
 
 def _is_connected(g: Graph) -> bool:
+    adjacency = g.adjacency  # built anew on each read
     seen = {0}
     frontier = [0]
     while frontier:
         v = frontier.pop()
-        for w in g.adjacency[v]:
+        for w in adjacency[v]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
@@ -35,13 +81,14 @@ def _is_connected(g: Graph) -> bool:
 
 
 def all_simple_paths(g: Graph, s, t):
+    adjacency = g.adjacency
     paths = []
 
     def walk(v, path):
         if v == t:
             paths.append(list(path))
             return
-        for w in g.adjacency[v]:
+        for w in adjacency[v]:
             if w not in path:
                 path.append(w)
                 walk(w, path)
@@ -82,6 +129,7 @@ def brandes_shortest_paths(g: Graph):
     so ``sigma[v] * (beyond[v] - 1)`` counts the s-t shortest paths through v.
     """
     n = g.node_count
+    adjacency = g.adjacency
     distances = np.full((n, n), -1, dtype=int)
     sigma = np.zeros((n, n))
     betweenness = [0.0] * n
@@ -96,7 +144,7 @@ def brandes_shortest_paths(g: Graph):
         while queue:
             v = queue.popleft()
             order.append(v)
-            for w in sorted(g.adjacency[v]):
+            for w in sorted(adjacency[v]):
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -119,7 +167,7 @@ def brandes_shortest_paths(g: Graph):
 
 
 def oracle_degree(g: Graph):
-    return np.array([len(g.adjacency[v]) / (g.node_count - 1) for v in range(g.node_count)])
+    return np.array([len(ns) / (g.node_count - 1) for ns in g.adjacency])
 
 
 def oracle_betweenness(g: Graph):
@@ -177,13 +225,14 @@ def oracle_eigenvector(g: Graph):
 
 def oracle_pagerank(g: Graph, damping=0.85, iterations=200):
     n = g.node_count
-    deg = {v: len(g.adjacency[v]) for v in range(n)}
+    adjacency = g.adjacency
+    deg = {v: len(adjacency[v]) for v in range(n)}
     scores = {v: 1.0 / n for v in range(n)}
     for _ in range(iterations):
         dangling = sum(scores[v] for v in range(n) if deg[v] == 0)
         new = {}
         for v in range(n):
-            inbound = sum(scores[u] / deg[u] for u in g.adjacency[v])
+            inbound = sum(scores[u] / deg[u] for u in adjacency[v])
             new[v] = (1 - damping) / n + damping * (inbound + dangling / n)
         scores = new
     return np.array([scores[v] for v in range(n)])
@@ -192,8 +241,7 @@ def oracle_pagerank(g: Graph, damping=0.85, iterations=200):
 def oracle_clustering(g: Graph):
     values = np.zeros(g.node_count)
     edge_set = set(g.edges)
-    for v in range(g.node_count):
-        ns = g.adjacency[v]
+    for v, ns in enumerate(g.adjacency):
         if len(ns) < 2:
             continue
         triangles = sum(
@@ -206,12 +254,13 @@ def oracle_clustering(g: Graph):
 
 
 def oracle_modularity(g: Graph, assignment):
-    m = len(g.edges)
-    deg = [len(g.adjacency[v]) for v in range(g.node_count)]
+    edges = g.edges
+    m = len(edges)
+    deg = [len(ns) for ns in g.adjacency]
     q = 0.0
     for c in set(assignment):
         members = [v for v in range(g.node_count) if assignment[v] == c]
-        internal = sum(1 for u, v in g.edges if assignment[u] == c and assignment[v] == c)
+        internal = sum(1 for u, v in edges if assignment[u] == c and assignment[v] == c)
         deg_sum = sum(deg[v] for v in members)
         q += internal / m - (deg_sum / (2 * m)) ** 2
     return q

@@ -204,7 +204,8 @@ def _ref_select(name, ctx):
             raw = -(np.sort(rows, axis=1)[:, -1] - np.sort(rows, axis=1)[:, -2])
         return _ref_top_k(pool, dict(zip(pool, raw)), ctx.k)
     if name == "degree":
-        scores = {v: len(ctx.graph.adjacency[v]) / (ctx.graph.node_count - 1) for v in pool}
+        adjacency = ctx.graph.adjacency
+        scores = {v: len(adjacency[v]) / (ctx.graph.node_count - 1) for v in pool}
         return _ref_top_k(pool, scores, ctx.k)
     if name == "pagerank":
         values = ORACLES["pagerank"](ctx.graph)

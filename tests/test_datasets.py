@@ -274,6 +274,20 @@ class TestLoadAsRowByRow:
         crlf = {kind: text.replace("\n", "\r\n") for kind, text in texts.items()}
         assert _assert_as_row_by_row(_written(directory, crlf)) == want
 
+    def test_crlf_copy_loads_without_csv_reader(self, saved, monkeypatch):
+        # every "\r" ends a "\r\n" and no field is quoted, so each block is split as a plain one
+        texts, directory = saved
+        want = _loaded(load_dataset, _written(directory, texts))
+        crlf = {kind: text.replace("\n", "\r\n") for kind, text in texts.items()}
+
+        def no_csv_reader(*args):
+            raise AssertionError("a CRLF block was read by csv.reader")
+
+        monkeypatch.setattr(datasets, "_csv_blocks", no_csv_reader)
+        for block_bytes, _ in BLOCKS:
+            monkeypatch.setattr(datasets, "_BLOCK_BYTES", block_bytes)
+            assert _loaded(load_dataset, _written(directory, crlf)) == want
+
     def test_day_past_int64_loads_in_order(self, tmp_path):
         edges, features, labels = toy_files(tmp_path)
         far = 10**20

@@ -1,11 +1,20 @@
+import os
+import pickle
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from graph_oracles import (
     ORACLES,
+    ReferenceGraph,
     oracle_best_partition,
     oracle_distances,
     oracle_modularity,
     random_graph,
+    reference_from_edges,
+    reference_graph,
 )
 
 from galstream import (
@@ -25,6 +34,7 @@ from galstream import (
     pagerank,
     shortest_path_distances,
 )
+from galstream.datasets import SyntheticConfig, synthetic_communities
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -52,6 +62,151 @@ class TestGraphConstruction:
     def test_rejects_duplicate_canonical_edges(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph(node_count=2, edges=((0, 1), (0, 1)))
+
+
+def _built(build, node_count, edges):
+    """The graph ``build`` returns, or the type and message of the error it raises."""
+    try:
+        return build(node_count, edges)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches(g, ref):
+    if not isinstance(ref, ReferenceGraph):
+        assert g == ref  # the same error type and message
+        return
+    assert isinstance(g, Graph), g
+    assert g.node_count == ref.node_count
+    assert g.edges == ref.edges
+    assert g.adjacency == ref.adjacency
+    assert g.degrees().tolist() == [len(ns) for ns in ref.adjacency]
+    assert hash(g) == ref.hash
+    twin = Graph(ref.node_count, ref.edges)
+    assert g == twin and twin == g
+    if ref.edges:
+        fewer = Graph(ref.node_count, ref.edges[:-1])
+        assert g != fewer and fewer != g
+    assert g != Graph(ref.node_count + 1, ref.edges)
+
+
+def _outcome(result) -> str:
+    """Which check rejected a build, or "graph" for a graph."""
+    if isinstance(result, (Graph, ReferenceGraph)):
+        return "graph"
+    checks = ("at least one node", "unknown node", "self-loop", "canonical", "duplicate", "int()")
+    return next(check for check in checks if check in result[1])
+
+
+def _raw_pairs(rng, n):
+    """Random pairs on about n ids, with repeated and reversed pairs, and now and then a
+    self-loop or an id below 0 or at n or beyond."""
+    ids = max(n, 2)
+    pairs = [tuple(rng.choice(ids, 2, replace=False).tolist()) for _ in range(rng.integers(0, 12))]
+    repeats = rng.integers(0, len(pairs), len(pairs) // 2)
+    pairs += [pairs[i][:: rng.choice([1, -1])] for i in repeats]
+    if rng.random() < 0.25:
+        w = int(rng.integers(-1, n + 1))
+        pairs.insert(int(rng.integers(0, len(pairs) + 1)), (w, w))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        bad = int(rng.choice([-2, -1, n, n + 1]))
+        pairs.insert(int(rng.integers(0, len(pairs) + 1)), (bad, int(rng.integers(0, ids))))
+    order = rng.permutation(len(pairs))
+    return [pairs[i] for i in order]
+
+
+def _spellings(rng, pairs):
+    """``pairs`` as the kinds of input ``from_edges`` takes: a list, numpy int arrays, a
+    zip iterator, and float or string ids that ``int()`` reads."""
+    yield pairs
+    yield np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    yield np.array(pairs, dtype=np.int32).reshape(-1, 2)
+    yield zip([u for u, _ in pairs], [v for _, v in pairs])
+    yield [(float(u), np.float64(v)) for u, v in pairs]
+    yield [(str(u), f" {v} ") for u, v in pairs]
+    if pairs:  # an id int() rejects, before or after the pairs' own faults
+        i = int(rng.integers(0, len(pairs) + 1))
+        yield pairs[:i] + [("1.5", 0)] + pairs[i:]
+
+
+class TestArrayBuild:
+    """The array build and checks against the per-edge reference in graph_oracles."""
+
+    def test_from_edges_matches_per_edge_reference(self):
+        rng = np.random.default_rng(2025)
+        outcomes = set()
+        for _ in range(300):
+            n = int(rng.choice([0, 1, 2, 3, 5, 8]))
+            pairs = _raw_pairs(rng, n)
+            for edges in _spellings(rng, pairs):
+                # an iterator is read once, so the reference reads its pairs as a list
+                ref = _built(reference_from_edges, n, pairs if isinstance(edges, zip) else edges)
+                _assert_matches(_built(Graph.from_edges, n, edges), ref)
+                outcomes.add(_outcome(ref))
+        # canonical pairs are never out of order or repeated
+        assert outcomes == {"graph", "at least one node", "unknown node", "self-loop", "int()"}
+
+    def test_direct_graph_matches_per_edge_reference(self):
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for _ in range(400):
+            n = int(rng.choice([0, 1, 2, 3, 5, 8]))
+            edges = tuple(_raw_pairs(rng, n))
+            if rng.random() < 0.5:  # mostly canonical, so the later checks are reached
+                edges = tuple((min(e), max(e)) if rng.random() < 0.9 else e for e in edges)
+            ref = _built(reference_graph, n, edges)
+            for spelling in (edges, np.array(edges, dtype=np.intp).reshape(-1, 2)):
+                _assert_matches(_built(Graph, n, spelling), ref)
+            outcomes.add(_outcome(ref))
+        assert outcomes == {
+            "graph", "at least one node", "unknown node", "self-loop", "canonical", "duplicate"
+        }
+
+    def test_arrays_are_read_only(self):
+        g = Graph.from_edges(4, np.array([[2, 1], [0, 1], [3, 0]]))
+        for values in (g.pairs, g.offsets, g.neighbors):
+            assert not values.flags.writeable
+        assert g.pairs.tolist() == [[0, 1], [0, 3], [1, 2]]
+        assert g.offsets.tolist() == [0, 2, 4, 5, 6]
+        assert g.neighbors.tolist() == [1, 3, 0, 2, 1, 0]
+        with pytest.raises(AttributeError):
+            g.node_count = 5
+
+    def test_pickled_graph_is_equal_and_read_only(self):
+        g = BRIDGED_TRIANGLES
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        assert not copy.neighbors.flags.writeable
+
+    def test_hash_is_the_same_in_every_process(self):
+        # pool children unpickle graphs; a hash of bytes would follow PYTHONHASHSEED
+        code = "from galstream import Graph; print(hash(Graph.from_edges(5, [(4, 0), (1, 2)])))"
+        hashes = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": seed},
+            ).stdout.strip()
+            for seed in ("1", "2")
+        }
+        assert hashes == {str(hash(Graph.from_edges(5, [(4, 0), (1, 2)])))}
+
+    def test_building_synthetic_300_peaks_below_the_per_edge_build(self):
+        # the edges as generate_synthetic draws them (8,947 at seed 1); the per-edge
+        # build from their zipped lists peaked at 2,493,160 bytes under tracemalloc
+        config = SyntheticConfig(node_count=300)
+        community = synthetic_communities(config)
+        u, v = np.triu_indices(config.node_count, 1)
+        p = np.where(community[u] == community[v], config.p_in, config.p_out)
+        edge = np.random.default_rng(1).random(u.size) < p
+        pairs = np.column_stack((u[edge], v[edge]))
+        tracemalloc.start()
+        try:
+            g = Graph.from_edges(config.node_count, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 8947
+        assert peak <= 2_493_160, f"peak {peak:,} bytes"
 
 
 class TestShortestPaths:

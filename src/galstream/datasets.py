@@ -284,6 +284,15 @@ def _cell(text: str) -> float:
         return np.nan if text.strip() else 0.0
 
 
+def _cells(column) -> np.ndarray:
+    """A feature column's values, as :func:`_cell` gives them: by ``float`` alone unless
+    the column holds a blank cell or text that is not a number."""
+    try:
+        return np.fromiter(map(float, column), float, len(column))
+    except ValueError:
+        return np.fromiter(map(_cell, column), float, len(column))
+
+
 def _cell_error(cells) -> str:
     """The message of the first of a row's feature cells that is not a finite number."""
     bad = next(cell for cell in cells if not math.isfinite(_cell(cell)))
@@ -314,7 +323,7 @@ def load_dataset(
         d, n = days.array(day), nodes.array(node)
         rows = np.arange(len(seen), len(seen) + len(d))
         first = np.fromiter(map(seen.setdefault, zip(d.tolist(), n.tolist()), rows.tolist()), int)
-        v = np.column_stack([np.fromiter(map(_cell, c), float, len(c)) for c in cells])
+        v = np.column_stack([_cells(c) for c in cells])
         _check(feature_path, line_numbers, [
             (d == -2, lambda i: f"day {day[i]!r} is not an integer"),
             (n == -2, lambda i: f"node {node[i]!r} is not an integer"),

@@ -24,7 +24,6 @@ import numpy as np
 from .burden import QueryLog
 from .config import ExperimentConfig, validate_against_dataset, validate_config
 from .datasets import Dataset, Split, generate_synthetic, load_dataset, make_split
-from .exceptions import UndefinedMetricError
 from .gcn import (
     MISSING_LABEL,
     build_normalized_adjacency,
@@ -213,12 +212,13 @@ def build_eval_slices(
     labels_next: np.ndarray,
     probs_now: np.ndarray,
     probs_next: np.ndarray,
-) -> dict[str, EvalSlice | None]:
-    """The four node-category slices for one day; missing-label nodes drop out.
+) -> dict[str, tuple[np.ndarray, np.ndarray] | None]:
+    """The four node-category slices for one day, each its (labels, probabilities) pair;
+    missing-label nodes drop out.
 
     A category maps to None when its node set is empty after exclusions
     (the undefined marker). ``train_next_day`` is absent entirely when
-    nothing was queried.
+    nothing was queried. :func:`_slice_records` scores the slices.
     """
     queried = np.zeros(len(labels_now), dtype=bool)
     queried[list(chosen)] = True
@@ -231,24 +231,32 @@ def build_eval_slices(
     ]
     if chosen:
         plan.append(("train_next_day", np.array(chosen, dtype=int), labels_next, probs_next))
-    slices: dict[str, EvalSlice | None] = {}
+    slices: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
     for category, nodes, labels, probs in plan:
         keep = nodes[labels[nodes] != MISSING_LABEL]
-        slices[category] = EvalSlice(labels[keep], probs[keep]) if keep.size else None
+        slices[category] = (labels[keep], probs[keep]) if keep.size else None
     return slices
 
 
-def _slice_records(block: np.ndarray, slices: dict[str, EvalSlice | None]) -> None:
-    """Score one day's slices into its NaN-filled (category, metric) block; undefined stays NaN."""
-    for category, s in slices.items():
-        if s is None:
-            continue  # an empty slice leaves every metric undefined
-        c = EVAL_CATEGORIES.index(category)
-        for m, metric in enumerate(PERFORMANCE_METRICS):
-            try:
-                block[c, m] = compute_metric(s, metric)
-            except UndefinedMetricError:
-                pass
+def _slice_records(
+    values: np.ndarray, days: list[dict[str, tuple[np.ndarray, np.ndarray] | None]]
+) -> None:
+    """Score a unit's day slices into its NaN-filled (day, category, metric) block;
+    undefined stays NaN.
+
+    The slices of one size are packed as the rows of one :class:`EvalSlice` and
+    scored in one ``compute_metric`` call per metric; each value keeps the bits
+    of scoring its slice alone.
+    """
+    by_size: dict[int, list] = {}
+    for d, slices in enumerate(days):
+        for category, s in slices.items():
+            if s is not None:  # an empty slice leaves every metric undefined
+                by_size.setdefault(len(s[0]), []).append((d, EVAL_CATEGORIES.index(category), *s))
+    for group in by_size.values():
+        d, c, labels, probs = zip(*group)
+        packed = EvalSlice(np.stack(labels), np.stack(probs))
+        values[d, c] = np.column_stack([compute_metric(packed, m) for m in PERFORMANCE_METRICS])
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +293,8 @@ def run_unit(
         raise RuntimeError("no labeled pool nodes in the initial training window")
     params = train(init_seed, adj, buffer, hyper)
 
-    values = np.full(
-        (dataset.day_count - 1 - initial, len(EVAL_CATEGORIES), len(PERFORMANCE_METRICS)), np.nan
-    )
     history: dict[int, list[int]] = {}
+    day_slices = []
 
     current = forward(params, adj, frames[initial].features)
     for t in range(initial, dataset.day_count - 1):
@@ -318,16 +324,20 @@ def run_unit(
             current = forward(params, adj, frame.features)
 
         upcoming = forward(params, adj, next_frame.features)
-        slices = build_eval_slices(
-            split,
-            chosen,
-            frame.labels,
-            next_frame.labels,
-            current.probabilities,
-            upcoming.probabilities,
+        day_slices.append(
+            build_eval_slices(
+                split,
+                chosen,
+                frame.labels,
+                next_frame.labels,
+                current.probabilities,
+                upcoming.probabilities,
+            )
         )
-        _slice_records(values[t - initial], slices)
         current = upcoming  # the next day starts from these parameters and features
+
+    values = np.full((len(day_slices), len(EVAL_CATEGORIES), len(PERFORMANCE_METRICS)), np.nan)
+    _slice_records(values, day_slices)  # every day at once, its slices packed by size
 
     return UnitResult(
         split=split,

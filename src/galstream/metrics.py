@@ -1,5 +1,9 @@
 """Classification metrics, the cumulative performance index, and rolling summaries.
 
+An :class:`EvalSlice` holds one slice, or many slices of one size packed
+as rows; every metric scores all rows in whole-array steps, and one slice
+is scored as one row.
+
 A day series is two plain arrays, its day indices and its values:
 :func:`cpi` takes both and :func:`rolling_mean_std` takes the values.
 :func:`cpi_rows` and :func:`rolling_mean_std_rows` do the same arithmetic
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import UndefinedMetricError
-from .stats import average_ranks, tie_runs
+from .stats import average_ranks
 
 EVAL_CATEGORIES = (
     "test_set_same_day",
@@ -37,104 +41,133 @@ THRESHOLD = 0.5  # class-1 score at or above which a node is predicted positive
 
 @dataclass(frozen=True)
 class EvalSlice:
-    """Ground truth and predicted class probabilities for one node category on one day.
+    """Ground truth and predicted class probabilities for one node category on one day,
+    or for many slices of one size packed as rows.
 
-    The confusion matrix at ``THRESHOLD`` is counted once, at construction;
-    class 1 is the positive class.
+    One slice holds ``n`` labels and an (n, 2) probability matrix; packed
+    slices hold a (rows, n) label matrix and a (rows, n, 2) probability array.
+    Each row's confusion matrix at ``THRESHOLD`` is counted once, at
+    construction; class 1 is the positive class. A metric of one slice is a
+    float, or raises :class:`UndefinedMetricError`. A metric of packed slices
+    is an array of one value per row, NaN where undefined, and each value has
+    the bits of its row scored as one slice: one slice is scored as one row.
     """
 
     true_labels: np.ndarray
     probabilities: np.ndarray
-    tp: int = field(init=False, compare=False)
-    fp: int = field(init=False, compare=False)
-    fn: int = field(init=False, compare=False)
-    tn: int = field(init=False, compare=False)
+    # an int for one slice, an array of one int per row for packed slices
+    tp: int | np.ndarray = field(init=False, compare=False)
+    fp: int | np.ndarray = field(init=False, compare=False)
+    fn: int | np.ndarray = field(init=False, compare=False)
+    tn: int | np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.true_labels, dtype=int)
         probs = np.asarray(self.probabilities, dtype=float)
         if labels.size == 0:
             raise UndefinedMetricError("empty evaluation slice")
+        if labels.ndim not in (1, 2):
+            raise ValueError("slice labels must be a vector, or a (rows, n) matrix when packed")
         if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("slice labels must be 0 or 1 (missing excluded upstream)")
-        if probs.shape != (labels.size, 2):
-            raise ValueError("probabilities must be an (n, 2) matrix")
+        if probs.shape != (*labels.shape, 2):
+            raise ValueError("probabilities must be an (n, 2) matrix, or (rows, n, 2) when packed")
         labels.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "true_labels", labels)
         object.__setattr__(self, "probabilities", probs)
-        predicted = probs[:, 1] >= THRESHOLD
+        predicted = probs[..., 1] >= THRESHOLD
         positive = labels == 1
-        tp = int(np.count_nonzero(predicted & positive))
-        fp = int(np.count_nonzero(predicted)) - tp
-        fn = int(np.count_nonzero(positive)) - tp
+        tp = np.count_nonzero(predicted & positive, axis=-1)
+        fp = np.count_nonzero(predicted, axis=-1) - tp
+        fn = np.count_nonzero(positive, axis=-1) - tp
         object.__setattr__(self, "tp", tp)
         object.__setattr__(self, "fp", fp)
         object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "tn", labels.size - tp - fp - fn)
+        object.__setattr__(self, "tn", labels.shape[-1] - tp - fp - fn)
 
     def scores(self) -> np.ndarray:
         """Predicted probability of class 1."""
-        return self.probabilities[:, 1]
+        return self.probabilities[..., 1]
 
 
-def _f1(hits: int, errors: int) -> float:
-    """F1 of one class from its true positives and the slice's errors; 0 when absent."""
-    if 2 * hits + errors == 0:
-        # class absent from both truth and prediction
-        return 0.0
-    return 2.0 * hits / (2 * hits + errors)
+def _result(s: EvalSlice, values, undefined: str = ""):
+    """A metric's ``values``, one per row of ``s`` and NaN where undefined, as its result:
+    the array for packed slices; for one slice its float, or ``UndefinedMetricError``."""
+    if s.true_labels.ndim > 1:
+        return values
+    if np.isnan(values):
+        raise UndefinedMetricError(undefined)
+    return float(values)
 
 
-def accuracy(s: EvalSlice) -> float:
-    return (s.tp + s.tn) / s.true_labels.size
+def _ratio(numerators, denominators, undefined: float = 0.0) -> np.ndarray:
+    """Each numerator over its denominator, the one division a scalar ``/`` makes;
+    ``undefined`` where a denominator is 0."""
+    out = np.full(np.shape(denominators), undefined)
+    return np.divide(numerators, denominators, out=out, where=denominators != 0)
 
 
-def precision(s: EvalSlice) -> float:
+def accuracy(s: EvalSlice) -> float | np.ndarray:
+    return _result(s, (s.tp + s.tn) / s.true_labels.shape[-1])
+
+
+def precision(s: EvalSlice) -> float | np.ndarray:
     """Precision of class 1; 0 when nothing is predicted positive."""
-    return s.tp / (s.tp + s.fp) if s.tp + s.fp else 0.0
+    return _result(s, _ratio(s.tp, s.tp + s.fp))
 
 
-def recall(s: EvalSlice) -> float:
+def recall(s: EvalSlice) -> float | np.ndarray:
     """Recall of class 1; 0 when there are no true positives to find."""
-    return s.tp / (s.tp + s.fn) if s.tp + s.fn else 0.0
+    return _result(s, _ratio(s.tp, s.tp + s.fn))
 
 
-def f1_micro(s: EvalSlice) -> float:
+def f1_micro(s: EvalSlice) -> float | np.ndarray:
     """Micro-averaged F1; equals accuracy for single-label binary tasks."""
     return accuracy(s)  # micro precision == micro recall == (tp + tn) / n
 
 
-def f1_macro(s: EvalSlice) -> float:
+def f1_macro(s: EvalSlice) -> float | np.ndarray:
+    """Mean of the two classes' F1; a class absent from both truth and prediction scores 0."""
     errors = s.fp + s.fn  # a false positive of one class is a false negative of the other
-    return 0.5 * (_f1(s.tn, errors) + _f1(s.tp, errors))
+    f1_negative, f1_positive = (_ratio(2.0 * hits, 2 * hits + errors) for hits in (s.tn, s.tp))
+    return _result(s, 0.5 * (f1_negative + f1_positive))
 
 
-def auc_roc(s: EvalSlice) -> float:
-    """Mann-Whitney AUC with average ranks for tied scores."""
+def auc_roc(s: EvalSlice) -> float | np.ndarray:
+    """Mann-Whitney AUC with average ranks for tied scores; undefined for a single-class slice."""
     n_pos = s.tp + s.fn
     n_neg = s.fp + s.tn
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUC-ROC is undefined for a single-class slice")
     ranks = average_ranks(s.scores())
-    pos_rank_sum = ranks[s.true_labels == 1].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # a sum of half-integers, exact in any order
+    pos_rank_sum = np.where(s.true_labels == 1, ranks, 0.0).sum(axis=-1)
+    auc = _ratio(pos_rank_sum - n_pos * (n_pos + 1) / 2.0, n_pos * n_neg, np.nan)
+    return _result(s, auc, "AUC-ROC is undefined for a single-class slice")
 
 
-def auc_pr(s: EvalSlice) -> float:
-    """Area under the precision-recall curve by the step-wise sum.
+def auc_pr(s: EvalSlice) -> float | np.ndarray:
+    """Area under the precision-recall curve by the step-wise sum; undefined without positives.
 
     One (precision, recall) point per distinct score threshold, descending;
-    area adds precision times the recall increment at each step.
+    area adds precision times the recall increment at each step, in that
+    order (``np.sum`` would add pairwise). A row's steps sit at the last
+    sorted position of each of its tie runs and +0.0 at the others, which
+    leaves every partial sum as it is, since no step is negative.
     """
     n_pos = s.tp + s.fn
-    if n_pos == 0:
-        raise UndefinedMetricError("AUC-PR is undefined without positives")
-    order, _, last = tie_runs(-s.scores())
-    tp = np.cumsum(s.true_labels[order])[last]
-    recalls = tp / n_pos
-    steps = np.diff(recalls, prepend=0.0) * (tp / (last + 1))
-    return float(np.add.accumulate(steps)[-1])  # np.sum would add pairwise
+    pos = np.expand_dims(np.maximum(n_pos, 1), -1)  # a row with no positive is undefined
+    order = np.argsort(-s.scores(), axis=-1, kind="stable")
+    ordered = np.take_along_axis(s.scores(), order, axis=-1)
+    hits = np.cumsum(np.take_along_axis(s.true_labels, order, axis=-1), axis=-1)
+    last = np.ones(hits.shape, dtype=bool)  # each tie run's last sorted position
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=last[..., :-1])
+    # the hits at each run's end before it: hits never fall, so the largest so far
+    before = np.zeros_like(hits)
+    before[..., 1:] = np.maximum.accumulate(np.where(last, hits, 0), axis=-1)[..., :-1]
+    gain = hits / pos - before / pos  # the recall increment
+    steps = np.where(last, gain * (hits / np.arange(1, hits.shape[-1] + 1)), 0.0)
+    area = np.where(n_pos > 0, np.add.accumulate(steps, axis=-1)[..., -1], np.nan)
+    return _result(s, area, "AUC-PR is undefined without positives")
 
 
 _METRICS = {
@@ -148,8 +181,9 @@ _METRICS = {
 }
 
 
-def compute_metric(s: EvalSlice, name: str) -> float:
-    """Evaluate any supported metric by name."""
+def compute_metric(s: EvalSlice, name: str) -> float | np.ndarray:
+    """Evaluate any supported metric by name: a float for one slice, or an array of one
+    value per row, NaN where undefined, for packed slices (see :class:`EvalSlice`)."""
     if name not in _METRICS:
         raise ValueError(f"unknown metric {name!r}; expected one of {PERFORMANCE_METRICS}")
     return _METRICS[name](s)

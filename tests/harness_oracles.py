@@ -10,9 +10,11 @@ purpose.
 ``oracle_run_unit`` is the day loop with a branch per kind of strategy:
 ``no_al`` selects nothing and keeps its model, ``featprop`` gets the raw
 features in its embedding slot too, and every other strategy retrains each
-day whether or not its picks were labelled. The library runs one path for
-all of them and retrains only when the labelled buffer grew; the tests
-require the same unit result, value for value.
+day whether or not its picks were labelled. It scores each day as it
+goes, one slice and one metric per ``compute_metric`` call. The library
+runs one path for all of them, retrains only when the labelled buffer
+grew, and scores a unit's slices after its day loop, packed by size; the
+tests require the same unit result, value for value.
 """
 
 import numpy as np
@@ -42,7 +44,7 @@ def oracle_build_eval_slices(split, chosen, labels_now, labels_next, probs_now, 
         if not keep:
             slices[category] = None
             continue
-        slices[category] = EvalSlice(labels[keep], probs[keep])
+        slices[category] = (labels[keep], probs[keep])
     return slices
 
 
@@ -54,7 +56,7 @@ def _oracle_slice_records(block, strategy, slices):
         c = EVAL_CATEGORIES.index(category)
         for m, metric in enumerate(PERFORMANCE_METRICS):
             try:
-                block[c, m] = compute_metric(s, metric)
+                block[c, m] = compute_metric(EvalSlice(*s), metric)
             except UndefinedMetricError:
                 pass
 

@@ -288,6 +288,21 @@ class TestLoadAsRowByRow:
             monkeypatch.setattr(datasets, "_BLOCK_BYTES", block_bytes)
             assert _loaded(load_dataset, _written(directory, crlf)) == want
 
+    def test_numeric_feature_columns_load_without_cell_parser(self, saved, monkeypatch):
+        # no cell is blank or text, so every feature column is converted by float alone
+        texts, directory = saved
+        paths = _written(directory, texts)
+        want = _loaded(oracle_load_dataset, paths)
+
+        def no_cell_parser(text):
+            raise AssertionError(f"feature cell {text!r} was parsed one at a time")
+
+        monkeypatch.setattr(datasets, "_cell", no_cell_parser)
+        for block_bytes, block_rows in BLOCKS:
+            monkeypatch.setattr(datasets, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(datasets, "_BLOCK_ROWS", block_rows)
+            assert _loaded(load_dataset, paths) == want
+
     def test_day_past_int64_loads_in_order(self, tmp_path):
         edges, features, labels = toy_files(tmp_path)
         far = 10**20

@@ -83,13 +83,13 @@ class TestBuildEvalSlices:
         assert set(slices) == {
             "test_set_same_day", "unqueried_same_day", "unqueried_next_day", "train_next_day",
         }
-        assert slices["test_set_same_day"].true_labels.tolist() == [1, 0]
+        assert slices["test_set_same_day"][0].tolist() == [1, 0]
         # unqueried same day = pool minus chosen = {2, 5}; node 5 has no label today
-        assert slices["unqueried_same_day"].true_labels.tolist() == [1]
+        assert slices["unqueried_same_day"][0].tolist() == [1]
         # next day: node 5 regains a label
-        assert slices["unqueried_next_day"].true_labels.tolist() == [0, 1]
+        assert slices["unqueried_next_day"][0].tolist() == [0, 1]
         # chosen {3,4}: node 3 missing tomorrow
-        assert slices["train_next_day"].true_labels.tolist() == [1]
+        assert slices["train_next_day"][0].tolist() == [1]
 
     def test_no_queries_omits_train_slice_entirely(self):
         slices = build_eval_slices(
@@ -97,7 +97,7 @@ class TestBuildEvalSlices:
             self.probs_now, self.probs_next,
         )
         assert "train_next_day" not in slices
-        assert slices["unqueried_same_day"].true_labels.tolist() == [1, 1, 0]
+        assert slices["unqueried_same_day"][0].tolist() == [1, 1, 0]
 
     def test_emptied_slice_becomes_undefined_marker(self):
         all_missing = np.full(6, -1)
@@ -112,9 +112,7 @@ class TestBuildEvalSlices:
 
 def _slice_bytes(slices):
     return {
-        category: None if s is None else (
-            s.true_labels.dtype.str, s.true_labels.tobytes(), s.probabilities.tobytes()
-        )
+        category: None if s is None else (s[0].dtype.str, s[0].tobytes(), s[1].tobytes())
         for category, s in slices.items()
     }
 
@@ -147,8 +145,9 @@ def test_build_eval_slices_match_set_based_reference():
 
 @pytest.fixture(scope="module")
 def gappy_dataset():
-    """30 nodes x 14 days with 35% of labels missing and query day 8 wholly unlabelled,
-    so some days' picks are all unlabelled and buffer nothing."""
+    """30 nodes x 14 days with 35% of labels missing, query day 8 wholly unlabelled,
+    so some days' picks are all unlabelled and buffer nothing and some slices are
+    empty, and query day 10 labelled class 0 only, so its AUCs are undefined."""
     base = generate_synthetic(SyntheticConfig(node_count=30, days=14), seed=3)
     rng = np.random.default_rng(35)
     frames = []
@@ -156,6 +155,8 @@ def gappy_dataset():
         labels = np.where(rng.random(30) < 0.35, MISSING_LABEL, frame.labels)
         if frame.day_index == 8:
             labels[:] = MISSING_LABEL
+        if frame.day_index == 10:
+            labels[labels != MISSING_LABEL] = 0
         frames.append(DayFrame(frame.day_index, frame.features, labels))
     return Dataset(base.graph, tuple(frames), base.feature_dim)
 

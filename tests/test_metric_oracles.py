@@ -1,10 +1,11 @@
 """The slice metrics and rank statistics against their loop references.
 
-``EvalSlice`` counts its confusion matrix once, ``stats.tie_runs`` groups
-tied values and ``stats.average_ranks`` ranks every row of a matrix at
-once; ``metric_oracles`` recounts each metric and walks each run of ties
-element by element. The tests require the
-same bits, or the same error type, on every slice and vector.
+``EvalSlice`` counts its confusion matrix once per row, the metrics score
+every row of packed slices at once, ``stats.tie_runs`` groups tied values
+and ``stats.average_ranks`` ranks every row of a matrix at once;
+``metric_oracles`` recounts each metric and walks each run of ties element
+by element, one slice at a time. The tests require the same bits, or the
+same error type (NaN in a packed row), on every slice and vector.
 ``rolling_mean_std_rows`` reduces every window of one length in one
 call, ``harness.row_means`` and ``harness.mean_std_rows`` every row with
 the same count of defined values, and ``harness.compute_cpis`` takes the
@@ -43,7 +44,7 @@ from galstream.harness import DailyTable, compute_cpis, mean_std_rows, row_means
 from galstream.metrics import THRESHOLD, rolling_mean_std_rows
 from galstream.stats import _tie_correction, average_ranks, tie_runs
 
-SCORE_KINDS = ("continuous", "coarse", "all_tied", "at_threshold")
+SCORE_KINDS = ("continuous", "coarse", "all_tied", "signed_zero", "at_threshold")
 LABEL_KINDS = ("mixed", "negatives", "positives")
 
 
@@ -54,6 +55,8 @@ def _scores(rng, kind, n):
         return rng.integers(0, 5, size=n) / 4.0
     if kind == "all_tied":
         return np.full(n, rng.choice([0.0, 0.3, THRESHOLD, 1.0]))
+    if kind == "signed_zero":  # +0.0 and -0.0 compare equal, so they tie
+        return rng.choice([0.0, -0.0, rng.random()], size=n)
     # some scores exactly at the threshold, the rest on either side of it
     return rng.choice([THRESHOLD, np.nextafter(THRESHOLD, 0.0), rng.random()], size=n)
 
@@ -93,6 +96,37 @@ def test_metrics_match_loop_reference():
             assert _outcome(compute_metric, s, name) == want, (name, s)
             compared += 1
     assert compared == 40 * len(SCORE_KINDS) * len(LABEL_KINDS) * 4 * len(PERFORMANCE_METRICS)
+
+
+def _packed_slices():
+    """Packed slices of every size up to 40, one to 16 rows each. Each row draws its own
+    score and label kind, so the rows of one matrix hold different counts of tie runs,
+    and some hold one class."""
+    rng = np.random.default_rng(912)
+    for n in range(1, 41):
+        for rows in (1, 3, 16):
+            scores = np.array([_scores(rng, rng.choice(SCORE_KINDS), n) for _ in range(rows)])
+            labels = np.array([_labels(rng, rng.choice(LABEL_KINDS), n) for _ in range(rows)])
+            yield EvalSlice(labels, np.stack([1.0 - scores, scores], axis=-1))
+
+
+def _value(fn, s):
+    """``fn(s)``, NaN where it is undefined."""
+    try:
+        return fn(s)
+    except UndefinedMetricError:
+        return np.nan
+
+
+def test_packed_rows_match_loop_reference_row_by_row():
+    uneven = 0  # matrices whose rows hold different counts of tie runs
+    for packed in _packed_slices():
+        rows = [EvalSlice(*row) for row in zip(packed.true_labels, packed.probabilities)]
+        for name in PERFORMANCE_METRICS:
+            want = np.array([_value(ORACLE_METRICS[name], s) for s in rows])
+            assert compute_metric(packed, name).tobytes() == want.tobytes(), (name, packed)
+        uneven += len({np.unique(scores).size for scores in packed.scores()}) > 1
+    assert uneven > 0
 
 
 def test_confusion_counts_partition_the_slice():

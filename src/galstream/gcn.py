@@ -6,6 +6,10 @@ so they are stacked node-major, as (node, example) rows, and one GEMM
 propagates every example. With two classes the softmax is the logistic of
 the logit difference, so each epoch sends a single column through A forward
 and one back. ``train`` and ``loss_and_gradients`` run the same routine.
+
+``train_stack`` trains several models of one example count in lockstep: each
+epoch runs once over a stack of them, one batched product per step, and each
+model keeps the bits it gets trained alone. ``train`` is its one-model case.
 """
 
 from __future__ import annotations
@@ -180,68 +184,110 @@ def _stack_examples(
     return _Batch(ax, rows, sign.ravel()[rows], weight.ravel()[rows])
 
 
-class _Workspace:
-    """The buffers of ``_batch_loss_and_gradients``, allocated once per batch.
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new first axis; a lone array is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    Every array with one entry per stacked (node, example) row lives here and
-    is filled in place each epoch, so an epoch allocates only the per-labelled-
-    row logistic temporaries and the (features, hidden) gradient of w1.
+
+class _Stack:
+    """A stack of U members' batches of one shape, their weights and every buffer
+    of ``_stack_loss_and_gradients``, allocated once per stack.
+
+    Member u's arrays are the u-th (rows, ·) slices of (U, rows, ·) buffers, and
+    each product is one batched ``np.matmul`` with A broadcast over the stack.
+    Every slice goes through the same BLAS call, with the same shapes and
+    strides, as the member's product alone, so each member keeps its bits. The
+    labelled rows of all members are flat indices into one (U * rows) array,
+    member after member. For one member every view is squeezed to the
+    member's own 2-D arrays, so it pays nothing for the stacking.
+
+    Every array with one entry per stacked (node, example) row is filled in
+    place each epoch, so an epoch allocates only the per-labelled-row logistic
+    temporaries.
     """
 
-    def __init__(self, batch: _Batch, nodes: int, hidden_dim: int) -> None:
-        rows, features = batch.ax.shape
-        self.hidden = np.empty((rows, hidden_dim))  # z1 = ax @ w1, then relu in place
-        self.active = np.empty((rows, hidden_dim))  # 1.0 where z1 > 0, else 0.0
-        self.col = np.empty(rows)  # hidden @ dw
-        self.s = np.empty(rows)  # logit difference, A @ col
-        self.d_s = np.zeros(rows)  # d loss / d s; unlabelled rows stay 0
-        self.back = np.empty(rows)  # A @ d_s
-        self.ax_t = np.ascontiguousarray(batch.ax.T)  # (features, rows)
-        self.ax_back_t = np.empty((features, rows))  # (ax * back[:, None]).T
-        self.g_w2 = np.empty((hidden_dim, 2), order="F")  # [-g, g], columns contiguous
-        self.scale = -batch.weight * batch.sign
+    def __init__(self, batches: list[_Batch], nodes: int, params: list[GcnParams]) -> None:
+        u = len(batches)
+        rows, features = batches[0].ax.shape
+        hidden_dim = params[0].w1.shape[1]
+        self.batches, self.params = batches, params
+        w1 = _stacked([p.w1 for p in params])  # (U, features, hidden)
+        w2 = _stacked([p.w2 for p in params])  # (U, hidden, 2)
+        for p, p_w1, p_w2 in zip(params, w1, w2):
+            p.w1, p.w2 = p_w1, p_w2  # a member's weights are its slices of the stack
+        self.rows = np.concatenate([b.rows + i * rows for i, b in enumerate(batches)])
+        self.sign = np.concatenate([b.sign for b in batches])
+        self.scale = -np.concatenate([b.weight for b in batches]) * self.sign
+
+        def one(x: np.ndarray) -> np.ndarray:  # a lone member's own slice
+            return x[0] if u == 1 else x
+
+        ax = _stacked([b.ax for b in batches])
+        hidden = np.empty((u, rows, hidden_dim))  # z1 = ax @ w1, then relu in place
+        dw = np.empty((u, 1, hidden_dim))  # w2[:, 1] - w2[:, 0]
+        col, s, d_s, back = np.empty((4, u, rows, 1))  # hidden @ dw, A @ col, d loss / d s, A @ d_s
+        d_s[:] = 0.0  # unlabelled rows stay 0
+        g_w2_t = np.empty((u, 2, hidden_dim))  # [-g, g], each column contiguous
+        self.w1, self.w2 = one(w1), one(w2)
+        self.w2_pos, self.w2_neg = one(w2[..., 1]), one(w2[..., 0])
+        self.ax = one(ax)
+        self.ax_t = one(np.ascontiguousarray(ax.transpose(0, 2, 1)))  # (features, rows)
+        self.hidden, self.hidden_t = one(hidden), one(hidden.transpose(0, 2, 1))
+        self.active = one(np.empty((u, rows, hidden_dim)))  # 1.0 where z1 > 0, else 0.0
+        self.dw, self.dw_flat = one(dw), one(dw[:, 0])
+        self.dw_col = one(dw.reshape(u, hidden_dim, 1))
+        self.col, self.back = one(col), one(back)
+        self.back_row = one(back.reshape(u, 1, rows))
+        self.s, self.d_s = s.reshape(-1), d_s.reshape(-1)  # flat, for the labelled rows
+        self.ax_back_t = one(np.empty((u, features, rows)))  # (ax * back[:, None]).T
+        self.g_w1 = one(np.empty((u, features, hidden_dim)))
+        self.g_w2 = one(g_w2_t.transpose(0, 2, 1))
+        self.g_w2_pos, self.g_w2_neg = one(g_w2_t[:, 1]), one(g_w2_t[:, 0])
+        self.g_w2_col = one(g_w2_t[:, 1, :, None])
         # node-major (nodes, examples) views for the two products with A
-        self.col_nodes = self.col.reshape(nodes, -1)
-        self.s_nodes = self.s.reshape(nodes, -1)
-        self.d_s_nodes = self.d_s.reshape(nodes, -1)
-        self.back_nodes = self.back.reshape(nodes, -1)
+        self.col_nodes, self.s_nodes, self.d_s_nodes, self.back_nodes = (
+            one(b.reshape(u, nodes, -1)) for b in (col, s, d_s, back)
+        )
+
+    def survivors(self, alive: np.ndarray, nodes: int) -> "_Stack":
+        """A new stack of the members ``alive`` marks, carrying on from their weights."""
+        keep = np.flatnonzero(alive).tolist()
+        return _Stack([self.batches[i] for i in keep], nodes, [self.params[i] for i in keep])
 
 
-def _batch_loss_and_gradients(
-    params: GcnParams, a: np.ndarray, batch: _Batch, ws: _Workspace
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """True-class probabilities of the labelled rows and the exact loss gradients.
+def _stack_loss_and_gradients(a: np.ndarray, st: _Stack) -> np.ndarray:
+    """True-class probabilities of every member's labelled rows; the exact loss
+    gradients land in ``st.g_w1`` and ``st.g_w2``.
 
-    The loss is the weighted cross-entropy ``-(log(picked) * batch.weight).sum()``;
-    it is finite exactly when ``picked.min() > 0``, since every probability
-    lies in [0, 1] and the weights sum to 1. With two classes the softmax of a
-    row is the logistic of its logit difference s = A relu(A x w1) dw, where
-    dw = w2[:, 1] - w2[:, 0]. So one column goes through A forward and one
-    back, and the gradient of w2 is [-g, g]. The returned w2 gradient is a
-    workspace buffer, overwritten by the next call.
+    A member's loss is the weighted cross-entropy ``-(log(picked) * weight).sum()``
+    over its rows; it is finite exactly when their ``picked.min() > 0``, since
+    every probability lies in [0, 1] and the weights sum to 1. With two classes
+    the softmax of a row is the logistic of its logit difference
+    s = A relu(A x w1) dw, where dw = w2[:, 1] - w2[:, 0]. So one column goes
+    through A forward and one back, and the gradient of w2 is [-g, g].
     """
-    dw = params.w2[:, 1] - params.w2[:, 0]
-    np.matmul(batch.ax, params.w1, out=ws.hidden)
-    np.greater(ws.hidden, 0.0, out=ws.active)
-    np.maximum(ws.hidden, 0.0, out=ws.hidden)
-    np.matmul(ws.hidden, dw, out=ws.col)
-    np.matmul(a, ws.col_nodes, out=ws.s_nodes)
+    np.subtract(st.w2_pos, st.w2_neg, out=st.dw_flat)
+    np.matmul(st.ax, st.w1, out=st.hidden)
+    np.greater(st.hidden, 0.0, out=st.active)
+    np.maximum(st.hidden, 0.0, out=st.hidden)
+    np.matmul(st.hidden, st.dw_col, out=st.col)
+    np.matmul(a, st.col_nodes, out=st.s_nodes)
 
-    margin = ws.s[batch.rows] * batch.sign  # true-class logit minus the other
+    margin = st.s[st.rows] * st.sign  # true-class logit minus the other
     decay = np.exp(-np.abs(margin))  # never overflows
     share = 1.0 / (1.0 + decay)
     right = margin >= 0
     wrong_share = decay * share
     picked = np.where(right, share, wrong_share)
 
-    ws.d_s[batch.rows] = ws.scale * np.where(right, wrong_share, share)
-    np.matmul(a, ws.d_s_nodes, out=ws.back_nodes)  # A is symmetric
-    np.matmul(ws.hidden.T, ws.back, out=ws.g_w2[:, 1])
-    np.negative(ws.g_w2[:, 1], out=ws.g_w2[:, 0])
-    np.multiply(ws.ax_t, ws.back, out=ws.ax_back_t)
-    g_w1 = ws.ax_back_t @ ws.active
-    g_w1 *= dw
-    return picked, g_w1, ws.g_w2
+    st.d_s[st.rows] = st.scale * np.where(right, wrong_share, share)
+    np.matmul(a, st.d_s_nodes, out=st.back_nodes)  # A is symmetric
+    np.matmul(st.hidden_t, st.back, out=st.g_w2_col)
+    np.negative(st.g_w2_pos, out=st.g_w2_neg)
+    np.multiply(st.ax_t, st.back_row, out=st.ax_back_t)
+    np.matmul(st.ax_back_t, st.active, out=st.g_w1)
+    st.g_w1 *= st.dw
+    return picked
 
 
 def loss_and_gradients(
@@ -258,10 +304,63 @@ def loss_and_gradients(
     batch = _stack_examples(adj, labeled_examples)
     if batch.ax.shape[1] != params.w1.shape[0]:
         raise ValueError(f"features must have {params.w1.shape[0]} columns")
-    ws = _Workspace(batch, adj.node_count, params.w1.shape[1])
-    picked, g_w1, g_w2 = _batch_loss_and_gradients(params, adj.matrix, batch, ws)
+    st = _Stack([batch], adj.node_count, [GcnParams(params.w1, params.w2)])
+    picked = _stack_loss_and_gradients(adj.matrix, st)
     loss = float(-(np.log(picked) * batch.weight).sum()) if picked.min() > 0 else np.inf
-    return loss, GcnParams(g_w1, g_w2)
+    return loss, GcnParams(st.g_w1.copy(), st.g_w2.copy())
+
+
+def train_stack(
+    adj: NormalizedAdjacency,
+    members: Sequence[tuple[int, Iterable[tuple[np.ndarray, np.ndarray, Sequence[int]]]]],
+    hyper: TrainConfig = TrainConfig(),
+) -> list[GcnParams | ValueError | TrainingDivergedError]:
+    """Train each (init seed, labelled examples) member as ``train`` would, in lockstep.
+
+    The members run each epoch as one :class:`_Stack`, and each one's weights
+    keep the bits ``train`` gives it alone. Each entry of the result is the
+    member's trained parameters, or the error ``train`` raises for it alone: a
+    ValueError for malformed examples, or the ``TrainingDivergedError`` of the
+    epoch its own loss turned infinite, at which it leaves the stack and the
+    others run that epoch again without it. Members whose examples differ in
+    count or feature width are a ValueError.
+    """
+    out: list = [None] * len(members)
+    batches, index = [], []
+    for i, (_, examples) in enumerate(members):
+        try:
+            batches.append(_stack_examples(adj, examples))
+            index.append(i)
+        except ValueError as exc:
+            out[i] = exc
+    if not batches:
+        return out
+    if len({b.ax.shape for b in batches}) > 1:
+        raise ValueError("a stack's members must have the same example count and features")
+    features = batches[0].ax.shape[1]
+    params = [init_params(members[i][0], features, hyper.hidden_dim) for i in index]
+    st = _Stack(batches, adj.node_count, params)
+    epoch = 0
+    while epoch < hyper.epochs:
+        picked = _stack_loss_and_gradients(adj.matrix, st)
+        if not picked.min() > 0:  # some member's loss is infinite: find whose
+            starts = np.cumsum([0] + [b.rows.size for b in st.batches[:-1]])
+            alive = np.minimum.reduceat(picked, starts) > 0
+            for i in np.flatnonzero(~alive):
+                out[index[i]] = TrainingDivergedError(epoch)
+            index = [i for i, a in zip(index, alive) if a]
+            if not index:
+                return out
+            st = st.survivors(alive, adj.node_count)
+            continue
+        st.g_w1 *= hyper.learning_rate
+        st.g_w2 *= hyper.learning_rate
+        st.w1 -= st.g_w1
+        st.w2 -= st.g_w2
+        epoch += 1
+    for i, p in zip(index, st.params):
+        out[i] = p
+    return out
 
 
 def train(
@@ -275,16 +374,11 @@ def train(
     ``labeled_examples`` is a list of (features, labels, mask) triples that
     all share ``adj``. Deterministic given the init seed. Raises
     ``TrainingDivergedError`` at the first epoch whose loss is infinite.
+    This is :func:`train_stack` with one member.
     """
-    batch = _stack_examples(adj, labeled_examples)
-    params = init_params(params_init_seed, batch.ax.shape[1], hyper.hidden_dim)
-    ws = _Workspace(batch, adj.node_count, hyper.hidden_dim)
-    for epoch in range(hyper.epochs):
-        picked, g_w1, g_w2 = _batch_loss_and_gradients(params, adj.matrix, batch, ws)
-        if not picked.min() > 0:
-            raise TrainingDivergedError(epoch)
-        params.w1 -= hyper.learning_rate * g_w1
-        params.w2 -= hyper.learning_rate * g_w2
+    (params,) = train_stack(adj, [(params_init_seed, labeled_examples)], hyper)
+    if isinstance(params, Exception):
+        raise params
     return params
 
 

@@ -19,6 +19,7 @@ from galstream import (
     make_split,
     train,
 )
+from galstream.gcn import train_stack
 
 
 def random_setup(rng, n=6, d=3, hidden=4):
@@ -301,6 +302,83 @@ class TestTrain:
         adj, *_ = noiseless_toy()
         with pytest.raises(ValueError):
             train(0, adj, [], TrainConfig())
+
+
+def assert_same_bits(got: GcnParams, want: GcnParams):
+    assert got.w1.tobytes() == want.w1.tobytes()
+    assert got.w2.tobytes() == want.w2.tobytes()
+
+
+class TestTrainStack:
+    """Models trained in one stack against each trained alone, bit for bit."""
+
+    def test_each_member_keeps_the_bits_it_gets_alone(self):
+        rng = np.random.default_rng(30)
+        for size in [*range(1, 13), *range(1, 13)]:
+            n, d, e = (int(v) for v in rng.integers((3, 1, 1), (16, 5, 7)))
+            adj = build_normalized_adjacency(
+                Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < 0.3])
+            )
+            hyper = TrainConfig(
+                hidden_dim=int(rng.integers(1, 9)),
+                epochs=int(rng.integers(0, 30)),
+                learning_rate=float(rng.uniform(0.05, 0.5)),
+            )
+            members = []
+            for _ in range(size):
+                examples = []
+                for _ in range(e):
+                    # some labels are missing, so the members' masks differ in size
+                    labels = np.where(rng.random(n) < 0.3, -1, rng.integers(0, 2, size=n))
+                    labels[rng.integers(n)] = rng.integers(0, 2)
+                    labelled = np.flatnonzero(labels != -1)
+                    mask = rng.choice(labelled, size=rng.integers(1, labelled.size + 1), replace=False)
+                    examples.append((rng.normal(size=(n, d)), labels, mask.tolist()))
+                members.append((int(rng.integers(2**32)), examples))
+            stacked = train_stack(adj, members, hyper)
+            assert len(stacked) == size
+            for (seed, examples), got in zip(members, stacked):
+                assert_same_bits(got, train(seed, adj, examples, hyper))
+
+    def test_a_diverging_member_leaves_alone_and_the_rest_keep_their_bits(self):
+        # at this step size the toy's features scaled by 0.75 diverge at epoch 3 and
+        # by 1.0 at epoch 2 when trained alone, and the other scales train 40 epochs
+        adj, x, labels, mask = noiseless_toy()
+        hyper = TrainConfig(hidden_dim=8, epochs=40, learning_rate=30.0)
+        scales = (0.8, 0.75, 0.85, 1.0, 0.9)
+        members = [(9, [(x * scale, labels, mask)]) for scale in scales]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stacked = train_stack(adj, members, hyper)
+            alone = []
+            for seed, examples in members:
+                try:
+                    alone.append(train(seed, adj, examples, hyper))
+                except TrainingDivergedError as exc:
+                    alone.append(exc)
+        assert [type(a).__name__ for a in alone].count("TrainingDivergedError") == 2
+        for got, want in zip(stacked, alone):
+            if isinstance(want, TrainingDivergedError):
+                assert isinstance(got, TrainingDivergedError)
+                assert (got.epoch, str(got)) == (want.epoch, str(want))
+            else:
+                assert_same_bits(got, want)
+        assert sorted(a.epoch for a in alone if isinstance(a, Exception)) == [2, 3]
+
+    def test_malformed_examples_fail_only_their_member(self):
+        adj, x, labels, mask = noiseless_toy()
+        hyper = TrainConfig(hidden_dim=4, epochs=5)
+        members = [(1, [(x, labels, mask)]), (2, [(x, labels, [])]), (3, [(x, labels, mask)])]
+        good, bad, other = train_stack(adj, members, hyper)
+        assert str(bad) == "example 0: empty mask" and isinstance(bad, ValueError)
+        assert_same_bits(good, train(1, adj, [(x, labels, mask)], hyper))
+        assert_same_bits(other, train(3, adj, [(x, labels, mask)], hyper))
+
+    def test_members_of_different_example_counts_are_rejected(self):
+        adj, x, labels, mask = noiseless_toy()
+        members = [(1, [(x, labels, mask)]), (2, [(x, labels, mask)] * 2)]
+        with pytest.raises(ValueError, match="same example count"):
+            train_stack(adj, members, TrainConfig(epochs=1))
 
 
 class TestEmbed:

@@ -257,11 +257,64 @@ class TestRunExperiment:
         active = {r.category for r in result.records if r.strategy == "degree"}
         assert "train_next_day" in active
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial = run_experiment(small_config(tmp_path, bootstraps=2))
-        parallel = run_experiment(small_config(tmp_path, bootstraps=2, workers=2))
-        assert serial.records == parallel.records
-        assert serial.aggregate == parallel.aggregate
+    def test_parallel_matches_serial(self, tmp_path, gappy_dataset):
+        runs = [
+            (small_config(tmp_path, bootstraps=2), None),
+            # one bootstrap, split into two lockstep groups, one per worker
+            (small_config(tmp_path, strategies=STRATEGY_NAMES, bootstraps=1), None),
+            # missing labels: a group's units retrain on different days
+            (replace(gappy_config("model_based"), bootstraps=2), gappy_dataset),
+            # a step size at which 7 of 26 units diverge, each at its own epoch
+            (small_config(tmp_path, strategies=STRATEGY_NAMES, learning_rate=7.0), None),
+        ]
+        for config, dataset in runs:
+            serial = run_experiment(config, dataset)
+            parallel = run_experiment(replace(config, workers=2), dataset)
+            assert serial.records == parallel.records
+            assert serial.aggregate == parallel.aggregate
+            assert serial.query_logs == parallel.query_logs
+            assert serial.failures == parallel.failures
+        assert len(serial.failures) == 7
+        assert all(message.startswith("TrainingDivergedError") for *_, message in serial.failures)
+        # on the gappy dataset a bootstrap's units retrain different numbers of times
+        gappy = run_experiment(replace(runs[2][0], bootstraps=1), gappy_dataset)
+        labels = {frame.day_index: frame.labels for frame in gappy_dataset.days}
+        retrains = {
+            len({d for v, days in log.days_by_node.items() for d in days if labels[d][v] != -1})
+            for log in gappy.query_logs.values()
+        }
+        assert len(retrains) > 2
+
+    def test_failing_unit_in_a_pool_group_aborts_only_itself(self, tmp_path, monkeypatch):
+        config = small_config(tmp_path, strategies=STRATEGY_NAMES, bootstraps=1)
+        groups = harness.strategy_groups(config.strategies, config.bootstraps, 2)
+        assert any("degree" in group and len(group) > 1 for group in groups)
+        fault_seed = harness.unit_seed(config.base_seed, "degree", 0, config.initial_days + 2)
+        real_select = harness.select
+
+        def flaky(strategy, ctx):  # degree fails on its third query day
+            if ctx.rng_seed == fault_seed:
+                raise RuntimeError("injected fault")
+            return real_select(strategy, ctx)
+
+        # patched before the pool forks, so its workers inherit the fault
+        monkeypatch.setattr(harness, "select", flaky)
+        serial = run_experiment(config)
+        parallel = run_experiment(replace(config, workers=2))
+        assert serial.failures == [("degree", 0, "RuntimeError: injected fault")]
+        assert parallel.failures == serial.failures
+        assert parallel.records == serial.records
+        assert parallel.query_logs == serial.query_logs
+
+    @pytest.mark.parametrize("bootstraps, workers", [(1, 1), (1, 2), (1, 5), (20, 2), (3, 8)])
+    def test_strategy_groups_split_a_bootstrap_near_evenly(self, bootstraps, workers):
+        for strategies in (STRATEGY_NAMES, STRATEGY_NAMES[1:], ("no_al", "random"), ("age",)):
+            groups = harness.strategy_groups(strategies, bootstraps, workers)
+            assert sorted(s for g in groups for s in g) == sorted(strategies)
+            learners = [sum(s != "no_al" for s in g) for g in groups]
+            assert max(learners) <= harness.GROUP_LEARNERS
+            assert max(learners) - min(learners) <= 1
+            assert len(groups) >= min(len(strategies), -(-workers // bootstraps))
 
     def test_failing_unit_aborts_only_itself(self, tmp_path, monkeypatch):
         import galstream.harness as harness_mod

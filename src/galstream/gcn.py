@@ -154,14 +154,14 @@ def _stack_examples(
 
     outside = (node < 0) | (node >= n)
     safe = np.where(outside, 0, node)
-    bounds = np.cumsum(sizes)[:-1]
+    ends = np.cumsum(sizes).tolist()
     picked = np.concatenate(
         [
-            np.asarray(labels, dtype=int)[part]
-            for (_, labels, _), part in zip(examples, np.split(safe, bounds))
+            np.asarray(labels, dtype=int)[safe[start:end]]
+            for (_, labels, _), start, end in zip(examples, [0] + ends, ends)
         ]
     )
-    repeats = np.flatnonzero((np.diff(node) == 0) & (np.diff(example) == 0)) + 1
+    repeats = np.flatnonzero((node[1:] == node[:-1]) & (example[1:] == example[:-1])) + 1
     failed = np.zeros((len(_EXAMPLE_CHECKS), e), dtype=bool)
     failed[0] = [np.shape(features) != (n, feature_dim) for features, _, _ in examples]
     failed[1] = sizes == 0
@@ -184,11 +184,6 @@ def _stack_examples(
     return _Batch(ax, rows, sign.ravel()[rows], weight.ravel()[rows])
 
 
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays stacked on a new first axis; a lone array is viewed, not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 class _Stack:
     """A stack of U members' batches of one shape, their weights and every buffer
     of ``_stack_loss_and_gradients``, allocated once per stack.
@@ -198,8 +193,9 @@ class _Stack:
     Every slice goes through the same BLAS call, with the same shapes and
     strides, as the member's product alone, so each member keeps its bits. The
     labelled rows of all members are flat indices into one (U * rows) array,
-    member after member. For one member every view is squeezed to the
-    member's own 2-D arrays, so it pays nothing for the stacking.
+    member after member. One member has no stack axis: its buffers are its own
+    2-D arrays and its weights and batch are used as they are, so it pays
+    nothing for the stacking.
 
     Every array with one entry per stacked (node, example) row is filled in
     place each epoch, so an epoch allocates only the per-labelled-row logistic
@@ -207,47 +203,48 @@ class _Stack:
     """
 
     def __init__(self, batches: list[_Batch], nodes: int, params: list[GcnParams]) -> None:
-        u = len(batches)
         rows, features = batches[0].ax.shape
         hidden_dim = params[0].w1.shape[1]
         self.batches, self.params = batches, params
-        w1 = _stacked([p.w1 for p in params])  # (U, features, hidden)
-        w2 = _stacked([p.w2 for p in params])  # (U, hidden, 2)
-        for p, p_w1, p_w2 in zip(params, w1, w2):
-            p.w1, p.w2 = p_w1, p_w2  # a member's weights are its slices of the stack
-        self.rows = np.concatenate([b.rows + i * rows for i, b in enumerate(batches)])
-        self.sign = np.concatenate([b.sign for b in batches])
-        self.scale = -np.concatenate([b.weight for b in batches]) * self.sign
+        if len(batches) == 1:
+            lead: tuple[int, ...] = ()
+            (batch,), (p,) = batches, params
+            self.w1, self.w2, self.ax = p.w1, p.w2, batch.ax
+            self.rows, self.sign, weight = batch.rows, batch.sign, batch.weight
+        else:
+            lead = (len(batches),)
+            self.w1 = np.stack([p.w1 for p in params])  # (U, features, hidden)
+            self.w2 = np.stack([p.w2 for p in params])  # (U, hidden, 2)
+            for p, p_w1, p_w2 in zip(params, self.w1, self.w2):
+                p.w1, p.w2 = p_w1, p_w2  # a member's weights are its slices of the stack
+            self.ax = np.stack([b.ax for b in batches])
+            self.rows = np.concatenate([b.rows + i * rows for i, b in enumerate(batches)])
+            self.sign = np.concatenate([b.sign for b in batches])
+            weight = np.concatenate([b.weight for b in batches])
+        self.scale = -weight * self.sign
 
-        def one(x: np.ndarray) -> np.ndarray:  # a lone member's own slice
-            return x[0] if u == 1 else x
-
-        ax = _stacked([b.ax for b in batches])
-        hidden = np.empty((u, rows, hidden_dim))  # z1 = ax @ w1, then relu in place
-        dw = np.empty((u, 1, hidden_dim))  # w2[:, 1] - w2[:, 0]
-        col, s, d_s, back = np.empty((4, u, rows, 1))  # hidden @ dw, A @ col, d loss / d s, A @ d_s
-        d_s[:] = 0.0  # unlabelled rows stay 0
-        g_w2_t = np.empty((u, 2, hidden_dim))  # [-g, g], each column contiguous
-        self.w1, self.w2 = one(w1), one(w2)
-        self.w2_pos, self.w2_neg = one(w2[..., 1]), one(w2[..., 0])
-        self.ax = one(ax)
-        self.ax_t = one(np.ascontiguousarray(ax.transpose(0, 2, 1)))  # (features, rows)
-        self.hidden, self.hidden_t = one(hidden), one(hidden.transpose(0, 2, 1))
-        self.active = one(np.empty((u, rows, hidden_dim)))  # 1.0 where z1 > 0, else 0.0
-        self.dw, self.dw_flat = one(dw), one(dw[:, 0])
-        self.dw_col = one(dw.reshape(u, hidden_dim, 1))
-        self.col, self.back = one(col), one(back)
-        self.back_row = one(back.reshape(u, 1, rows))
+        self.w2_pos, self.w2_neg = self.w2[..., 1], self.w2[..., 0]
+        self.ax_t = np.ascontiguousarray(self.ax.swapaxes(-1, -2))  # (features, rows)
+        self.hidden = np.empty(lead + (rows, hidden_dim))  # z1 = ax @ w1, then relu in place
+        self.hidden_t = self.hidden.swapaxes(-1, -2)
+        self.active = np.empty(lead + (rows, hidden_dim))  # 1.0 where z1 > 0, else 0.0
+        self.dw = np.empty(lead + (1, hidden_dim))  # w2[:, 1] - w2[:, 0]
+        self.dw_flat, self.dw_col = self.dw[..., 0, :], self.dw.reshape(lead + (hidden_dim, 1))
+        # hidden @ dw, A @ col, d loss / d s, A @ d_s
+        self.col, s, d_s, self.back = np.empty((4,) + lead + (rows, 1))
+        d_s[...] = 0.0  # unlabelled rows stay 0
+        self.back_row = self.back.reshape(lead + (1, rows))
         self.s, self.d_s = s.reshape(-1), d_s.reshape(-1)  # flat, for the labelled rows
-        self.ax_back_t = one(np.empty((u, features, rows)))  # (ax * back[:, None]).T
-        self.g_w1 = one(np.empty((u, features, hidden_dim)))
-        self.g_w2 = one(g_w2_t.transpose(0, 2, 1))
-        self.g_w2_pos, self.g_w2_neg = one(g_w2_t[:, 1]), one(g_w2_t[:, 0])
-        self.g_w2_col = one(g_w2_t[:, 1, :, None])
+        self.ax_back_t = np.empty(lead + (features, rows))  # (ax * back[:, None]).T
+        self.g_w1 = np.empty(lead + (features, hidden_dim))
+        g_w2_t = np.empty(lead + (2, hidden_dim))  # [-g, g], each column contiguous
+        self.g_w2 = g_w2_t.swapaxes(-1, -2)
+        self.g_w2_pos, self.g_w2_neg = g_w2_t[..., 1, :], g_w2_t[..., 0, :]
+        self.g_w2_col = g_w2_t[..., 1, :, None]
         # node-major (nodes, examples) views for the two products with A
-        self.col_nodes, self.s_nodes, self.d_s_nodes, self.back_nodes = (
-            one(b.reshape(u, nodes, -1)) for b in (col, s, d_s, back)
-        )
+        shape = lead + (nodes, -1)
+        self.col_nodes, self.s_nodes = self.col.reshape(shape), s.reshape(shape)
+        self.d_s_nodes, self.back_nodes = d_s.reshape(shape), self.back.reshape(shape)
 
     def survivors(self, alive: np.ndarray, nodes: int) -> "_Stack":
         """A new stack of the members ``alive`` marks, carrying on from their weights."""

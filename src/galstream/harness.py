@@ -408,11 +408,6 @@ def _execute_unit(args) -> tuple[str, int, UnitResult | None, str | None]:
 # while a stack is small: at 40 nodes and 200 epochs (2 vCPUs, one BLAS
 # thread) 3 and 6 units trained 1.4-1.5x as fast as one at a time, 12 only 1.15x.
 GROUP_LEARNERS = 6
-# Most rows (nodes x examples) of a request that joins a stack. Measured, every
-# stack of up to 600 rows gained 1.46x or more, and at 60 and 120 nodes no
-# stack of 1,200 rows or more gained over 1.10x; at 40 nodes every buffer of
-# the default study (up to 1,160 rows) gained.
-STACK_ROWS = 1_200
 
 
 def strategy_groups(
@@ -432,17 +427,12 @@ def strategy_groups(
     return [tuple(ordered[i::count]) for i in range(count)]
 
 
-def _stacks(requests: dict[str, tuple], nodes: int) -> list[list[str]]:
-    """The units whose requests train as one stack: those of one example count
-    with at most :data:`STACK_ROWS` rows; every other request trains alone."""
+def _stacks(requests: dict[str, tuple]) -> list[list[str]]:
+    """The units whose requests train as one stack: those of one example count."""
     stacks: dict[int, list[str]] = {}
-    alone = []
     for strategy, (_, buffer) in requests.items():
-        if nodes * len(buffer) <= STACK_ROWS:
-            stacks.setdefault(len(buffer), []).append(strategy)
-        else:
-            alone.append([strategy])
-    return list(stacks.values()) + alone
+        stacks.setdefault(len(buffer), []).append(strategy)
+    return list(stacks.values())
 
 
 def _execute_group(args) -> list[tuple[str, int, UnitResult | None, str | None]]:
@@ -475,7 +465,7 @@ def _execute_group(args) -> list[tuple[str, int, UnitResult | None, str | None]]
     while waiting:
         round_, waiting = waiting, {}
         requests = {strategy: request for strategy, (_, request) in round_.items()}
-        for stack in _stacks(requests, dataset.node_count):
+        for stack in _stacks(requests):
             trained = train_stack(adj, [requests[s] for s in stack], hyper)
             for strategy, params in zip(stack, trained):
                 if isinstance(params, Exception):

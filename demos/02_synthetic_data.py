@@ -22,7 +22,6 @@ from galstream import (
 config = SyntheticConfig(node_count=40, community_count=2, days=30, regime_period=7)
 dataset = generate_synthetic(config, seed=1)
 
-print(f"dataset: {dataset.name}")
 print(f"graph: {dataset.node_count} nodes, {dataset.graph.edge_count} edges")
 print(f"stream: {dataset.day_count} days x {dataset.feature_dim} features")
 

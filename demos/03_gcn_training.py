@@ -51,8 +51,8 @@ params.w1[idx] = orig
 print(f"\nanalytic dW1[0,0] = {grads.w1[idx]:.8f}, finite difference = {(up - down) / (2 * h):.8f}")
 
 # embedding modes: learned hidden layer vs parameter-free propagation
-learned = embed("model_based", params, adj, frame.features)
-direct = embed("direct", None, adj, frame.features)
+learned = forward(params, adj, frame.features).hidden
+direct = embed(adj, frame.features)
 print(f"\nmodel_based embedding: {learned.shape}; direct embedding: {direct.shape}")
 corr = np.corrcoef(learned.mean(axis=1), direct.mean(axis=1))[0, 1]
 print(f"mean-activation correlation between modes: {corr:.3f}")

@@ -61,7 +61,6 @@ from .graphs import (
     modularity,
     modularity_partition,
     pagerank,
-    shortest_path_distances,
 )
 from .harness import (
     build_eval_slices,

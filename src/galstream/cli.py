@@ -49,7 +49,7 @@ def _cmd_run(args) -> int:
     elapsed = time.monotonic() - started
     n_units = len(config.strategies) * config.bootstraps
     print(
-        f"completed {n_units - len(result.failures)}/{n_units} units "
+        f"completed {n_units - len(result.failures)}/{n_units} units of {config.name!r} "
         f"in {elapsed:.1f}s -> {config.output_dir}"
     )
     return 1 if result.failures else 0

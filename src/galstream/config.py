@@ -3,6 +3,9 @@
 Every key has a default except the dataset source. The same resolved
 configuration is written into ``run_manifest.json`` after a run, and that
 manifest can be fed back to ``run`` to reproduce the outputs byte for byte.
+On a synthetic source each field, changed alone, changes at least one report
+CSV or is rejected, except three that change no output: ``name``, the run's
+label, ``workers`` and ``output_dir``.
 """
 
 from __future__ import annotations
@@ -256,9 +259,7 @@ def _load_ini(path: Path) -> ExperimentConfig:
             owner, _, attr = field_name.rpartition(".")
             (synthetic if owner else fields)[attr] = value
     try:
-        fields["synthetic"] = SyntheticConfig(
-            **synthetic, name=fields.get("name", ExperimentConfig.name)
-        )
+        fields["synthetic"] = SyntheticConfig(**synthetic)
     except ValueError as exc:
         raise ConfigError(f"[synthetic] {exc}") from None
     config = ExperimentConfig(**fields)
@@ -302,9 +303,10 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     _check_json_types(SyntheticConfig, payload.get("synthetic", {}), "synthetic.")
     try:
         payload = dict(payload)
-        synthetic = SyntheticConfig(**payload.pop("synthetic"))
+        # a manifest written while the stream had a name holds it; the name never took effect
+        synthetic = {k: v for k, v in payload.pop("synthetic").items() if k != "name"}
         config = ExperimentConfig(
-            synthetic=synthetic,
+            synthetic=SyntheticConfig(**synthetic),
             **{
                 **payload,
                 "strategies": tuple(payload["strategies"]),

@@ -64,7 +64,6 @@ class Dataset:
     graph: Graph
     days: tuple[DayFrame, ...]
     feature_dim: int
-    name: str = "dataset"
 
     def __post_init__(self) -> None:
         indices = [d.day_index for d in self.days]
@@ -305,7 +304,6 @@ def load_dataset(
     edge_file: str | Path,
     feature_file: str | Path,
     label_file: str | Path,
-    name: str = "dataset",
 ) -> Dataset:
     """Load and validate the three-file CSV dataset format: each file read once by
     :func:`_read_blocks`, each rule one mask over a block's columns (see :func:`_check`)."""
@@ -377,7 +375,7 @@ def load_dataset(
         labels.reshape(-1)[flat] = y
 
     frames = tuple(map(DayFrame, day_indices, features, labels))
-    return Dataset(graph=graph, days=frames, feature_dim=features.shape[2], name=name)
+    return Dataset(graph=graph, days=frames, feature_dim=features.shape[2])
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
@@ -425,7 +423,6 @@ class SyntheticConfig:
     p_out: float = 0.05
     noise: float = 0.4
     offset_scale: float = 1.0
-    name: str = "synthetic"
 
     def __post_init__(self) -> None:
         if self.node_count < 10:
@@ -486,9 +483,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Dataset:
         feats += config.noise * rng.normal(size=(n, config.feature_dim))
         labels = (latent > 0).astype(int)
         frames.append(DayFrame(day_index=day, features=feats, labels=labels))
-    return Dataset(
-        graph=graph, days=tuple(frames), feature_dim=config.feature_dim, name=config.name
-    )
+    return Dataset(graph=graph, days=tuple(frames), feature_dim=config.feature_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ and one back. ``train`` and ``loss_and_gradients`` run the same routine.
 ``train_stack`` trains several models of one example count in lockstep: each
 epoch runs once over a stack of them, one batched product per step, and each
 model keeps the bits it gets trained alone. ``train`` is its one-model case.
+
+A trained model's embeddings are its hidden layer; ``embed`` gives the
+direct embeddings, two propagation hops with no trained weights.
 """
 
 from __future__ import annotations
@@ -379,18 +382,7 @@ def train(
     return params
 
 
-def embed(
-    mode: str,
-    params: GcnParams | None,
-    adj: NormalizedAdjacency,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Node embeddings: the trained hidden layer, or two untrained propagation hops."""
-    if mode == "model_based":
-        if params is None:
-            raise ValueError("model_based embeddings require trained parameters")
-        return forward(params, adj, x).hidden
-    if mode == "direct":
-        x = np.asarray(x, dtype=float)
-        return adj.matrix @ (adj.matrix @ x)
-    raise ValueError(f"unknown embedding mode {mode!r}; expected one of {EMBEDDING_MODES}")
+def embed(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
+    """The direct embeddings: two untrained propagation hops of ``x``."""
+    x = np.asarray(x, dtype=float)
+    return adj.matrix @ (adj.matrix @ x)

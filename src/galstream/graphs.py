@@ -230,24 +230,6 @@ class Partition:
 # ---------------------------------------------------------------------------
 
 
-def shortest_path_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source``; unreachable nodes get ``UNREACHABLE``."""
-    if not 0 <= source < g.node_count:
-        raise ValueError(f"source {source} out of range")
-    dist = np.full(g.node_count, UNREACHABLE, dtype=int)
-    dist[source] = 0
-    node = np.repeat(np.arange(g.node_count), g.degrees())  # each adjacency entry's node
-    frontier = dist == 0
-    depth = 0
-    while frontier.any():
-        depth += 1
-        frontier = np.zeros(g.node_count, dtype=bool)
-        frontier[g.neighbors[(dist == depth - 1)[node]]] = True
-        frontier &= dist == UNREACHABLE
-        dist[frontier] = depth
-    return dist
-
-
 # A block of the shared pass holds at most this many keys, and four times
 # this many adjacency entries; see _block_size.
 _PAIR_ENTRIES = 1 << 14

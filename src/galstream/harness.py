@@ -199,9 +199,7 @@ def unit_seed(base_seed: int, strategy: str, bootstrap: int, tag: int) -> int:
 def load_configured_dataset(config: ExperimentConfig) -> Dataset:
     if config.source == "synthetic":
         return generate_synthetic(config.synthetic, config.synthetic_seed)
-    return load_dataset(
-        config.edges_path, config.features_path, config.labels_path, name=config.name
-    )
+    return load_dataset(config.edges_path, config.features_path, config.labels_path)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +319,7 @@ def _unit_days(dataset: Dataset, config: ExperimentConfig, strategy: str, bootst
         if config.embedding_mode == "model_based":
             embeddings = current.hidden
         else:
-            embeddings = embed("direct", None, adj, frame.features)
+            embeddings = embed(adj, frame.features)
         ctx = SelectionContext(
             graph=dataset.graph,
             adj=adj,

@@ -194,7 +194,7 @@ def select_coreset(ctx: SelectionContext) -> Selection:
 
 def select_featprop(ctx: SelectionContext) -> Selection:
     """Two propagation hops over the raw day features, then density selection."""
-    propagated = embed("direct", None, ctx.adj, ctx.features)
+    propagated = embed(ctx.adj, ctx.features)
     pool = ctx.pool_array()
     points = propagated[pool]
     centroids, _ = kmeans(points, ctx.k, ctx.rng_seed)

@@ -57,9 +57,7 @@ def oracle_generate_synthetic(config, seed):
         feats += config.noise * rng.normal(size=(n, config.feature_dim))
         labels = (latent > 0).astype(int)
         frames.append(DayFrame(day_index=day, features=feats, labels=labels))
-    return Dataset(
-        graph=graph, days=tuple(frames), feature_dim=config.feature_dim, name=config.name
-    )
+    return Dataset(graph=graph, days=tuple(frames), feature_dim=config.feature_dim)
 
 
 def _read_rows(path):
@@ -83,7 +81,7 @@ def _parse_int(path, lineno, text, what):
         raise DataFormatError(path, lineno, f"{what} {text!r} is not an integer") from None
 
 
-def oracle_load_dataset(edge_file, feature_file, label_file, name="dataset"):
+def oracle_load_dataset(edge_file, feature_file, label_file):
     feature_path = Path(feature_file)
     header, rows = _read_rows(feature_path)
     if len(header) < 3 or header[:2] != ["day", "node"]:
@@ -171,7 +169,7 @@ def oracle_load_dataset(edge_file, feature_file, label_file, name="dataset"):
             if (day, node) in label_map:
                 labels[node] = label_map[(day, node)]
         frames.append(DayFrame(day_index=day, features=feats, labels=labels))
-    return Dataset(graph=graph, days=tuple(frames), feature_dim=feature_dim, name=name)
+    return Dataset(graph=graph, days=tuple(frames), feature_dim=feature_dim)
 
 
 def oracle_save_dataset(dataset, out_dir):

@@ -100,7 +100,7 @@ def oracle_run_unit(dataset, config, strategy, bootstrap):
             elif config.embedding_mode == "model_based":
                 embeddings = current.hidden
             else:
-                embeddings = embed("direct", None, adj, frame.features)
+                embeddings = embed(adj, frame.features)
             ctx = SelectionContext(
                 graph=dataset.graph,
                 adj=adj,

@@ -32,7 +32,6 @@ from galstream import (
     centrality,
     graphs,
     load_centrality,
-    shortest_path_distances,
 )
 from galstream.datasets import generate_synthetic
 from galstream.exceptions import ConvergenceError
@@ -115,9 +114,9 @@ def test_centralities_match_golden_digests(graph):
 
 def test_shared_pass_distances_match_single_source_bfs(graph):
     _, g = graph
-    dist = graphs._shortest_paths(g).distances
-    for s in range(g.node_count):
-        assert np.array_equal(dist[s], shortest_path_distances(g, s))
+    # each row against the textbook pass's FIFO BFS from that source; oracle_distances
+    # enumerates every simple path, which no 300-node graph here lets finish
+    assert np.array_equal(graphs._shortest_paths(g).distances, brandes_shortest_paths(g)[0])
 
 
 def _bottom_up_levels(g: Graph, distances: np.ndarray) -> int:

@@ -385,32 +385,13 @@ class TestEmbed:
     def test_direct_mode_on_edgeless_graph_is_identity(self):
         adj = build_normalized_adjacency(Graph.from_edges(3, []))
         x = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(embed("direct", None, adj, x), x)
+        assert np.array_equal(embed(adj, x), x)
 
     def test_direct_mode_on_triangle_averages_rows(self):
         adj = build_normalized_adjacency(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]))
         x = np.array([[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]])
-        out = embed("direct", None, adj, x)
+        out = embed(adj, x)
         assert np.abs(out - x.mean(axis=0)).max() < 1e-12
-
-    def test_model_based_equals_hidden_recomputation(self):
-        rng = np.random.default_rng(12)
-        adj, x, _, _, params = random_setup(rng)
-        out = embed("model_based", params, adj, x)
-        want = np.maximum(adj.matrix @ x @ params.w1, 0.0)
-        assert np.abs(out - want).max() < 1e-12
-
-    def test_model_based_requires_params(self):
-        rng = np.random.default_rng(13)
-        adj, x, *_ = random_setup(rng)
-        with pytest.raises(ValueError):
-            embed("model_based", None, adj, x)
-
-    def test_unknown_mode_rejected(self):
-        rng = np.random.default_rng(14)
-        adj, x, *_ = random_setup(rng)
-        with pytest.raises(ValueError):
-            embed("spectral", None, adj, x)
 
 
 def test_forward_equivariance_under_relabeling():

@@ -27,12 +27,12 @@ from galstream import (
     clustering_coefficient,
     degree_centrality,
     eigenvector_centrality,
+    graphs,
     harmonic_centrality,
     load_centrality,
     modularity,
     modularity_partition,
     pagerank,
-    shortest_path_distances,
 )
 from galstream.datasets import SyntheticConfig, synthetic_communities
 
@@ -210,18 +210,21 @@ class TestArrayBuild:
 
 
 class TestShortestPaths:
+    """Rows of the shared shortest-path pass: each source's hop distances."""
+
     def test_path_graph(self):
-        assert shortest_path_distances(PATH3, 0).tolist() == [0, 1, 2]
+        assert graphs._shortest_paths(PATH3).distances[0].tolist() == [0, 1, 2]
 
     def test_unreachable_marker(self):
         g = Graph.from_edges(3, [(0, 1)])
-        assert shortest_path_distances(g, 0).tolist() == [0, 1, -1]
+        assert graphs._shortest_paths(g).distances[0].tolist() == [0, 1, -1]
 
     def test_matches_exhaustive_search_on_12_nodes(self):
         rng = np.random.default_rng(5)
         g = random_graph(rng, 12, 0.25)
+        dist = graphs._shortest_paths(g).distances
         for s in range(12):
-            assert shortest_path_distances(g, s).tolist() == oracle_distances(g, s).tolist()
+            assert dist[s].tolist() == oracle_distances(g, s).tolist()
 
 
 class TestDegree:

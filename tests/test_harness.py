@@ -1,9 +1,10 @@
+import configparser
 import csv
 import json
 import random
 import shutil
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from galstream import (
     validate_config,
 )
 from galstream.cli import main as cli_main
-from galstream.config import INI_KEYS, config_to_dict
+from galstream.config import INI_KEYS, config_from_dict, config_to_dict
 from galstream.datasets import Dataset, DayFrame, Split, save_dataset
 from galstream.exceptions import DataFormatError
 from galstream.gcn import EMBEDDING_MODES, MISSING_LABEL
@@ -38,6 +39,7 @@ DERIVED = (
     "aggregate.csv", "rolling.csv", "burden.csv", "tradeoff.csv",
     "centrality_heatmap.csv", "centrality_correlation.csv", "significance.csv",
 )
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
 SMALL_SYNTH = SyntheticConfig(
     node_count=12, days=8, feature_dim=2, regime_period=3
 )
@@ -633,6 +635,8 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         # a removed key, which every manifest written before its removal records
         stale = {"config": {**config_to_dict(ExperimentConfig()), "pagerank_damping": 0.85}}
+        flavoured = config_to_dict(ExperimentConfig())
+        flavoured["synthetic"]["flavour"] = "mild"  # only synthetic.name is read and ignored
         for name, body, key in (
             ("exp.ini", "[dataset]\nsource = synthetic\nflavour = mild\n", "flavour"),
             (
@@ -641,6 +645,7 @@ class TestConfigFile:
                 "pagerank_damping",
             ),
             ("run_manifest.json", json.dumps(stale), "pagerank_damping"),
+            ("run_manifest.json", json.dumps({"config": flavoured}), "flavour"),
         ):
             path = tmp_path / name
             path.write_text(body)
@@ -650,6 +655,13 @@ class TestConfigFile:
     def test_ini_key_table_is_the_settable_keys(self):
         assert {(s, k) for s, keys in INI_KEYS.items() for k in keys} == set(INI_SAMPLES)
         assert len(INI_SAMPLES) == 32
+
+    def test_example_config_sets_every_key(self):
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser.read(EXAMPLE_CONFIG)
+        keys = {(s, k) for s, keys in INI_KEYS.items() for k in keys}
+        files = {("dataset", key) for key in ("edges", "features", "labels")}  # synthetic rejects
+        assert {(s, k) for s in parser.sections() for k in parser.options(s)} == keys - files
 
     @pytest.mark.parametrize("section,key", sorted(INI_SAMPLES))
     def test_each_ini_key_sets_the_field_it_names(self, tmp_path, section, key):
@@ -710,6 +722,75 @@ class TestConfigFile:
             validate_config(ExperimentConfig(gap_thresholds=(0,)))
         with pytest.raises(ConfigError, match="gap_thresholds must not repeat"):
             validate_config(ExperimentConfig(gap_thresholds=(1, 1)))
+        with pytest.raises(ConfigError, match="embedding_mode"):
+            validate_config(ExperimentConfig(embedding_mode="spectral"))
+
+
+# Each config field, changed alone on the study below to its INI_SAMPLES value, must
+# change a report CSV, unless one of these names it with the reason it does not.
+OUTPUT_NEUTRAL = {
+    "name": "the run's label, which `galstream run` prints",
+    "workers": "a pool writes the serial run's bytes",
+    "output_dir": "where the reports go, not what they hold",
+}
+REJECTED = {
+    "source": "a files source needs its three file paths",
+    "edges_path": "a synthetic source reads no files",
+    "features_path": "a synthetic source reads no files",
+    "labels_path": "a synthetic source reads no files",
+}
+# small, and broad enough that every effective field moves a report: no_al, an
+# uncertainty strategy and two embedding-space strategies; three bootstraps, so that
+# some node's shortest re-query gap is 3 days, which reference_gap = 2 no longer counts
+KEY_STUDY = ExperimentConfig(
+    synthetic=SyntheticConfig(node_count=14, days=8, feature_dim=2, regime_period=3),
+    strategies=("no_al", "uncertainty_entropy", "density", "graphpartfar"),
+    initial_days=2,
+    queries_per_day=2,
+    bootstraps=3,
+    epochs=3,
+)
+FIELD_PATHS = [f.name for f in fields(ExperimentConfig) if f.name != "synthetic"] + [
+    f"synthetic.{f.name}" for f in fields(SyntheticConfig)
+]
+FIELD_SAMPLES = {path: value for _, path, value in INI_SAMPLES.values()}
+
+
+def _report_csvs(config):
+    dataset = load_configured_dataset(config)
+    paths = emit_reports(run_experiment(config, dataset), config, dataset)
+    return {name: paths[name].read_bytes() for name in REPORT_FILES if name.endswith(".csv")}
+
+
+@pytest.fixture(scope="module")
+def key_study_csvs(tmp_path_factory):
+    return _report_csvs(replace(KEY_STUDY, output_dir=str(tmp_path_factory.mktemp("keys"))))
+
+
+@pytest.mark.parametrize("field_path", FIELD_PATHS)
+def test_each_config_field_takes_effect_or_is_rejected(
+    key_study_csvs, tmp_path, monkeypatch, field_path
+):
+    assert field_path in FIELD_SAMPLES, f"{field_path} has no INI_SAMPLES value"
+    change = {field_path.removeprefix("synthetic."): FIELD_SAMPLES[field_path]}
+    config = replace(KEY_STUDY, output_dir=str(tmp_path / "out"))
+    if field_path.startswith("synthetic."):
+        config = replace(config, synthetic=replace(config.synthetic, **change))
+    else:
+        config = replace(config, **change)
+    if field_path in REJECTED:
+        with pytest.raises(ConfigError):
+            validate_config(config)
+        return
+    assert config_from_dict(config_to_dict(config)) == config  # a manifest keeps the field
+    monkeypatch.chdir(tmp_path)  # a relative output_dir lands here
+    moved = [
+        name for name, data in _report_csvs(config).items() if data != key_study_csvs[name]
+    ]
+    if field_path in OUTPUT_NEUTRAL:
+        assert moved == [], f"{field_path} is listed as output-neutral but moves {moved}"
+    else:
+        assert moved, f"{field_path} changes no report CSV; reject it or list it as neutral"
 
 
 def _replacing(old, new):
@@ -769,8 +850,7 @@ class TestCli:
         assert "config ok" in capsys.readouterr().out
 
     def test_validate_shipped_example_config(self, capsys):
-        example = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
-        assert cli_main(["validate", "--config", str(example)]) == 0
+        assert cli_main(["validate", "--config", str(EXAMPLE_CONFIG)]) == 0
         assert "13 strategies" in capsys.readouterr().out
 
     def test_validate_rejects_oversized_budget(self, tmp_path, capsys):
@@ -910,9 +990,30 @@ class TestCli:
 
     def test_run_and_report(self, tmp_path, capsys):
         ini = self.write_config(tmp_path)
+        ini.write_text(ini.read_text().replace("synthetic\n", "synthetic\nname = sensors\n", 1))
         assert cli_main(["run", "--config", str(ini)]) == 0
+        assert "/6 units of 'sensors' in " in capsys.readouterr().out
         out = tmp_path / "results"
         assert cli_main(["report", "--result", str(out)]) == 0
+
+    def test_manifest_that_names_its_synthetic_stream_still_runs(self, tmp_path, capsys):
+        # every manifest written while SyntheticConfig had a name field records it
+        ini = self.write_config(tmp_path)
+        assert cli_main(["run", "--config", str(ini)]) == 0
+        results = tmp_path / "results"
+        written = {name: (results / name).read_bytes() for name in REPORT_FILES}
+        manifest = results / "run_manifest.json"
+        payload = json.loads(written["run_manifest.json"])
+        assert "name" not in payload["config"]["synthetic"]
+        payload["config"]["synthetic"]["name"] = "demo"
+        manifest.write_text(json.dumps(payload))
+        assert cli_main(["validate", "--config", str(manifest)]) == 0
+        assert cli_main(["report", "--result", str(results)]) == 0
+        assert cli_main(["run", "--config", str(manifest), "--out", str(tmp_path / "rerun")]) == 0
+        for name in REPORT_FILES:
+            if name.endswith(".csv"):
+                assert (results / name).read_bytes() == written[name], name
+                assert (tmp_path / "rerun" / name).read_bytes() == written[name], name
 
     def test_missing_config_is_machine_parsable_error(self, tmp_path, capsys):
         (tmp_path / "malformed.json").write_text("{not json")
